@@ -1,8 +1,8 @@
 """citefit: fit, test and compare discretised lognormal and hooked power
 law models for citation-like count data.
 
-The numerical hot paths live in a compiled extension when available; a
-NumPy fallback is selected automatically (see :mod:`citefit.kernels`).
+Pure Python on NumPy and SciPy: there is no compiled extension, so every
+install runs the same code path.
 """
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ from citefit.studies import (
     shape_table,
     simulation_study,
 )
-from citefit.kernels import BACKEND as KERNEL_BACKEND
 
 __all__ = [
     "AllStatisticsFailedError",
@@ -75,7 +74,6 @@ __all__ = [
     "HookedPowerLaw",
     "IdenticalModelsError",
     "InvalidWeightsError",
-    "KERNEL_BACKEND",
     "Mixture",
     "MixtureSpec",
     "Moments",

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from citefit import __version__
-from citefit.bootstrap import bootstrap_study
+from citefit.bootstrap import MIN_REPS, bootstrap_study
 from citefit.distributions import (
     DiscretisedLognormal,
     HookedPowerLaw,
@@ -119,21 +119,26 @@ def _load_file(args, path) -> CitationSample:
     return ingest_file(path, offset=args.offset, label=label)
 
 
+def _subject(name: str):
+    try:
+        return get_subject(name)
+    except KeyError as err:
+        raise ParseError(err.args[0]) from None
+
+
+def _chosen_subjects(name: str | None) -> list:
+    """The bundled subjects that ``--subject`` names: one, or 'all'."""
+    if name is None:
+        raise ParseError("give count files or --subject (a name, or 'all')")
+    return list(SUBJECTS) if name.lower() == "all" else [_subject(name)]
+
+
 def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
     """Count files if given, otherwise simulated data from the fixture."""
     if args.files:
         return [_load_file(args, p) for p in args.files], {"data_source": "files"}
-    if args.subject is None:
-        raise ParseError("give count files or --subject (a name, or 'all')")
-    if args.subject.lower() == "all":
-        chosen = list(SUBJECTS)
-    else:
-        try:
-            chosen = [get_subject(args.subject)]
-        except KeyError as err:
-            raise ParseError(str(err))
     samples = []
-    for index, subject in enumerate(chosen):
+    for index, subject in enumerate(_chosen_subjects(args.subject)):
         model = subject.lognormal() if args.family == "lognormal" else subject.hooked()
         n = args.n or subject.n
         counts = model.sample(n, child_seed(seed, 900, index))
@@ -232,7 +237,7 @@ def _cmd_bootstrap(args) -> int:
 
 def _make_generator(args):
     if args.subject:
-        subject = get_subject(args.subject)
+        subject = _subject(args.subject)
         model = subject.lognormal() if args.dist == "lognormal" else subject.hooked()
         return model, subject.n
     if args.dist == "lognormal":
@@ -301,13 +306,9 @@ def _cmd_study_vuong(args) -> int:
             )
             rows.append(study.row(sample.label, len(sample)))
     else:
-        if args.subject is None:
-            raise ParseError("give count files or --subject (a name, or 'all')")
-        chosen = (list(SUBJECTS) if args.subject.lower() == "all"
-                  else [get_subject(args.subject)])
         mode = "fresh samples simulated from bundled subject parameters"
         rows = []
-        for i, subject in enumerate(chosen):
+        for i, subject in enumerate(_chosen_subjects(args.subject)):
             model = (subject.lognormal() if args.family == "lognormal"
                      else subject.hooked())
             n = args.size or args.n or subject.n
@@ -380,6 +381,22 @@ def _cmd_study_means(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+def _checked(convert, accept, need: str):
+    """argparse type: ``convert`` the text, then reject values failing ``accept``."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {value}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+_REPS = _checked(int, lambda v: v >= MIN_REPS, f"need reps >= {MIN_REPS}")
+_NSIM = _checked(int, lambda v: v >= 1, "need at least one simulation")
+_WEIGHT = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
+
+
 def _add_common(parser, seed=True, fmt=True, offset=False, workers=False):
     if seed:
         parser.add_argument("--seed", type=int, default=None,
@@ -425,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gof", help="Monte-Carlo KS goodness of fit")
     p.add_argument("file")
     p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
-    p.add_argument("--nsim", type=int, default=1000)
+    p.add_argument("--nsim", type=_NSIM, default=1000)
     p.add_argument("--refit", action="store_true",
                    help="refit each simulated sample")
     p.add_argument("--max-evals", type=int, default=10_000)
@@ -442,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--statistic", choices=sorted(BOOTSTRAP_STATISTICS),
                    default="mean")
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_REPS, default=1000)
     p.add_argument("--size", type=int, default=None,
                    help="resample size (default: same as input)")
     _add_common(p, offset=True, workers=True)
@@ -475,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = study_sub.add_parser("plausibility", help="KS plausibility per sample")
     _add_study_source(p)
-    p.add_argument("--nsim", type=int, default=1000)
+    p.add_argument("--nsim", type=_NSIM, default=1000)
     _add_common(p, offset=True)
     p.set_defaults(handler=_cmd_study_plausibility)
 
     p = study_sub.add_parser("vuong", help="bootstrap/simulation Vuong tallies")
     _add_study_source(p)
-    p.add_argument("--reps", type=int, default=50)
+    p.add_argument("--reps", type=_REPS, default=50)
     p.add_argument("--size", type=int, default=None,
                    help="resample or simulation size (default: same size)")
     _add_common(p, offset=True, workers=True)
@@ -489,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = study_sub.add_parser("scale", help="bootstrap CIs of lognormal sigma")
     _add_study_source(p)
-    p.add_argument("--reps", type=int, default=50)
+    p.add_argument("--reps", type=_REPS, default=50)
     p.add_argument("--size", type=int, default=500)
     _add_common(p, offset=True, workers=True)
     p.set_defaults(handler=_cmd_study_scale)
@@ -505,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-b", type=float, default=3.5)
     p.add_argument("--sigma-a", type=float, default=1.0)
     p.add_argument("--sigma-b", type=float, default=1.0)
-    p.add_argument("--weight-a", type=float, default=0.5)
+    p.add_argument("--weight-a", type=_WEIGHT, default=0.5)
     p.add_argument("--pure-mu", type=float, default=2.25)
     p.add_argument("--pure-sigma", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10_000)

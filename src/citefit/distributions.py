@@ -7,7 +7,8 @@ Two families are provided, plus finite mixtures of them:
   the total mass of (0.5, inf).
 * :class:`HookedPowerLaw` uses the density value (b + x)**(-alpha) as a
   point mass with a normalising constant, the discrete counterpart of a
-  Lomax (Pareto type II) law; it needs alpha > 1 to be summable.
+  Lomax (Pareto type II) law; it needs alpha > 1 to be summable. The
+  normaliser is a Hurwitz zeta value, evaluated in closed form.
 
 All models are immutable after construction and safe for concurrent use;
 the lazily grown cumulative table behind ``quantile`` and ``sample`` is
@@ -22,8 +23,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
-from citefit import kernels
 from citefit.exceptions import (
     DomainError,
     InvalidWeightsError,
@@ -35,10 +36,16 @@ from citefit.seeding import spawn_rng
 
 FAMILIES = ("lognormal", "hooked")
 
-# Relative accuracy target for the hooked normaliser truncation.
-_NORM_REL_TOL = 1e-13
-_NORM_FIRST_BLOCK = 1000
-_NORM_MAX_TERMS = 1 << 24
+# Hooked power sums: terms are added one by one until b + x reaches
+# max(_EM_FLOOR, _EM_RATIO * alpha), where the Euler-Maclaurin tail with
+# the Bernoulli numbers B_2 ... B_24 is accurate to about 1e-16.
+_EM_FLOOR = 12.0
+_EM_RATIO = 1.5
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+              -236364091 / 2730)
+_EM_COEFFS = tuple(bn / math.factorial(2 * j) for j, bn in enumerate(_BERNOULLI, 1))
+_NEGLIGIBLE = 1e-17
 
 # Quantile tables start small and double; beyond the cap (64 MiB of
 # float64) quantiles fall back to bisection on the tail formula.
@@ -46,6 +53,67 @@ _TABLE_START = 1 << 10
 _TABLE_CAP = 1 << 23
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _normal_interval_masses(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """Phi(z_hi) - Phi(z_lo) for standard-normal Phi, elementwise.
+
+    Intervals on the right half-axis are differenced through upper-tail
+    erfc values and mirrored otherwise, which preserves relative accuracy
+    deep in both tails (needed for tail pmf values feeding KS statistics
+    and log-likelihoods).
+    """
+    z_lo = np.asarray(z_lo, dtype=np.float64)
+    z_hi = np.asarray(z_hi, dtype=np.float64)
+    right = (z_lo + z_hi) > 0.0
+    a = np.where(right, z_lo, -z_hi)
+    c = np.where(right, z_hi, -z_lo)
+    out = 0.5 * (erfc(a * _INV_SQRT2) - erfc(c * _INV_SQRT2))
+    return np.maximum(out, 0.0)
+
+
+def _power_tail(alpha: float, b: float, start: int) -> float:
+    """Sum of ((b + x) / (b + 1))**(-alpha) over the integers x >= start.
+
+    This is (b + 1)**alpha * zeta(alpha, b + start), with the scaling
+    that keeps every term in floating range for any alpha > 1, b > 0
+    (the x = 1 term is exactly 1) where the bare Hurwitz zeta value
+    underflows. Terms are summed one by one, each exponent formed as
+    -alpha * log1p((x - 1) / (b + 1)) so that it keeps full relative
+    accuracy when b is large against x. The sum stops as soon as the
+    integral bound on what is left falls below 1e-17 of the total, or
+    otherwise, once b + x reaches max(12, 1.5 alpha), adds the
+    Euler-Maclaurin tail from there (F. Johansson, "Rigorous
+    high-precision computation of the Hurwitz zeta function and its
+    derivatives", Numer. Algorithms 69, 2015).
+    """
+    c = b + 1.0
+    reach = max(_EM_FLOOR, _EM_RATIO * alpha)
+    total = 0.0
+    x = start
+    while True:
+        term = math.exp(-alpha * math.log1p((x - 1) / c))
+        edge = b + x
+        if edge >= reach:
+            break
+        if term * (1.0 + edge / (alpha - 1.0)) <= _NEGLIGIBLE * total:
+            return total
+        total += term
+        x += 1
+    if term == 0.0:
+        return total
+    # sum over k >= 0 of ((edge + k) / edge)**(-alpha): the integral, half
+    # the first term, then B_2j / (2j)! * alpha (alpha + 1) ... (alpha + 2j - 2)
+    # / edge**(2j - 1) until the next correction is negligible
+    tail = edge / (alpha - 1.0) + 0.5
+    rising = alpha / edge
+    for j, coeff in enumerate(_EM_COEFFS, 1):
+        step = coeff * rising
+        tail += step
+        if abs(step) <= _NEGLIGIBLE * tail:
+            break
+        rising *= (alpha + 2 * j - 1) * (alpha + 2 * j) / (edge * edge)
+    return total + term * tail
 
 
 def _validate_support(x) -> np.ndarray:
@@ -290,7 +358,7 @@ class DiscretisedLognormal(_DiscreteModel):
         xf = x.astype(np.float64)
         z_lo = (np.log(xf - 0.5) - self.mu) / self.sigma
         z_hi = (np.log(xf + 0.5) - self.mu) / self.sigma
-        return kernels.normal_interval_masses(z_lo, z_hi)
+        return _normal_interval_masses(z_lo, z_hi)
 
     def _log_pmf(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -300,7 +368,7 @@ class DiscretisedLognormal(_DiscreteModel):
         xf = np.arange(1, m + 1, dtype=np.float64)
         z_hi = (np.log(xf + 0.5) - self.mu) / self.sigma
         z_lo = np.full(m, self._z_half)
-        out = kernels.normal_interval_masses(z_lo, z_hi) / self._norm
+        out = _normal_interval_masses(z_lo, z_hi) / self._norm
         # the per-element tail branch can wiggle by an ulp; force monotone
         return np.minimum(np.maximum.accumulate(out), 1.0)
 
@@ -320,10 +388,13 @@ class DiscretisedLognormal(_DiscreteModel):
 class HookedPowerLaw(_DiscreteModel):
     """Point masses proportional to (b + x)**(-alpha) on {1, 2, ...}.
 
-    The normalising constant is the truncated sum of (b + x)**(-alpha)
-    plus the integral tail correction (b + X + 0.5)**(1 - alpha) / (alpha - 1),
-    with the truncation point doubled until the estimated relative error of
-    the correction is below 1e-13, comfortably inside the 1e-10 contract.
+    The normalising constant is the Hurwitz zeta value zeta(alpha, b + 1),
+    computed as a few explicit terms plus an Euler-Maclaurin tail to
+    about 1e-16 relative accuracy over the whole parameter range the
+    fitter can visit (see ``_power_tail``). It is carried with a
+    (b + 1)**alpha scaling, so the pmf, the CDF table and the tail
+    formula behind ``cdf`` and ``quantile`` stay finite for any
+    alpha > 1, b > 0.
 
     Parameters
     ----------
@@ -344,25 +415,10 @@ class HookedPowerLaw(_DiscreteModel):
             raise ParameterError(f"b must be > 0 and finite, got {b}")
         self.alpha = alpha
         self.b = b
-        self._log_base = math.log(b + 1.0)
-        self._scaled_norm, self._norm_terms = self._compute_scaled_norm()
-        self._log_norm = math.log(self._scaled_norm) - alpha * self._log_base
+        # sum of ((b + x) / (b + 1))**(-alpha) over the support
+        self._scaled_norm = _power_tail(alpha, b, 1)
+        self._log_scaled_norm = math.log(self._scaled_norm)
         super().__init__()
-
-    def _compute_scaled_norm(self) -> tuple[float, int]:
-        # All quantities carry a (b + 1)**alpha scaling so the x = 1 term
-        # is exactly 1 and nothing under- or overflows.
-        alpha, b, log_base = self.alpha, self.b, self._log_base
-        total = 0.0
-        start, stop = 1, _NORM_FIRST_BLOCK
-        while True:
-            total += kernels.scaled_power_sum(alpha, b, start, stop)
-            log_edge = math.log(b + stop + 0.5)
-            tail = math.exp(alpha * log_base - (alpha - 1.0) * log_edge) / (alpha - 1.0)
-            err = (alpha / 24.0) * math.exp(alpha * log_base - (alpha + 1.0) * log_edge)
-            if err <= _NORM_REL_TOL * (total + tail) or stop >= _NORM_MAX_TERMS:
-                return total + tail, stop
-            start, stop = stop + 1, stop * 2
 
     @property
     def params(self) -> dict[str, float]:
@@ -372,27 +428,23 @@ class HookedPowerLaw(_DiscreteModel):
     def normalizer(self) -> float:
         """Sum of (b + x)**(-alpha) over the support (may underflow to 0.0
         for extreme parameters; ``log_normalizer`` is always finite)."""
-        return math.exp(self._log_norm)
+        return math.exp(self.log_normalizer)
 
     @property
     def log_normalizer(self) -> float:
-        return self._log_norm
+        return self._log_scaled_norm - self.alpha * math.log1p(self.b)
 
     def _log_pmf(self, x: np.ndarray) -> np.ndarray:
-        return -self.alpha * np.log(self.b + x.astype(np.float64)) - self._log_norm
+        return -self.alpha * np.log1p((x - 1) / (self.b + 1.0)) - self._log_scaled_norm
 
     def _grid(self, m: int) -> np.ndarray:
-        xf = np.arange(1, m + 1, dtype=np.float64)
-        terms = np.exp(-self.alpha * (np.log(self.b + xf) - self._log_base))
+        steps = np.arange(m, dtype=np.float64)
+        terms = np.exp(-self.alpha * np.log1p(steps / (self.b + 1.0)))
         out = np.cumsum(terms) / self._scaled_norm
         return np.minimum(out, 1.0)
 
     def _cdf_beyond(self, x: int) -> float:
-        alpha, b = self.alpha, self.b
-        log_edge = math.log(b + x + 0.5)
-        tail = math.exp(alpha * self._log_base - (alpha - 1.0) * log_edge) / (alpha - 1.0)
-        correction = (alpha / 24.0) * math.exp(alpha * self._log_base - (alpha + 1.0) * log_edge)
-        return min(1.0 - (tail - correction) / self._scaled_norm, 1.0)
+        return min(1.0 - _power_tail(self.alpha, self.b, x + 1) / self._scaled_norm, 1.0)
 
     def continuous_mean(self) -> float:
         return self.b / (self.alpha - 1.0)

@@ -36,7 +36,7 @@ from citefit.gof import ks_p_value, ks_statistic, shape_classify
 from citefit.sample import CitationSample, as_sample
 from citefit.seeding import child_seed, spawn_rng
 from citefit.subjects import SUBJECTS
-from citefit.vuong import vuong
+from citefit.vuong import Z_THRESHOLD, vuong
 
 PLAUSIBILITY_COLUMNS = (
     "subject", "n", "ln_mu", "ln_sigma", "ln_ks", "ln_p",
@@ -149,9 +149,9 @@ def _summarise_z(raw, reps: int) -> VuongStudy:
     )
     return VuongStudy(
         z_summary=summary,
-        hooked_wins=int((good > 1.96).sum()),
-        lognormal_wins=int((good < -1.96).sum()),
-        neither=int((np.abs(good) <= 1.96).sum()),
+        hooked_wins=int((good > Z_THRESHOLD).sum()),
+        lognormal_wins=int((good < -Z_THRESHOLD).sum()),
+        neither=int((np.abs(good) <= Z_THRESHOLD).sum()),
         failed=failed,
         reps=reps,
     )

@@ -182,3 +182,31 @@ def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gof"])  # missing required file and --dist
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--subject", "Astrology", "-n", "10", "--seed", "1"],
+    ["study", "vuong", "--subject", "Astrology", "--reps", "40", "--seed", "1"],
+])
+def test_unknown_subject_exits_2(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "unknown subject 'Astrology'" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["study", "vuong", "--subject", "Virology", "--reps", "39"], "need reps >= 40"),
+    (["study", "scale", "--subject", "Virology", "--reps", "10"], "need reps >= 40"),
+    (["bootstrap", "counts.txt", "--reps", "0"], "need reps >= 40"),
+    (["gof", "counts.txt", "--dist", "hooked", "--nsim", "0"], "at least one simulation"),
+    (["study", "plausibility", "--subject", "Virology", "--nsim", "-3"],
+     "at least one simulation"),
+    (["study", "mixture", "--weight-a", "1"], "strictly between 0 and 1"),
+    (["study", "mixture", "--weight-a", "0"], "strictly between 0 and 1"),
+    (["study", "vuong", "--subject", "Virology", "--reps", "many"], "invalid int value"),
+])
+def test_invalid_option_values_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err

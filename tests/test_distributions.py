@@ -104,6 +104,16 @@ def test_hooked_normalizer_against_hurwitz_zeta():
     mp.mp.dps = 50
 
 
+@pytest.mark.parametrize("alpha,b", [(1e10, 5e11), (1e6, 1e7), (1e6, 1e9)])
+def test_hooked_pmf_sums_to_one_inside_fit_box(alpha, b):
+    # With b far above x, an exponent formed as alpha * (log(b + x) - log(b + 1))
+    # cancels to a few digits and misses 1 by up to 2.5e-5 at these points;
+    # alpha * log1p((x - 1) / (b + 1)) keeps full accuracy.
+    model = HookedPowerLaw(alpha, b)
+    total = math.fsum(model.pmf(np.arange(1, 200_000)))
+    assert abs(total - 1.0) <= 1e-12
+
+
 # --- lognormal pmf oracles ---------------------------------------------------
 
 def _phi(z):
