@@ -16,6 +16,7 @@ import argparse
 import os
 import secrets
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -69,43 +70,28 @@ def _fitted_param(sample, family, name):
     return float(getattr(result.model, name))
 
 
-def _stat_lognormal_mu(sample):
-    return _fitted_param(sample, "lognormal", "mu")
-
-
-def _stat_hooked_alpha(sample):
-    return _fitted_param(sample, "hooked", "alpha")
-
-
-def _stat_hooked_b(sample):
-    return _fitted_param(sample, "hooked", "b")
-
-
 BOOTSTRAP_STATISTICS = {
     "mean": _stat_mean,
     "median": _stat_median,
     "lognormal-sigma": fitted_lognormal_sigma,
-    "lognormal-mu": _stat_lognormal_mu,
-    "hooked-alpha": _stat_hooked_alpha,
-    "hooked-b": _stat_hooked_b,
+    "lognormal-mu": partial(_fitted_param, family="lognormal", name="mu"),
+    "hooked-alpha": partial(_fitted_param, family="hooked", name="alpha"),
+    "hooked-b": partial(_fitted_param, family="hooked", name="b"),
     "vuong-z": hooked_vs_lognormal_z,
 }
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """The master seed (--seed, else $CITEFIT_SEED, else random), printed to stderr."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
         try:
-            return int(env)
+            seed = secrets.randbits(32) if env is None else int(env)
         except ValueError:
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return secrets.randbits(32)
-
-
-def _announce_seed(seed: int) -> None:
     print(f"master seed: {seed}", file=sys.stderr)
+    return seed
 
 
 def _base_header(args, seed: int, **extra) -> dict:
@@ -140,7 +126,7 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
     samples = []
     for index, subject in enumerate(_chosen_subjects(args.subject)):
         model = subject.lognormal() if args.family == "lognormal" else subject.hooked()
-        n = args.n or subject.n
+        n = subject.n if args.n is None else args.n
         counts = model.sample(n, child_seed(seed, 900, index))
         samples.append(CitationSample(counts, label=subject.name))
     extra = {
@@ -155,7 +141,6 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
 def _cmd_fit(args) -> int:
     sample = _load_file(args, args.file)
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     families = ["lognormal", "hooked"] if args.dist == "both" else [args.dist]
     config = FitConfig(max_evals=args.max_evals)
     rows = []
@@ -176,7 +161,6 @@ def _cmd_fit(args) -> int:
 def _cmd_gof(args) -> int:
     sample = _load_file(args, args.file)
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     config = FitConfig(max_evals=args.max_evals)
     result = ks_p_value(args.dist, sample, n_sim=args.nsim, seed=seed,
                         refit=args.refit, config=config)
@@ -195,7 +179,6 @@ def _cmd_gof(args) -> int:
 def _cmd_vuong(args) -> int:
     sample = _load_file(args, args.file)
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     config = FitConfig(max_evals=args.max_evals)
     hk = fit("hooked", sample, config)
     ln = fit("lognormal", sample, config)
@@ -218,7 +201,6 @@ def _cmd_vuong(args) -> int:
 def _cmd_bootstrap(args) -> int:
     sample = _load_file(args, args.file)
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     statistic = BOOTSTRAP_STATISTICS[args.statistic]
     summary = bootstrap_study(
         sample, args.reps, statistic, size=args.size, seed=seed,
@@ -251,10 +233,9 @@ def _make_generator(args):
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     model, fixture_n = _make_generator(args)
-    n = args.n or fixture_n
-    if not n:
+    n = fixture_n if args.n is None else args.n
+    if n is None:
         raise ParseError("give -n (no size available from the fixture)")
     counts = model.sample(n, seed)
     text = "\n".join(str(int(c)) for c in counts) + "\n"
@@ -270,7 +251,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_plot(args) -> int:
     sample = _load_file(args, args.file)
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     result = fit(args.dist, sample, FitConfig(max_evals=args.max_evals))
     if not result.usable:
         raise CitefitError(f"cannot plot a degenerate fit: {result.message}")
@@ -280,7 +260,6 @@ def _cmd_plot(args) -> int:
 
 def _cmd_study_plausibility(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     samples, extra = _study_samples(args, seed)
     rows = [
         plausibility_row(sample, n_sim=args.nsim, seed=child_seed(seed, i))
@@ -294,7 +273,6 @@ def _cmd_study_plausibility(args) -> int:
 
 def _cmd_study_vuong(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     if args.files:
         samples, extra = _study_samples(args, seed)
         mode = "bootstrap resamples of the input data"
@@ -311,7 +289,9 @@ def _cmd_study_vuong(args) -> int:
         for i, subject in enumerate(_chosen_subjects(args.subject)):
             model = (subject.lognormal() if args.family == "lognormal"
                      else subject.hooked())
-            n = args.size or args.n or subject.n
+            n = subject.n if args.n is None else args.n
+            if args.size is not None:
+                n = args.size
             study = simulation_study(model, n, args.reps,
                                      seed=child_seed(seed, i),
                                      workers=args.workers)
@@ -325,7 +305,6 @@ def _cmd_study_vuong(args) -> int:
 
 def _cmd_study_scale(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     samples, extra = _study_samples(args, seed)
     rows = scale_ci_study(samples, reps=args.reps, size=args.size,
                           seed=seed, workers=args.workers)
@@ -336,7 +315,6 @@ def _cmd_study_scale(args) -> int:
 
 def _cmd_study_shape(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     samples, extra = _study_samples(args, seed)
     rows, totals = shape_table(samples, epsilon=args.epsilon)
     header = _base_header(args, seed, epsilon=args.epsilon, **extra)
@@ -347,7 +325,6 @@ def _cmd_study_shape(args) -> int:
 
 def _cmd_study_mixture(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     spec = MixtureSpec(
         components=(DiscretisedLognormal(args.mu_a, args.sigma_a),
                     DiscretisedLognormal(args.mu_b, args.sigma_b)),
@@ -364,7 +341,6 @@ def _cmd_study_mixture(args) -> int:
 
 def _cmd_study_means(args) -> int:
     seed = _resolve_seed(args)
-    _announce_seed(seed)
     averages = mean_crosscheck()
     rows = []
     for subject in SUBJECTS:
@@ -393,7 +369,10 @@ def _checked(convert, accept, need: str):
 
 
 _REPS = _checked(int, lambda v: v >= MIN_REPS, f"need reps >= {MIN_REPS}")
+_MIXTURE_REPS = _checked(int, lambda v: v >= 1, "need reps >= 1")
 _NSIM = _checked(int, lambda v: v >= 1, "need at least one simulation")
+_SIZE = _checked(int, lambda v: v >= 1, "need a size >= 1")
+_WORKERS = _checked(int, lambda v: v >= 1, "need at least one worker")
 _WEIGHT = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
 
 
@@ -408,7 +387,7 @@ def _add_common(parser, seed=True, fmt=True, offset=False, workers=False):
         parser.add_argument("--offset", type=int, default=1,
                             help="offset added to raw counts (default 1)")
     if workers:
-        parser.add_argument("--workers", type=int, default=1,
+        parser.add_argument("--workers", type=_WORKERS, default=1,
                             help="parallel workers (identical results for any count)")
 
 
@@ -419,7 +398,7 @@ def _add_study_source(parser):
     parser.add_argument("--family", choices=["lognormal", "hooked"],
                         default="lognormal",
                         help="generator family for simulated study data")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=_SIZE, default=None,
                         help="simulated sample size (default: the subject's n)")
 
 
@@ -460,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statistic", choices=sorted(BOOTSTRAP_STATISTICS),
                    default="mean")
     p.add_argument("--reps", type=_REPS, default=1000)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_SIZE, default=None,
                    help="resample size (default: same as input)")
     _add_common(p, offset=True, workers=True)
     p.set_defaults(handler=_cmd_bootstrap)
@@ -473,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("-n", type=int, default=None, dest="n")
+    p.add_argument("-n", type=_SIZE, default=None, dest="n")
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_simulate)
@@ -499,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = study_sub.add_parser("vuong", help="bootstrap/simulation Vuong tallies")
     _add_study_source(p)
     p.add_argument("--reps", type=_REPS, default=50)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_SIZE, default=None,
                    help="resample or simulation size (default: same size)")
     _add_common(p, offset=True, workers=True)
     p.set_defaults(handler=_cmd_study_vuong)
@@ -507,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = study_sub.add_parser("scale", help="bootstrap CIs of lognormal sigma")
     _add_study_source(p)
     p.add_argument("--reps", type=_REPS, default=50)
-    p.add_argument("--size", type=int, default=500)
+    p.add_argument("--size", type=_SIZE, default=500)
     _add_common(p, offset=True, workers=True)
     p.set_defaults(handler=_cmd_study_scale)
 
@@ -525,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-a", type=_WEIGHT, default=0.5)
     p.add_argument("--pure-mu", type=float, default=2.25)
     p.add_argument("--pure-sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--n", type=_SIZE, default=10_000)
+    p.add_argument("--reps", type=_MIXTURE_REPS, default=100)
     _add_common(p, workers=True)
     p.set_defaults(handler=_cmd_study_mixture)
 

@@ -17,6 +17,7 @@ extended under a lock and readers only ever see complete arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from abc import ABC, abstractmethod
@@ -195,18 +196,25 @@ class _CdfTable:
 
 
 class _DiscreteModel(ABC):
-    """Shared quantile/sampling machinery for all model families."""
+    """Shared quantile/sampling machinery for all model families.
+
+    The CDF table is built on first use: models built only to evaluate a
+    likelihood never allocate one. Threads that race to build it each get
+    an equal table, since it is a pure function of the model.
+    """
 
     family: str
 
-    def __init__(self):
-        self._table = _CdfTable(self._grid)
+    @functools.cached_property
+    def _table(self) -> _CdfTable:
+        return _CdfTable(self._grid)
 
     # --- family-specific primitives -------------------------------------
 
-    @abstractmethod
     def _log_pmf(self, x: np.ndarray) -> np.ndarray:
-        """log P(X = x) for a validated int64 array."""
+        """log P(X = x) for a validated int64 array; a fit computes the
+        parameter-free ``_features(x)`` once and calls ``_log_pmf_at``."""
+        return self._log_pmf_at(self._features(x))
 
     @abstractmethod
     def _grid(self, m: int) -> np.ndarray:
@@ -348,21 +356,21 @@ class DiscretisedLognormal(_DiscreteModel):
         if self._norm <= 0.0:
             raise ParameterError("support mass underflows for these parameters")
         self._log_norm = math.log(self._norm)
-        super().__init__()
 
     @property
     def params(self) -> dict[str, float]:
         return {"mu": self.mu, "sigma": self.sigma}
 
-    def _masses(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log(x - 0.5) and log(x + 0.5), the parameter-free interval edges."""
         xf = x.astype(np.float64)
-        z_lo = (np.log(xf - 0.5) - self.mu) / self.sigma
-        z_hi = (np.log(xf + 0.5) - self.mu) / self.sigma
-        return _normal_interval_masses(z_lo, z_hi)
+        return np.log(xf - 0.5), np.log(xf + 0.5)
 
-    def _log_pmf(self, x: np.ndarray) -> np.ndarray:
+    def _log_pmf_at(self, features) -> np.ndarray:
+        z_lo, z_hi = ((log_edge - self.mu) / self.sigma for log_edge in features)
         with np.errstate(divide="ignore"):
-            return np.log(self._masses(x)) - self._log_norm
+            return np.log(_normal_interval_masses(z_lo, z_hi)) - self._log_norm
 
     def _grid(self, m: int) -> np.ndarray:
         xf = np.arange(1, m + 1, dtype=np.float64)
@@ -418,7 +426,6 @@ class HookedPowerLaw(_DiscreteModel):
         # sum of ((b + x) / (b + 1))**(-alpha) over the support
         self._scaled_norm = _power_tail(alpha, b, 1)
         self._log_scaled_norm = math.log(self._scaled_norm)
-        super().__init__()
 
     @property
     def params(self) -> dict[str, float]:
@@ -434,8 +441,13 @@ class HookedPowerLaw(_DiscreteModel):
     def log_normalizer(self) -> float:
         return self._log_scaled_norm - self.alpha * math.log1p(self.b)
 
-    def _log_pmf(self, x: np.ndarray) -> np.ndarray:
-        return -self.alpha * np.log1p((x - 1) / (self.b + 1.0)) - self._log_scaled_norm
+    @staticmethod
+    def _features(x: np.ndarray) -> np.ndarray:
+        """x - 1 as float64, the parameter-free distance from the support's start."""
+        return (x - 1).astype(np.float64)
+
+    def _log_pmf_at(self, features) -> np.ndarray:
+        return -self.alpha * np.log1p(features / (self.b + 1.0)) - self._log_scaled_norm
 
     def _grid(self, m: int) -> np.ndarray:
         steps = np.arange(m, dtype=np.float64)
@@ -478,7 +490,6 @@ class Mixture(_DiscreteModel):
         w.flags.writeable = False
         self.components = components
         self.weights = w
-        super().__init__()
 
     @property
     def params(self) -> dict[str, float]:

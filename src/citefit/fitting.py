@@ -73,8 +73,8 @@ def log_likelihood(model, sample) -> float:
     return float(np.dot(mult, model.log_pmf(values)))
 
 
-def _weighted_loglik(model, values, mult) -> float:
-    return float(np.dot(mult, model._log_pmf(values)))
+def _weighted_loglik(model, features, mult) -> float:
+    return float(np.dot(mult, model._log_pmf_at(features)))
 
 
 def fit(family: str, sample, config: FitConfig | None = None) -> FitResult:
@@ -106,6 +106,7 @@ def _fit_lognormal(values, mult, config: FitConfig) -> FitResult:
     mu0 = float(np.dot(mult, logs) / n)
     var0 = float(np.dot(mult, (logs - mu0) ** 2) / (n - 1))
     x0 = np.array([mu0, math.log(math.sqrt(var0))])
+    features = DiscretisedLognormal._features(values)
 
     def objective(theta):
         if abs(theta[1]) > 30.0:
@@ -114,7 +115,7 @@ def _fit_lognormal(values, mult, config: FitConfig) -> FitResult:
             model = DiscretisedLognormal(theta[0], math.exp(theta[1]))
         except ParameterError:
             return math.inf
-        ll = _weighted_loglik(model, values, mult)
+        ll = _weighted_loglik(model, features, mult)
         return -ll if math.isfinite(ll) else math.inf
 
     res = nelder_mead(objective, x0, step=config.step, max_evals=config.max_evals,
@@ -129,6 +130,7 @@ def _fit_hooked(values, mult, config: FitConfig) -> FitResult:
     n = mult.sum()
     mean = float(np.dot(mult, values)) / n
     x0 = np.array([math.log(config.init_alpha - 1.0), math.log(mean)])
+    features = HookedPowerLaw._features(values)
 
     def objective(theta):
         if theta[0] > 300.0 or abs(theta[1]) > 27.0:
@@ -138,7 +140,7 @@ def _fit_hooked(values, mult, config: FitConfig) -> FitResult:
             model = HookedPowerLaw(1.0 + math.exp(theta[0]), math.exp(theta[1]))
         except ParameterError:
             return math.inf
-        ll = _weighted_loglik(model, values, mult)
+        ll = _weighted_loglik(model, features, mult)
         return -ll if math.isfinite(ll) else math.inf
 
     res = nelder_mead(objective, x0, step=config.step, max_evals=config.max_evals,

@@ -3,7 +3,8 @@
 A compact derivative-free simplex search used for the maximum-likelihood
 fits. The discretised likelihoods are cheap but not smooth enough to make
 gradient methods attractive, and the simplex keeps full control over the
-stopping rule and the evaluation budget.
+stopping rule and the evaluation budget. Points are lists of plain
+floats: in the fits' two dimensions NumPy calls cost more than the maths.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
     Parameters
     ----------
     fn : callable
-        Objective, mapping a 1-d parameter array to a float.
+        Objective, mapping a sequence of floats (one per coordinate) to a
+        float.
     x0 : array_like
         Starting point; the initial simplex offsets each coordinate by
         ``step``.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    dim = x0.size
+    x0 = np.asarray(x0, dtype=np.float64).tolist()
+    dim = len(x0)
     evals = 0
 
     def call(x):
@@ -56,17 +58,14 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
         v = fn(x)
         return float(v) if math.isfinite(v) else math.inf
 
-    points = [x0.copy()]
-    for i in range(dim):
-        p = x0.copy()
-        p[i] += step
-        points.append(p)
+    points = [x0] + [[v + step if j == i else v for j, v in enumerate(x0)]
+                     for i in range(dim)]
     values = [call(p) for p in points]
     if not math.isfinite(values[0]):
         raise ValueError("objective is not finite at the starting point")
 
     def order():
-        idx = np.argsort(values, kind="stable")
+        idx = sorted(range(len(values)), key=values.__getitem__)
         return [points[i] for i in idx], [values[i] for i in idx]
 
     points, values = order()
@@ -74,18 +73,20 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
     while evals < max_evals:
         best, worst = values[0], values[-1]
         spread_ok = (worst - best) <= rel_f_tol * max(1.0, abs(best))
-        diameter = max(
-            float(np.max(np.abs(p - points[0]))) for p in points[1:]
-        )
+        diameter = max(abs(v - u) for p in points[1:] for u, v in zip(points[0], p))
         if spread_ok or diameter <= x_tol:
-            return SimplexResult(points[0], values[0], evals, True)
+            return SimplexResult(np.array(points[0]), values[0], evals, True)
 
-        centroid = np.mean(points[:-1], axis=0)
-        reflected = centroid + _REFLECT * (centroid - points[-1])
+        # mean of all but the worst point, summed left to right as np.mean does
+        centroid = points[0]
+        for p in points[1:-1]:
+            centroid = [u + v for u, v in zip(centroid, p)]
+        centroid = [u / dim for u in centroid]
+        reflected = [c + _REFLECT * (c - w) for c, w in zip(centroid, points[-1])]
         f_reflected = call(reflected)
 
         if f_reflected < values[0]:
-            expanded = centroid + _EXPAND * (reflected - centroid)
+            expanded = [c + _EXPAND * (r - c) for c, r in zip(centroid, reflected)]
             f_expanded = call(expanded)
             if f_expanded < f_reflected:
                 points[-1], values[-1] = expanded, f_expanded
@@ -95,16 +96,16 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
             points[-1], values[-1] = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                contracted = centroid + _CONTRACT * (reflected - centroid)
+                contracted = [c + _CONTRACT * (r - c) for c, r in zip(centroid, reflected)]
             else:
-                contracted = centroid + _CONTRACT * (points[-1] - centroid)
+                contracted = [c + _CONTRACT * (w - c) for c, w in zip(centroid, points[-1])]
             f_contracted = call(contracted)
             if f_contracted < min(f_reflected, values[-1]):
                 points[-1], values[-1] = contracted, f_contracted
             else:
                 for i in range(1, len(points)):
-                    points[i] = points[0] + _SHRINK * (points[i] - points[0])
+                    points[i] = [u + _SHRINK * (v - u) for u, v in zip(points[0], points[i])]
                     values[i] = call(points[i])
         points, values = order()
 
-    return SimplexResult(points[0], values[0], evals, False)
+    return SimplexResult(np.array(points[0]), values[0], evals, False)

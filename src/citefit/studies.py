@@ -308,6 +308,8 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     Each rep draws one sample from the mixture and one from ``pure_model``,
     fits the lognormal family to each, and records both KS statistics.
     """
+    if reps < 1:
+        raise TooFewRepsError(f"need reps >= 1, got {reps}")
     mixture = spec.to_model()
     tasks = [(mixture, pure_model, n, seed, rep, config) for rep in range(reps)]
     rows = _map_reps(_mixture_rep, tasks, workers)

@@ -204,9 +204,40 @@ def test_unknown_subject_exits_2(capsys, argv):
     (["study", "mixture", "--weight-a", "1"], "strictly between 0 and 1"),
     (["study", "mixture", "--weight-a", "0"], "strictly between 0 and 1"),
     (["study", "vuong", "--subject", "Virology", "--reps", "many"], "invalid int value"),
+    (["study", "vuong", "--subject", "Virology", "--reps", "40", "--size", "0"],
+     "need a size >= 1"),
+    (["study", "vuong", "--subject", "Virology", "--reps", "40", "--n", "0"],
+     "need a size >= 1"),
+    (["study", "plausibility", "--subject", "Virology", "--n", "0"], "need a size >= 1"),
+    (["study", "scale", "--subject", "Virology", "--size", "-3"], "need a size >= 1"),
+    (["bootstrap", "counts.txt", "--size", "0"], "need a size >= 1"),
+    (["simulate", "--subject", "Virology", "-n", "-5"], "need a size >= 1"),
+    (["simulate", "--subject", "Virology", "-n", "0"], "need a size >= 1"),
+    (["study", "mixture", "--reps", "0", "--n", "100"], "need reps >= 1"),
+    (["study", "mixture", "--n", "0"], "need a size >= 1"),
+    (["study", "mixture", "--workers", "0"], "need at least one worker"),
+    (["study", "scale", "--subject", "Virology", "--workers", "-1"],
+     "need at least one worker"),
+    (["bootstrap", "counts.txt", "--workers", "0"], "need at least one worker"),
 ])
 def test_invalid_option_values_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_study_sizes_given_explicitly_are_used(capsys):
+    base = ["study", "vuong", "--subject", "Virology", "--reps", "40", "--seed", "1",
+            "--format", "json"]
+    for extra, n in ((["--n", "60"], 60), (["--n", "60", "--size", "50"], 50)):
+        code, out, _ = _run(capsys, base + extra)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["n"] == n
+
+
+def test_simulate_explicit_n(capsys):
+    code, out, _ = _run(capsys, ["simulate", "--subject", "Virology", "-n", "3",
+                                 "--seed", "1"])
+    assert code == 0
+    assert len(out.split()) == 3

@@ -3,6 +3,7 @@ closed-form moment formulae."""
 
 import math
 import pickle
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -245,11 +246,48 @@ def test_concurrent_quantiles_match_sequential():
     assert_array_equal(threaded, reference)
 
 
+def test_racing_first_use_of_cdf_table():
+    # threads may each build the lazy table; every reader must see equal values
+    us = np.random.default_rng(6).random(4000) * 0.9999
+    reference = HookedPowerLaw(2.5, 12.0).quantile(us)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = HookedPowerLaw(2.5, 12.0)
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(shared.quantile, [us] * 8))
+            for got in results:
+                assert_array_equal(got, reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_models_pickle_roundtrip():
     for model in (HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)):
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
         assert_array_equal(clone.sample(100, 3), model.sample(100, 3))
+
+
+def test_pickle_roundtrip_after_table_is_built():
+    hooked, lognormal = HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)
+    for model in (hooked, lognormal, Mixture([hooked, lognormal], [0.3, 0.7])):
+        drawn = model.sample(500, 4)        # builds the CDF table
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
+        assert clone._table._cdf is None    # the cached table is not pickled
+        assert_array_equal(clone.sample(500, 4), drawn)
+        assert_array_equal(clone.cdf_grid(3000), model.cdf_grid(3000))
+
+
+def test_cdf_table_built_on_first_use():
+    model = HookedPowerLaw(3.94, 67.9)
+    model.log_pmf([1, 5, 40])
+    assert "_table" not in vars(model)      # likelihoods never allocate it
+    table = model._table
+    model.cdf(7)
+    assert model._table is table
 
 
 # --- continuous moments ------------------------------------------------------

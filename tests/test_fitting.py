@@ -142,3 +142,56 @@ def test_seeded_fits_differ_across_seeds():
     r1 = fit("lognormal", CitationSample(gen.sample(2000, child_seed(1, 0))))
     r2 = fit("lognormal", CitationSample(gen.sample(2000, child_seed(1, 1))))
     assert r1.model.params != r2.model.params
+
+
+# Fits pinned to the bit: float.hex of both parameters and the
+# log-likelihood, the evaluation count and the status, as recorded with the
+# NumPy-array simplex and the per-evaluation log(x +- 0.5). Any change to
+# the order of floating-point operations in a fit shows up here.
+PINNED_FITS = [
+    ("lognormal", DiscretisedLognormal(2.08, 1.11), 2000, 1, None,
+     "0x1.0b2b4b0a6be50p+1", "0x1.1a3787b169aa2p+0", "-0x1.c1a6b1bc8a51fp+12", 45,
+     "converged"),
+    ("lognormal", DiscretisedLognormal(0.5, 2.3), 800, 2, None,
+     "0x1.2a7eae627dbfcp-2", "0x1.32618f2ade0adp+1", "-0x1.53c60bab66e2ap+11", 50,
+     "converged"),
+    ("lognormal", HookedPowerLaw(2.5, 10.0), 1500, 6, None,
+     "0x1.e577b79d2491ep+0", "0x1.609ce91095a82p+0", "-0x1.54edb52a5a100p+12", 46,
+     "converged"),
+    ("lognormal", DiscretisedLognormal(2.0, 1.0), 500, 1, FitConfig(max_evals=15),
+     "0x1.fba2439985077p+0", "0x1.f2b303fe30586p-1", "-0x1.a5d9b488d86f3p+10", 16,
+     "non_converged"),
+    ("hooked", HookedPowerLaw(5.07, 41.9), 2000, 3, None,
+     "0x1.3e9eb3973b56fp+2", "0x1.408ff061252b1p+5", "-0x1.bec721f381c27p+12", 51,
+     "converged"),
+    ("hooked", HookedPowerLaw(1.8, 3.0), 800, 4, None,
+     "0x1.cb3baeb367146p+0", "0x1.b73566d162588p+1", "-0x1.82c99918b0cb3p+11", 64,
+     "converged"),
+    ("hooked", DiscretisedLognormal(2.08, 1.11), 2000, 5, None,
+     "0x1.0158b39b12b3dp+2", "0x1.c67b9a4f9d3e6p+4", "-0x1.c0c0b615cd53ep+12", 50,
+     "converged"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,gen,n,seed,config,p1,p2,ll,evals,status", PINNED_FITS,
+    ids=["ln-ln", "ln-wide", "ln-on-hooked", "ln-budget",
+         "hk-hk", "hk-heavy", "hk-on-ln"])
+def test_fit_is_bit_exact(family, gen, n, seed, config, p1, p2, ll, evals, status):
+    data = CitationSample(gen.sample(n, seed))
+    result = fit(family, data, config)
+    assert [float(v).hex() for v in result.model.params.values()] == [p1, p2]
+    assert result.log_likelihood.hex() == ll
+    assert (result.evaluations, result.status.value) == (evals, status)
+    # the per-fit support features give the same bits as the public path
+    assert result.log_likelihood == log_likelihood(result.model, data)
+
+
+def test_ridge_guard_fit_is_bit_exact():
+    data = CitationSample(np.random.default_rng(7).geometric(0.25, size=4000))
+    result = fit("hooked", data, FitConfig(b_cap=100.0))
+    assert result.model.alpha.hex() == "0x1.42caa2936ee0cp+5"
+    assert result.model.b.hex() == "0x1.08bb473f6cb10p+7"
+    assert result.log_likelihood.hex() == "-0x1.18c271cce5a39p+13"
+    assert result.evaluations == 65
+    assert result.message == "scale parameter ridge guard tripped (b > 100)"

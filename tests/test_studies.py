@@ -181,3 +181,10 @@ def test_mixture_impurity_study_worker_independence():
     a = mixture_impurity_study(spec, pure, n=1000, reps=8, seed=3, workers=1)
     b = mixture_impurity_study(spec, pure, n=1000, reps=8, seed=3, workers=2)
     assert a == b
+
+
+@pytest.mark.parametrize("reps", [0, -2])
+def test_mixture_impurity_study_rejects_too_few_reps(reps):
+    spec = MixtureSpec((DiscretisedLognormal(1.0, 1.0),), (1.0,))
+    with pytest.raises(TooFewRepsError):
+        mixture_impurity_study(spec, DiscretisedLognormal(2.0, 1.0), n=100, reps=reps)
