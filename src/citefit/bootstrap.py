@@ -1,13 +1,16 @@
-"""Bootstrap resampling engine with order-statistic confidence intervals.
+"""Bootstrap resampling and the replicate runner behind every study.
 
-A study evaluates a statistic on ``reps`` independent resamples drawn with
-replacement from a source sample. The 95% interval is taken from the
-order statistics of the replicate values: with k = ceil(0.025 * reps) the
-bounds are the k-th smallest and k-th largest values, which reduces to the
-25th smallest / 25th largest for the canonical 1000-rep study. Replicates
-whose statistic raises a citefit error are excluded from the order
-statistics but reported in ``n_failed`` (bounds become NaN if fewer than k
-successes remain on a side).
+A study evaluates a statistic on ``reps`` independent replicates (bootstrap
+resamples or fresh simulated samples). :func:`run_reps` runs them, through
+one process pool per call when ``workers > 1``, and :func:`summarise`
+takes the 95% interval from the order statistics of their values: with
+k = ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
+values, the 25th smallest / 25th largest for the canonical 1000-rep study.
+
+One failure rule holds for every study: a replicate whose statistic raises
+a citefit error or yields a non-finite value is recorded as NaN, excluded
+from the order statistics and counted in ``n_failed`` (bounds become NaN if
+fewer than k successes remain on a side).
 
 Per-replicate seeds derive from (master seed, replicate index), so results
 are identical for any worker count.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,15 +39,18 @@ MIN_REPS = 40   # keeps k = ceil(0.025 * reps) >= 1
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Median and order-statistic 95% interval of a bootstrapped statistic."""
+    """Median and order-statistic 95% interval of a replicated statistic.
+
+    ``raw`` holds every replicate's value in order, NaN where it failed.
+    """
 
     statistic_name: str
     median: float
     lo95: float
     hi95: float
     reps: int
-    n_failed: int = 0
-    raw: tuple[float, ...] | None = None
+    n_failed: int
+    raw: tuple[float, ...]
 
 
 def resample(sample, size: int, seed: int) -> CitationSample:
@@ -74,19 +81,60 @@ def order_stat_bounds(raw_sorted: np.ndarray, reps: int) -> tuple[float, float]:
     return (float(raw_sorted[k - 1]), float(raw_sorted[len(raw_sorted) - k]))
 
 
-def _run_rep(args):
-    sample, size, seed, rep, statistic = args
-    boot = _resample_with(sample, size, spawn_rng(seed, rep))
+def run_reps(rep_fn, reps: int, workers: int) -> list:
+    """``[rep_fn(rep) for rep in range(reps)]``, run in one process pool
+    when ``workers > 1``; ``rep_fn`` must then be picklable (a partial of a
+    module-level function)."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(rep_fn, range(reps),
+                                 chunksize=max(1, reps // (4 * workers))))
+    return [rep_fn(rep) for rep in range(reps)]
+
+
+def _replicate_value(statistic, sample) -> float:
+    """``statistic(sample)`` as a float, NaN when it raises a citefit error."""
     try:
-        value = float(statistic(boot))
+        return float(statistic(sample))
     except CitefitError:
         return math.nan
-    return value if math.isfinite(value) else math.nan
+
+
+def _bootstrap_rep(sample: CitationSample, size: int, seed: int, statistic,
+                   rep: int) -> float:
+    """Replicate ``rep``: ``statistic`` on a resample drawn from (seed, rep)."""
+    return _replicate_value(statistic, _resample_with(sample, size, spawn_rng(seed, rep)))
+
+
+def summarise(values, reps: int, name: str) -> StudySummary:
+    """Median and order-statistic interval of the finite replicate values.
+
+    Never raises: non-finite values count as failed and are stored as NaN,
+    and with no finite value the median is NaN.
+    """
+    raw = tuple(v if math.isfinite(v) else math.nan for v in map(float, values))
+    good = np.sort([v for v in raw if not math.isnan(v)])
+    lo, hi = order_stat_bounds(good, reps)
+    median = float(np.median(good)) if good.size else math.nan
+    return StudySummary(statistic_name=name, median=median, lo95=lo, hi95=hi,
+                        reps=reps, n_failed=len(raw) - good.size, raw=raw)
+
+
+def _checked_resampling(sample, reps: int, size: int | None) -> tuple[CitationSample, int]:
+    """The validated source sample and resample size of a bootstrap study."""
+    sample = as_sample(sample)
+    sample.require_nonempty()
+    if reps < MIN_REPS:
+        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
+    size = len(sample) if size is None else int(size)
+    if size < 1:
+        raise DomainError("resample size must be >= 1")
+    return sample, size
 
 
 def bootstrap_study(sample, reps: int, statistic, size: int | None = None,
                     seed: int = 0, statistic_name: str = "statistic",
-                    workers: int = 1, keep_raw: bool = False) -> StudySummary:
+                    workers: int = 1) -> StudySummary:
     """Bootstrap ``statistic`` over ``reps`` resamples.
 
     Parameters
@@ -98,36 +146,16 @@ def bootstrap_study(sample, reps: int, statistic, size: int | None = None,
         failed.
     size : int or None
         Resample size; None keeps the source sample size.
+
+    Raises :class:`~citefit.exceptions.AllStatisticsFailedError` when every
+    replicate failed.
     """
-    sample = as_sample(sample)
-    sample.require_nonempty()
-    if reps < MIN_REPS:
-        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    size = len(sample) if size is None else int(size)
-    if size < 1:
-        raise DomainError("resample size must be >= 1")
-
-    tasks = [(sample, size, seed, rep, statistic) for rep in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_run_rep, tasks, chunksize=max(1, reps // (4 * workers))))
-    else:
-        values = [_run_rep(t) for t in tasks]
-
-    arr = np.asarray(values, dtype=np.float64)
-    good = np.sort(arr[~np.isnan(arr)])
-    n_failed = int(np.isnan(arr).sum())
-    if good.size == 0:
+    sample, size = _checked_resampling(sample, reps, size)
+    values = run_reps(partial(_bootstrap_rep, sample, size, seed, statistic),
+                      reps, workers)
+    summary = summarise(values, reps, statistic_name)
+    if summary.n_failed == reps:
         raise AllStatisticsFailedError(
             f"all {reps} replicates failed for {statistic_name!r}"
         )
-    lo, hi = order_stat_bounds(good, reps)
-    return StudySummary(
-        statistic_name=statistic_name,
-        median=float(np.median(good)),
-        lo95=lo,
-        hi95=hi,
-        reps=reps,
-        n_failed=n_failed,
-        raw=tuple(float(v) for v in arr) if keep_raw else None,
-    )
+    return summary

@@ -43,7 +43,6 @@ from citefit.studies import (
     bootstrap_vuong_study,
     fitted_lognormal_sigma,
     hooked_vs_lognormal_z,
-    mean_crosscheck,
     mixture_impurity_study,
     plausibility_row,
     scale_ci_study,
@@ -90,6 +89,8 @@ def _resolve_seed(args) -> int:
             seed = secrets.randbits(32) if env is None else int(env)
         except ValueError:
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+        if seed < 0:
+            raise ParseError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
     print(f"master seed: {seed}", file=sys.stderr)
     return seed
 
@@ -341,16 +342,13 @@ def _cmd_study_mixture(args) -> int:
 
 def _cmd_study_means(args) -> int:
     seed = _resolve_seed(args)
-    averages = mean_crosscheck()
-    rows = []
-    for subject in SUBJECTS:
-        rows.append({
-            "subject": subject.name,
-            "ln_mean": continuous_moments(subject.lognormal()).mean,
-            "hook_mean": continuous_moments(subject.hooked()).mean,
-        })
-    rows.append({"subject": "average", "ln_mean": averages["ln_mean_avg"],
-                 "hook_mean": averages["hook_mean_avg"]})
+    rows = [{"subject": subject.name,
+             "ln_mean": continuous_moments(subject.lognormal()).mean,
+             "hook_mean": continuous_moments(subject.hooked()).mean}
+            for subject in SUBJECTS]
+    rows.append({"subject": "average",
+                 "ln_mean": float(np.mean([r["ln_mean"] for r in rows])),
+                 "hook_mean": float(np.mean([r["hook_mean"] for r in rows]))})
     emit_report(rows, args.format, args.out, _base_header(args, seed))
     return 0
 
@@ -374,11 +372,14 @@ _NSIM = _checked(int, lambda v: v >= 1, "need at least one simulation")
 _SIZE = _checked(int, lambda v: v >= 1, "need a size >= 1")
 _WORKERS = _checked(int, lambda v: v >= 1, "need at least one worker")
 _WEIGHT = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
+_EPSILON = _checked(float, lambda v: v > 0.0, "epsilon must be > 0")
+_MAX_EVALS = _checked(int, lambda v: v >= 1, "need max-evals >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "need a seed >= 0")
 
 
 def _add_common(parser, seed=True, fmt=True, offset=False, workers=False):
     if seed:
-        parser.add_argument("--seed", type=int, default=None,
+        parser.add_argument("--seed", type=_SEED, default=None,
                             help=f"master seed (default: ${SEED_ENV_VAR} or random)")
     if fmt:
         parser.add_argument("--format", choices=["tsv", "json"], default="tsv")
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="maximum-likelihood fit")
     p.add_argument("file")
     p.add_argument("--dist", choices=["lognormal", "hooked", "both"], default="both")
-    p.add_argument("--max-evals", type=int, default=10_000)
+    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
     _add_common(p, offset=True)
     p.set_defaults(handler=_cmd_fit)
 
@@ -424,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nsim", type=_NSIM, default=1000)
     p.add_argument("--refit", action="store_true",
                    help="refit each simulated sample")
-    p.add_argument("--max-evals", type=int, default=10_000)
+    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
     _add_common(p, offset=True)
     p.set_defaults(handler=_cmd_gof)
 
     p = sub.add_parser("vuong", help="hooked vs lognormal Vuong test")
     p.add_argument("file")
-    p.add_argument("--max-evals", type=int, default=10_000)
+    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
     _add_common(p, offset=True)
     p.set_defaults(handler=_cmd_vuong)
 
@@ -454,16 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=None)
     p.add_argument("-n", type=_SIZE, default=None, dest="n")
     p.add_argument("--out", default="-")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("plot", help="emit empirical/model CDF plot data")
     p.add_argument("file")
     p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
-    p.add_argument("--max-evals", type=int, default=10_000)
+    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
     p.add_argument("--out", default="-")
     p.add_argument("--offset", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(handler=_cmd_plot)
 
     study = sub.add_parser("study", help="table-producing experiments")
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = study_sub.add_parser("shape", help="cumulative-shape table")
     _add_study_source(p)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_EPSILON, default=0.01)
     _add_common(p, offset=True)
     p.set_defaults(handler=_cmd_study_shape)
 

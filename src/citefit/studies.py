@@ -4,31 +4,39 @@ experiments and the closed-form mean cross-check.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
-worker count. Vuong studies always orient the test as hooked (model A)
-against lognormal (model B): positive z favours the hooked power law.
+worker count. Replicated studies run through :func:`citefit.bootstrap.run_reps`,
+which opens one process pool per call when ``workers > 1``, and share its
+failure rule: a replicate that raises a citefit error or yields a
+non-finite value counts as failed. Vuong studies always orient the test as
+hooked (model A) against lognormal (model B): positive z favours the
+hooked power law, and each surviving z is classified by the Vuong test's
+own +-1.96 rule.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
-    _resample_with,
+    _bootstrap_rep,
+    _checked_resampling,
+    _replicate_value,
     bootstrap_study,
-    order_stat_bounds,
+    run_reps,
+    summarise,
 )
 from citefit.distributions import Mixture, continuous_moments
 from citefit.exceptions import (
     AllStatisticsFailedError,
     DegenerateDataError,
     FitFailedError,
-    IdenticalModelsError,
     TooFewRepsError,
 )
 from citefit.fitting import FitConfig, FitStatus, fit
@@ -36,7 +44,7 @@ from citefit.gof import ks_p_value, ks_statistic, shape_classify
 from citefit.sample import CitationSample, as_sample
 from citefit.seeding import child_seed, spawn_rng
 from citefit.subjects import SUBJECTS
-from citefit.vuong import Z_THRESHOLD, vuong
+from citefit.vuong import MODEL_A, MODEL_B, NEITHER, Z_THRESHOLD, _favored, vuong
 
 PLAUSIBILITY_COLUMNS = (
     "subject", "n", "ln_mu", "ln_sigma", "ln_ks", "ln_p",
@@ -90,14 +98,6 @@ class VuongStudy:
         }
 
 
-def _map_reps(fn, tasks, workers: int):
-    if workers and workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(t) for t in tasks]
-
-
 # --- hooked-vs-lognormal z replicates -----------------------------------
 
 def hooked_vs_lognormal_z(sample, config: FitConfig | None = None) -> float:
@@ -117,56 +117,25 @@ def hooked_vs_lognormal_z(sample, config: FitConfig | None = None) -> float:
     return vuong(hk.model, ln.model, sample).z
 
 
-def _bootstrap_z_rep(args) -> float:
-    sample, size, seed, rep = args
-    boot = _resample_with(sample, size, spawn_rng(seed, rep))
-    return _safe_z(boot)
-
-
-def _simulation_z_rep(args) -> float:
-    generator, n, seed, rep = args
+def _simulation_rep(generator, n: int, seed: int, rep: int) -> float:
     data = CitationSample(generator.sample_with(spawn_rng(seed, rep), n))
-    return _safe_z(data)
+    return _replicate_value(hooked_vs_lognormal_z, data)
 
 
-def _safe_z(sample) -> float:
-    try:
-        return hooked_vs_lognormal_z(sample)
-    except (FitFailedError, IdenticalModelsError, DegenerateDataError):
-        return math.nan
-
-
-def _summarise_z(raw, reps: int) -> VuongStudy:
-    arr = np.asarray(raw, dtype=np.float64)
-    good = arr[~np.isnan(arr)]
-    failed = int(np.isnan(arr).sum())
-    lo, hi = order_stat_bounds(np.sort(good), reps)
-    summary = StudySummary(
-        statistic_name="vuong_z",
-        median=float(np.median(good)) if good.size else math.nan,
-        lo95=lo, hi95=hi, reps=reps, n_failed=failed,
-        raw=tuple(float(v) for v in arr),
-    )
-    return VuongStudy(
-        z_summary=summary,
-        hooked_wins=int((good > Z_THRESHOLD).sum()),
-        lognormal_wins=int((good < -Z_THRESHOLD).sum()),
-        neither=int((np.abs(good) <= Z_THRESHOLD).sum()),
-        failed=failed,
-        reps=reps,
-    )
+def _vuong_study(values, reps: int) -> VuongStudy:
+    summary = summarise(values, reps, "vuong_z")
+    tally = Counter(_favored(z, Z_THRESHOLD) for z in summary.raw if not math.isnan(z))
+    return VuongStudy(z_summary=summary, hooked_wins=tally[MODEL_A],
+                      lognormal_wins=tally[MODEL_B], neither=tally[NEITHER],
+                      failed=summary.n_failed, reps=reps)
 
 
 def bootstrap_vuong_study(sample, reps: int, size: int | None = None,
                           seed: int = 0, workers: int = 1) -> VuongStudy:
     """Vuong z over ``reps`` bootstrap resamples of ``sample``."""
-    sample = as_sample(sample)
-    sample.require_nonempty()
-    if reps < MIN_REPS:
-        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    size = len(sample) if size is None else int(size)
-    tasks = [(sample, size, seed, rep) for rep in range(reps)]
-    return _summarise_z(_map_reps(_bootstrap_z_rep, tasks, workers), reps)
+    sample, size = _checked_resampling(sample, reps, size)
+    rep_fn = partial(_bootstrap_rep, sample, size, seed, hooked_vs_lognormal_z)
+    return _vuong_study(run_reps(rep_fn, reps, workers), reps)
 
 
 def simulation_study(generator, n: int, reps: int, seed: int = 0,
@@ -174,8 +143,8 @@ def simulation_study(generator, n: int, reps: int, seed: int = 0,
     """Vuong z over ``reps`` fresh samples of size ``n`` from ``generator``."""
     if reps < MIN_REPS:
         raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    tasks = [(generator, n, seed, rep) for rep in range(reps)]
-    return _summarise_z(_map_reps(_simulation_z_rep, tasks, workers), reps)
+    rep_fn = partial(_simulation_rep, generator, n, seed)
+    return _vuong_study(run_reps(rep_fn, reps, workers), reps)
 
 
 # --- plausibility rows ----------------------------------------------------
@@ -311,8 +280,8 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
     mixture = spec.to_model()
-    tasks = [(mixture, pure_model, n, seed, rep, config) for rep in range(reps)]
-    rows = _map_reps(_mixture_rep, tasks, workers)
+    rows = run_reps(partial(_mixture_rep, mixture, pure_model, n, seed, config),
+                    reps, workers)
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {
@@ -324,8 +293,7 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     return rows, summary
 
 
-def _mixture_rep(args) -> dict:
-    mixture, pure_model, n, seed, rep, config = args
+def _mixture_rep(mixture, pure_model, n: int, seed: int, config, rep: int) -> dict:
     row = {"rep": rep, "mixture_ks": None, "pure_ks": None, "mixture_worse": None}
     mix_data = CitationSample(mixture.sample_with(spawn_rng(seed, rep, 0), n))
     pure_data = CitationSample(pure_model.sample_with(spawn_rng(seed, rep, 1), n))

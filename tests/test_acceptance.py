@@ -162,7 +162,7 @@ def test_09_bootstrap_ci_mechanics():
         return float(np.mean(sample.counts))
 
     summary = bootstrap_study(data, 1000, mean_statistic,
-                              seed=child_seed(MASTER_SEED, 9), keep_raw=True)
+                              seed=child_seed(MASTER_SEED, 9))
     raw = np.sort(np.asarray(summary.raw))
     exact = summary.lo95 == raw[24] and summary.hi95 == raw[975]
 

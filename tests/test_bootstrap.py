@@ -2,6 +2,7 @@
 failure accounting and worker independence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from citefit import (
     DiscretisedLognormal,
     EmptySampleError,
     TooFewRepsError,
+    HookedPowerLaw,
     bootstrap_study,
+    bootstrap_vuong_study,
     resample,
 )
-from citefit.bootstrap import order_stat_bounds
+from citefit.bootstrap import order_stat_bounds, summarise
+from citefit.studies import fitted_lognormal_sigma, hooked_vs_lognormal_z
 
 
 def _mean(sample):
@@ -80,7 +84,7 @@ def test_order_stat_bounds_canonical_k():
 
 def test_bootstrap_study_reproduces_order_stats():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(800, 11))
-    summary = bootstrap_study(data, 1000, _mean, seed=42, keep_raw=True)
+    summary = bootstrap_study(data, 1000, _mean, seed=42)
     raw = np.sort(np.asarray(summary.raw))
     assert summary.lo95 == raw[24]
     assert summary.hi95 == raw[975]
@@ -96,7 +100,7 @@ def test_bootstrap_study_constant_data_zero_width():
 def test_bootstrap_study_median_even_length():
     # median of an even-length vector is the mean of the central pair
     data = CitationSample([1, 10])
-    summary = bootstrap_study(data, 40, _mean, size=1, seed=12, keep_raw=True)
+    summary = bootstrap_study(data, 40, _mean, size=1, seed=12)
     values = np.sort(np.asarray(summary.raw))
     assert summary.median == (values[19] + values[20]) / 2.0
 
@@ -116,8 +120,7 @@ def test_bootstrap_study_all_failures():
 
 def test_bootstrap_study_counts_partial_failures():
     data = CitationSample([1, 2, 3, 4])
-    summary = bootstrap_study(data, 200, _fails_on_small_mean, size=4, seed=9,
-                              keep_raw=True)
+    summary = bootstrap_study(data, 200, _fails_on_small_mean, size=4, seed=9)
     assert summary.n_failed > 0
     assert summary.n_failed < 200
     good = [v for v in summary.raw if not math.isnan(v)]
@@ -127,8 +130,8 @@ def test_bootstrap_study_counts_partial_failures():
 
 def test_bootstrap_study_worker_independence():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(400, 2))
-    a = bootstrap_study(data, 40, _mean, seed=5, workers=1, keep_raw=True)
-    b = bootstrap_study(data, 40, _mean, seed=5, workers=3, keep_raw=True)
+    a = bootstrap_study(data, 40, _mean, seed=5, workers=1)
+    b = bootstrap_study(data, 40, _mean, seed=5, workers=3)
     assert a == b
 
 
@@ -137,3 +140,29 @@ def test_bootstrap_study_seed_sensitivity():
     a = bootstrap_study(data, 40, _mean, seed=5)
     b = bootstrap_study(data, 40, _mean, seed=6)
     assert a.median != b.median
+
+
+def test_bootstrap_study_worker_independence_with_failures():
+    # most size-5 resamples of this sample are all ones, which no fit identifies
+    data = CitationSample([1] * 30 + [2])
+    a = bootstrap_study(data, 40, fitted_lognormal_sigma, size=5, seed=0, workers=1)
+    b = bootstrap_study(data, 40, fitted_lognormal_sigma, size=5, seed=0, workers=2)
+    assert 0 < a.n_failed < 40
+    assert a == b
+
+
+def test_bootstrap_study_and_vuong_study_share_one_runner():
+    data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(300, 1))
+    generic = bootstrap_study(data, 40, hooked_vs_lognormal_z, seed=12)
+    study = bootstrap_vuong_study(data, 40, seed=12)
+    assert replace(study.z_summary, statistic_name=generic.statistic_name) == generic
+
+
+def test_summarise_counts_non_finite_values_as_failed():
+    summary = summarise([math.nan, math.inf, -math.inf], 40, "z")
+    assert summary.n_failed == 3
+    assert math.isnan(summary.median)
+    assert math.isnan(summary.lo95) and math.isnan(summary.hi95)
+    assert all(math.isnan(v) for v in summary.raw) and len(summary.raw) == 3
+    mixed = summarise([2.0, math.inf, 1.0], 40, "z")
+    assert (mixed.median, mixed.n_failed) == (1.5, 1)

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, reproducibility and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import citefit
 
 from citefit.cli import main
 from citefit.distributions import DiscretisedLognormal
@@ -219,12 +224,42 @@ def test_unknown_subject_exits_2(capsys, argv):
     (["study", "scale", "--subject", "Virology", "--workers", "-1"],
      "need at least one worker"),
     (["bootstrap", "counts.txt", "--workers", "0"], "need at least one worker"),
+    (["fit", "counts.txt", "--max-evals", "0"], "need max-evals >= 1"),
+    (["fit", "counts.txt", "--max-evals", "-4", "--seed", "1"], "need max-evals >= 1"),
+    (["gof", "counts.txt", "--dist", "lognormal", "--max-evals", "0"],
+     "need max-evals >= 1"),
+    (["vuong", "counts.txt", "--max-evals", "-4"], "need max-evals >= 1"),
+    (["plot", "counts.txt", "--dist", "hooked", "--max-evals", "0"],
+     "need max-evals >= 1"),
+    (["study", "shape", "--subject", "Virology", "--epsilon", "0"], "epsilon must be > 0"),
+    (["study", "shape", "--subject", "Virology", "--epsilon", "nan"],
+     "epsilon must be > 0"),
+    (["gof", "counts.txt", "--dist", "lognormal", "--seed", "-1"], "need a seed >= 0"),
+    (["simulate", "--subject", "Virology", "--seed", "-1"], "need a seed >= 0"),
+    (["plot", "counts.txt", "--dist", "hooked", "--seed", "-2"], "need a seed >= 0"),
 ])
 def test_invalid_option_values_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,env_seed", [
+    (["gof", "{file}", "--dist", "lognormal", "--seed", "-1"], None),
+    (["bootstrap", "{file}", "--reps", "40"], "-1"),
+])
+def test_negative_seed_exits_2_without_traceback(counts_file, argv, env_seed):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
+    env.pop("CITEFIT_SEED", None)
+    if env_seed is not None:
+        env["CITEFIT_SEED"] = env_seed
+    argv = [a.format(file=counts_file) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "citefit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert ">= 0, got -1" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_study_sizes_given_explicitly_are_used(capsys):

@@ -8,6 +8,7 @@ from citefit import (
     DiscretisedLognormal,
     HookedPowerLaw,
     MixtureSpec,
+    ParameterError,
     TooFewRepsError,
     bootstrap_vuong_study,
     mean_crosscheck,
@@ -83,6 +84,25 @@ def test_bootstrap_vuong_study_worker_independence():
     a = bootstrap_vuong_study(data, reps=40, seed=12, workers=1)
     b = bootstrap_vuong_study(data, reps=40, seed=12, workers=3)
     assert a == b
+
+
+def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
+    import citefit.studies as studies
+
+    data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(200, 1))
+    threshold = float(data.counts.mean())
+
+    def raises_on_large_mean(sample):
+        if sample.counts.mean() > threshold:
+            raise ParameterError("out of the box")
+        return float(sample.counts.mean())
+
+    monkeypatch.setattr(studies, "hooked_vs_lognormal_z", raises_on_large_mean)
+    for study in (bootstrap_vuong_study(data, reps=40, seed=3),
+                  simulation_study(HookedPowerLaw(3.94, 67.9), 50, reps=40, seed=3)):
+        assert 0 < study.failed < 40
+        assert study.failed == study.z_summary.n_failed
+        assert study.hooked_wins + study.lognormal_wins + study.neither == 40 - study.failed
 
 
 def test_simulation_study_sign_convention():
