@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -30,7 +31,7 @@ from citefit.distributions import (
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import FitConfig, fit, log_likelihood
 from citefit.gof import ks_p_value
-from citefit.io import emit_report, emit_plot_data, ingest_file
+from citefit.io import _write, emit_plot_data, emit_report, ingest_file
 from citefit.sample import CitationSample
 from citefit.seeding import child_seed
 from citefit.studies import (
@@ -239,12 +240,7 @@ def _cmd_simulate(args) -> int:
     if n is None:
         raise ParseError("give -n (no size available from the fixture)")
     counts = model.sample(n, seed)
-    text = "\n".join(str(int(c)) for c in counts) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write("\n".join(str(int(c)) for c in counts) + "\n", args.out)
     print(f"simulated {n} counts from {model!r}", file=sys.stderr)
     return 0
 
@@ -372,9 +368,13 @@ _NSIM = _checked(int, lambda v: v >= 1, "need at least one simulation")
 _SIZE = _checked(int, lambda v: v >= 1, "need a size >= 1")
 _WORKERS = _checked(int, lambda v: v >= 1, "need at least one worker")
 _WEIGHT = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
-_EPSILON = _checked(float, lambda v: v > 0.0, "epsilon must be > 0")
+_EPSILON = _checked(float, lambda v: 0.0 < v < math.inf, "epsilon must be > 0 and finite")
 _MAX_EVALS = _checked(int, lambda v: v >= 1, "need max-evals >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "need a seed >= 0")
+_MU = _checked(float, math.isfinite, "mu must be finite")
+_SIGMA = _checked(float, lambda v: 0.0 < v < math.inf, "sigma must be > 0 and finite")
+_ALPHA = _checked(float, lambda v: 1.0 < v < math.inf, "alpha must be > 1 and finite")
+_B = _checked(float, lambda v: 0.0 < v < math.inf, "b must be > 0 and finite")
 
 
 def _add_common(parser, seed=True, fmt=True, offset=False, workers=False):
@@ -449,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=["lognormal", "hooked"], default="lognormal")
     p.add_argument("--subject", default=None,
                    help="take parameters from a bundled subject")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--mu", type=_MU, default=None)
+    p.add_argument("--sigma", type=_SIGMA, default=None)
+    p.add_argument("--alpha", type=_ALPHA, default=None)
+    p.add_argument("--b", type=_B, default=None)
     p.add_argument("-n", type=_SIZE, default=None, dest="n")
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=_SEED, default=None)
@@ -498,13 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_study_shape)
 
     p = study_sub.add_parser("mixture", help="mixture-impurity experiment")
-    p.add_argument("--mu-a", type=float, default=1.0)
-    p.add_argument("--mu-b", type=float, default=3.5)
-    p.add_argument("--sigma-a", type=float, default=1.0)
-    p.add_argument("--sigma-b", type=float, default=1.0)
+    p.add_argument("--mu-a", type=_MU, default=1.0)
+    p.add_argument("--mu-b", type=_MU, default=3.5)
+    p.add_argument("--sigma-a", type=_SIGMA, default=1.0)
+    p.add_argument("--sigma-b", type=_SIGMA, default=1.0)
     p.add_argument("--weight-a", type=_WEIGHT, default=0.5)
-    p.add_argument("--pure-mu", type=float, default=2.25)
-    p.add_argument("--pure-sigma", type=float, default=1.0)
+    p.add_argument("--pure-mu", type=_MU, default=2.25)
+    p.add_argument("--pure-sigma", type=_SIGMA, default=1.0)
     p.add_argument("--n", type=_SIZE, default=10_000)
     p.add_argument("--reps", type=_MIXTURE_REPS, default=100)
     _add_common(p, workers=True)

@@ -11,8 +11,9 @@ Two families are provided, plus finite mixtures of them:
   normaliser is a Hurwitz zeta value, evaluated in closed form.
 
 All models are immutable after construction and safe for concurrent use;
-the lazily grown cumulative table behind ``quantile`` and ``sample`` is
-extended under a lock and readers only ever see complete arrays.
+the lazily grown cumulative table behind ``cdf``, ``quantile`` and
+``sample`` is extended under a lock and readers only ever see complete
+arrays.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _NEGLIGIBLE = 1e-17
 # float64) quantiles fall back to bisection on the tail formula.
 _TABLE_START = 1 << 10
 _TABLE_CAP = 1 << 23
+MAX_COUNT = 2 ** 62     # draws saturate here; larger counts are not ingested
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -242,30 +244,18 @@ class _DiscreteModel(ABC):
         return float(out[0]) if scalar else out
 
     def cdf(self, x):
+        """F(x): the table up to the cap, the tail formula beyond it."""
         scalar = np.ndim(x) == 0
         arr = _validate_support(x)
         if arr.size == 0:
             return np.empty(0)
         m = int(arr.max())
-        if m <= _TABLE_CAP:
-            table = self._table.ensure_length(m)
-            out = table[arr - 1]
-        else:
-            table = self._table.ensure_length(_TABLE_CAP)
-            out = np.empty(arr.shape, dtype=np.float64)
-            small = arr <= len(table)
-            out[small] = table[arr[small] - 1]
-            for idx in np.flatnonzero(~small):
-                out[idx] = self._cdf_beyond(int(arr[idx]))
+        table = self._table.ensure_length(min(m, _TABLE_CAP))
+        out = table.take(arr - 1, mode="clip")
+        if m > len(table):
+            beyond = arr > len(table)
+            out[beyond] = [self._cdf_beyond(int(v)) for v in arr[beyond]]
         return float(out[0]) if scalar else out
-
-    def cdf_grid(self, m: int) -> np.ndarray:
-        """F(1), ..., F(m); cached below the table cap."""
-        if m < 1:
-            raise DomainError("grid length must be >= 1")
-        if m <= _TABLE_CAP:
-            return self._table.ensure_length(m)[:m]
-        return self._grid(m)
 
     def quantile(self, u):
         """Smallest x >= 1 with F(x) >= u, for u in [0, 1)."""
@@ -294,8 +284,8 @@ class _DiscreteModel(ABC):
         while self._cdf_beyond(hi) < u:
             lo = hi
             hi *= 2
-            if hi >= 2 ** 62:
-                return 2 ** 62
+            if hi >= MAX_COUNT:
+                return MAX_COUNT
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._cdf_beyond(mid) >= u:
@@ -520,9 +510,7 @@ class Mixture(_DiscreteModel):
         return np.where(np.isfinite(top), out, top)
 
     def _grid(self, m: int) -> np.ndarray:
-        out = self.weights[0] * self.components[0].cdf_grid(m)
-        for w, c in zip(self.weights[1:], self.components[1:]):
-            out = out + w * c.cdf_grid(m)
+        out = sum(w * c._grid(m) for w, c in zip(self.weights, self.components))
         return np.minimum(np.maximum.accumulate(out), 1.0)
 
     def _cdf_beyond(self, x: int) -> float:

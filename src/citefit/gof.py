@@ -2,7 +2,8 @@
 bottom/middle/top cumulative-shape classification.
 
 The KS statistic is the maximum absolute difference between the model CDF
-and the empirical CDF over every integer from 1 to the sample maximum.
+and the empirical CDF over every integer from 1 to the sample maximum,
+read exactly at the empirical CDF's breakpoints (``cdf_breakpoints``).
 Because neither reference distribution is available in closed form for
 estimated parameters, p-values are estimated by simulation: ``n_sim``
 samples of the same size are drawn from the fitted model and the p-value
@@ -60,14 +61,30 @@ def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(sample.sorted_counts, grid, side="right") / len(sample)
 
 
-def ks_statistic(model, sample) -> float:
-    """Max |F(x) - F_hat(x)| over x in {1, ..., max(sample)}."""
+def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints x of the empirical CDF, with F_hat(x) and F(x) there.
+
+    x runs over each distinct count v and v - 1 (when v > 1). F_hat is flat
+    from one distinct count to the integer before the next, and F is
+    non-decreasing, so |F - F_hat| peaks at these points: its maximum over
+    them is its maximum over all of 1..max(sample), read from equal floats.
+    """
     sample = as_sample(sample)
     sample.require_nonempty()
-    m = int(sample.counts.max())
-    grid = np.arange(1, m + 1)
-    model_cdf = model.cdf_grid(m)
-    emp_cdf = empirical_cdf(sample, grid)
+    # np.union1d(v[v > 1] - 1, v) over the distinct counts v, in a few
+    # passes over sorted arrays at a fraction of np.unique's cost per call
+    counts = sample.sorted_counts
+    v = counts[np.concatenate(([True], counts[1:] != counts[:-1]))]
+    x = np.empty(2 * v.size, dtype=np.int64)
+    x[0::2], x[1::2] = v - 1, v         # non-decreasing
+    x = x[np.concatenate(([x[0] > 0], x[1:] != x[:-1]))]
+    return x, empirical_cdf(sample, x), model.cdf(x)
+
+
+def ks_statistic(model, sample) -> float:
+    """Max |F(x) - F_hat(x)| over x in {1, ..., max(sample)}, read exactly
+    at the ``cdf_breakpoints``: the work follows the distinct counts."""
+    _, emp_cdf, model_cdf = cdf_breakpoints(model, sample)
     return float(np.abs(model_cdf - emp_cdf).max())
 
 

@@ -18,9 +18,10 @@ from typing import Mapping
 import numpy as np
 
 from citefit import __version__
+from citefit.distributions import MAX_COUNT
 from citefit.exceptions import OffsetError, ParseError
-from citefit.gof import empirical_cdf
-from citefit.sample import CitationSample, as_sample
+from citefit.gof import cdf_breakpoints
+from citefit.sample import CitationSample
 
 PLAIN, CSV_WITH_HEADER = "plain", "csv"
 
@@ -52,44 +53,43 @@ def load_counts(path) -> list[int]:
     stripped = [(no, line) for no, line in stripped if line]
     if not stripped:
         raise ParseError("file contains no counts")
-    fmt = detect_format(stripped[0][1])
+    column = None
+    if detect_format(stripped[0][1]) == CSV_WITH_HEADER:
+        column = [c.strip().lower() for c in stripped[0][1].split(",")].index("citations")
+        stripped = stripped[1:]
+        if not stripped:
+            raise ParseError("CSV file contains no data rows")
     counts = []
-    if fmt == PLAIN:
-        for no, line in stripped:
-            value = _parse_int(line)
-            if value is None:
-                raise ParseError(f"not an integer: {line!r}", line_number=no)
-            if value < 0:
-                raise ParseError(f"negative count: {value}", line_number=no)
-            counts.append(value)
-    else:
-        header = [c.strip().lower() for c in stripped[0][1].split(",")]
-        column = header.index("citations")
-        for no, line in stripped[1:]:
-            cells = next(csv.reader([line]))
+    for no, text in stripped:
+        if column is not None:
+            cells = next(csv.reader([text]))
             if column >= len(cells):
                 raise ParseError("missing 'citations' cell", line_number=no)
-            value = _parse_int(cells[column].strip())
-            if value is None:
-                raise ParseError(f"not an integer: {cells[column]!r}", line_number=no)
-            if value < 0:
-                raise ParseError(f"negative count: {value}", line_number=no)
-            counts.append(value)
-        if not counts:
-            raise ParseError("CSV file contains no data rows")
+            text = cells[column].strip()
+        value = _parse_int(text)
+        if value is None:
+            raise ParseError(f"not an integer: {text!r}", line_number=no)
+        if value < 0:
+            raise ParseError(f"negative count: {value}", line_number=no)
+        counts.append(value)
     return counts
 
 
 def ingest(counts, offset: int = 1, label: str = "") -> CitationSample:
-    """Map raw counts c to c + offset and record the offset."""
-    arr = np.asarray(counts, dtype=np.int64)
+    """Map raw counts c to c + offset, at most ``MAX_COUNT``, and record the
+    offset. The range is checked on Python integers, before int64."""
     if offset < 0:
         raise OffsetError(f"offset must be non-negative, got {offset}")
-    if arr.size and arr.min() < 0:
-        raise ParseError(f"negative count: {arr.min()}")
-    if offset == 0 and arr.size and arr.min() == 0:
+    low, top = int(min(counts, default=1)), int(max(counts, default=0))
+    if low < 0:
+        raise ParseError(f"negative count: {low}")
+    if top + offset > MAX_COUNT:
+        raise ParseError(f"count {top} plus offset {offset} exceeds the largest "
+                         f"supported count 2**62")
+    if offset == 0 and low == 0:
         raise OffsetError("offset 0 with zero counts present; support starts at 1")
-    return CitationSample(arr + offset, offset_applied=offset, label=label)
+    return CitationSample(np.asarray(counts, dtype=np.int64) + offset,
+                          offset_applied=offset, label=label)
 
 
 def ingest_file(path, offset: int = 1, label: str | None = None) -> CitationSample:
@@ -152,16 +152,10 @@ def emit_report(rows, fmt: str = "tsv", destination=None,
 
 
 def render_plot_data(model, sample) -> str:
-    """CSV of x, empirical_cdf, model_cdf for x = 1..max(sample)."""
-    sample = as_sample(sample)
-    sample.require_nonempty()
-    m = int(sample.counts.max())
-    grid = np.arange(1, m + 1)
-    emp = empirical_cdf(sample, grid)
-    mod = model.cdf_grid(m)
+    """CSV of x, empirical_cdf, model_cdf at the ``cdf_breakpoints``."""
     out = _io.StringIO()
     out.write("x,empirical_cdf,model_cdf\n")
-    for x, e, t in zip(grid, emp, mod):
+    for x, e, t in zip(*cdf_breakpoints(model, sample)):
         out.write(f"{int(x)},{float(e)!r},{float(t)!r}\n")
     return out.getvalue()
 

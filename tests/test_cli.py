@@ -237,6 +237,22 @@ def test_unknown_subject_exits_2(capsys, argv):
     (["gof", "counts.txt", "--dist", "lognormal", "--seed", "-1"], "need a seed >= 0"),
     (["simulate", "--subject", "Virology", "--seed", "-1"], "need a seed >= 0"),
     (["plot", "counts.txt", "--dist", "hooked", "--seed", "-2"], "need a seed >= 0"),
+    (["study", "shape", "--subject", "Virology", "--epsilon", "inf"],
+     "epsilon must be > 0 and finite"),
+    (["simulate", "--dist", "lognormal", "--mu", "nan", "--sigma", "1", "-n", "5"],
+     "mu must be finite"),
+    (["simulate", "--dist", "lognormal", "--mu", "1", "--sigma", "0", "-n", "5"],
+     "sigma must be > 0 and finite"),
+    (["simulate", "--dist", "hooked", "--alpha", "0.5", "--b", "1", "-n", "5"],
+     "alpha must be > 1 and finite"),
+    (["simulate", "--dist", "hooked", "--alpha", "2", "--b=-inf", "-n", "5"],
+     "b must be > 0 and finite"),
+    (["study", "mixture", "--sigma-a", "-1"], "sigma must be > 0 and finite"),
+    (["study", "mixture", "--sigma-b", "inf"], "sigma must be > 0 and finite"),
+    (["study", "mixture", "--mu-a", "inf"], "mu must be finite"),
+    (["study", "mixture", "--mu-b=-inf"], "mu must be finite"),
+    (["study", "mixture", "--pure-mu", "nan"], "mu must be finite"),
+    (["study", "mixture", "--pure-sigma", "0"], "sigma must be > 0 and finite"),
 ])
 def test_invalid_option_values_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -276,3 +292,33 @@ def test_simulate_explicit_n(capsys):
                                  "--seed", "1"])
     assert code == 0
     assert len(out.split()) == 3
+
+
+def _write_counts(tmp_path, counts):
+    path = tmp_path / "counts.txt"
+    path.write_text("\n".join(str(c) for c in counts) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gof", "{file}", "--dist", "hooked", "--nsim", "5", "--seed", "1"],
+    ["plot", "{file}", "--dist", "lognormal", "--seed", "1"],
+])
+def test_gof_and_plot_on_a_count_of_10_to_the_12(capsys, tmp_path, argv):
+    # the KS statistic and the plot rows never span 1..max(sample)
+    base = DiscretisedLognormal(2.0, 1.1).sample(200, 7) - 1
+    path = _write_counts(tmp_path, [*map(int, base), 10 ** 12])
+    code, out, err = _run(capsys, [a.format(file=path) for a in argv])
+    assert code == 0
+    assert "Traceback" not in err
+    if argv[0] == "plot":
+        assert out.splitlines()[-1].startswith(f"{10 ** 12 + 1},1.0,")
+
+
+@pytest.mark.parametrize("count", [2 ** 63 - 1, 10 ** 20])
+def test_counts_beyond_the_ceiling_exit_2(capsys, tmp_path, count):
+    path = _write_counts(tmp_path, [3, 5, count])
+    code, _, err = _run(capsys, ["fit", path, "--seed", "1"])
+    assert code == 2
+    assert "exceeds the largest supported count 2**62" in err
+    assert "Traceback" not in err

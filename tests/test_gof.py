@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citefit import (
     CitationSample,
@@ -11,13 +13,14 @@ from citefit import (
     FitFailedError,
     FitStatus,
     HookedPowerLaw,
+    Mixture,
     ks_p_value,
     ks_statistic,
     ks_test_fixed,
     mc_p_value,
     shape_classify,
 )
-from citefit.gof import EQUAL, PLUS, empirical_cdf
+from citefit.gof import EQUAL, PLUS, cdf_breakpoints, empirical_cdf
 from citefit.seeding import child_seed
 
 
@@ -26,9 +29,6 @@ class _MatchingModel:
 
     def __init__(self, sample):
         self._sample = sample
-
-    def cdf_grid(self, m):
-        return empirical_cdf(self._sample, np.arange(1, m + 1))
 
     def cdf(self, x):
         return empirical_cdf(self._sample, np.atleast_1d(np.asarray(x)))
@@ -58,6 +58,40 @@ def test_ks_bounds():
     data = CitationSample(model.sample(500, 0))
     d = ks_statistic(model, data)
     assert 0.0 <= d <= 1.0
+
+
+_MODELS = st.one_of(
+    st.builds(HookedPowerLaw, st.floats(1.05, 6.0), st.floats(0.05, 80.0)),
+    st.builds(DiscretisedLognormal, st.floats(-1.0, 5.0), st.floats(0.2, 3.0)),
+    st.builds(lambda a, b, mu, sigma, w: Mixture(
+        [HookedPowerLaw(a, b), DiscretisedLognormal(mu, sigma)], [w, 1.0 - w]),
+        st.floats(1.2, 4.0), st.floats(0.5, 30.0), st.floats(0.0, 4.0),
+        st.floats(0.3, 2.5), st.floats(0.05, 0.95)),
+)
+_COUNTS = st.lists(st.one_of(st.integers(1, 12), st.integers(1, 5000)),
+                   min_size=1, max_size=300)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(model=_MODELS, counts=_COUNTS)
+def test_ks_at_breakpoints_equals_dense_maximum(model, counts):
+    # the breakpoint maximum reads the same floats as the maximum over
+    # every integer 1..max(sample), so it agrees bit for bit
+    sample = CitationSample(counts)
+    dense = np.arange(1, max(counts) + 1)
+    reference = float(np.abs(model.cdf(dense) - empirical_cdf(sample, dense)).max())
+    assert ks_statistic(model, sample).hex() == reference.hex()
+    distinct = np.unique(counts)
+    x, _, _ = cdf_breakpoints(model, sample)
+    np.testing.assert_array_equal(x, np.union1d(distinct[distinct > 1] - 1, distinct))
+
+
+def test_ks_on_draws_at_the_count_ceiling():
+    # about half of these draws lie beyond the CDF table; the largest is 2**62
+    model = HookedPowerLaw(1.05, 0.5)
+    draws = model.sample(2000, 3)
+    assert draws.max() == 2 ** 62
+    assert 0.0 <= ks_statistic(model, draws) <= 1.0
 
 
 def test_ks_requires_data():

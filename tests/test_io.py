@@ -52,6 +52,14 @@ def test_ingest_zero_with_zero_offset_rejected():
     assert list(sample.counts) == [1, 3]
 
 
+def test_ingest_rejects_counts_beyond_the_ceiling():
+    assert ingest([2 ** 62 - 1]).counts[0] == 2 ** 62
+    for counts, offset in (([2 ** 62], 1), ([2 ** 63 - 1], 1), ([10 ** 20], 0),
+                           ([0], 2 ** 62 + 1)):
+        with pytest.raises(ParseError, match="exceeds the largest supported count"):
+            ingest(counts, offset=offset)
+
+
 def test_ingest_empty_file_rejected(tmp_path):
     path = _write(tmp_path, "empty.txt", "\n\n")
     with pytest.raises(ParseError):
