@@ -7,6 +7,12 @@ bundled subject parameters; that substitution is stamped into the report
 header. Every run prints its master seed (stderr), and rerunning with the
 same seed reproduces the output byte for byte.
 
+Each subcommand's handler maps the parsed arguments and the master seed
+to the text it outputs, and renders a report through :func:`_report`.
+:func:`main` alone resolves the seed (before any input is read, so it is
+printed even when the input is rejected), runs the handler and writes its
+text to ``--out``.
+
 Exit codes: 0 success, 2 parse/usage error, 3 numerical failure.
 """
 
@@ -21,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+import citefit.io
 from citefit import __version__
 from citefit.bootstrap import MIN_REPS, bootstrap_study
 from citefit.distributions import (
@@ -29,9 +36,9 @@ from citefit.distributions import (
     continuous_moments,
 )
 from citefit.exceptions import CitefitError, OffsetError, ParseError
-from citefit.fitting import FitConfig, fit, log_likelihood
+from citefit.fitting import FitConfig, fit
 from citefit.gof import ks_p_value
-from citefit.io import _write, emit_plot_data, emit_report, ingest_file
+from citefit.io import _write, ingest_file, render_plot_data
 from citefit.sample import CitationSample
 from citefit.seeding import child_seed
 from citefit.studies import (
@@ -43,6 +50,7 @@ from citefit.studies import (
     MixtureSpec,
     bootstrap_vuong_study,
     fitted_lognormal_sigma,
+    fitted_param,
     hooked_vs_lognormal_z,
     mixture_impurity_study,
     plausibility_row,
@@ -55,28 +63,18 @@ from citefit.vuong import MODEL_A, MODEL_B, vuong
 
 SEED_ENV_VAR = "CITEFIT_SEED"
 
-def _stat_mean(sample):
-    return float(np.mean(sample.counts))
 
-
-def _stat_median(sample):
-    return float(np.median(sample.counts))
-
-
-def _fitted_param(sample, family, name):
-    result = fit(family, sample)
-    if not result.usable:
-        raise CitefitError(result.message)
-    return float(getattr(result.model, name))
+def _count_statistic(sample, reduce) -> float:
+    return float(reduce(sample.counts))
 
 
 BOOTSTRAP_STATISTICS = {
-    "mean": _stat_mean,
-    "median": _stat_median,
+    "mean": partial(_count_statistic, reduce=np.mean),
+    "median": partial(_count_statistic, reduce=np.median),
     "lognormal-sigma": fitted_lognormal_sigma,
-    "lognormal-mu": partial(_fitted_param, family="lognormal", name="mu"),
-    "hooked-alpha": partial(_fitted_param, family="hooked", name="alpha"),
-    "hooked-b": partial(_fitted_param, family="hooked", name="b"),
+    "lognormal-mu": partial(fitted_param, family="lognormal", name="mu"),
+    "hooked-alpha": partial(fitted_param, family="hooked", name="alpha"),
+    "hooked-b": partial(fitted_param, family="hooked", name="b"),
     "vuong-z": hooked_vs_lognormal_z,
 }
 
@@ -96,10 +94,12 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _base_header(args, seed: int, **extra) -> dict:
-    header = {"tool_version": __version__, "master_seed": seed}
-    header.update(extra)
-    return header
+def _report(args, seed: int, rows, columns=None, /, **extra) -> str:
+    """``rows`` in ``--format`` under a header of the master seed and ``extra``;
+    ``render_report`` is looked up on ``citefit.io`` at each call, so that the
+    benchmark's tracer, which wraps it there, sees every report."""
+    return citefit.io.render_report(rows, args.format, {"master_seed": seed, **extra},
+                                    columns)
 
 
 def _load_file(args, path) -> CitationSample:
@@ -114,23 +114,22 @@ def _subject(name: str):
         raise ParseError(err.args[0]) from None
 
 
-def _chosen_subjects(name: str | None) -> list:
-    """The bundled subjects that ``--subject`` names: one, or 'all'."""
-    if name is None:
+def _subject_generators(args) -> list:
+    """(subject, model, n) for each bundled subject that ``--subject`` names
+    (one, or 'all'): its ``--family`` model, and ``--n`` or its own size."""
+    if args.subject is None:
         raise ParseError("give count files or --subject (a name, or 'all')")
-    return list(SUBJECTS) if name.lower() == "all" else [_subject(name)]
+    subjects = list(SUBJECTS) if args.subject.lower() == "all" else [_subject(args.subject)]
+    return [(s, s.model(args.family), s.n if args.n is None else args.n) for s in subjects]
 
 
 def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
     """Count files if given, otherwise simulated data from the fixture."""
     if args.files:
         return [_load_file(args, p) for p in args.files], {"data_source": "files"}
-    samples = []
-    for index, subject in enumerate(_chosen_subjects(args.subject)):
-        model = subject.lognormal() if args.family == "lognormal" else subject.hooked()
-        n = subject.n if args.n is None else args.n
-        counts = model.sample(n, child_seed(seed, 900, index))
-        samples.append(CitationSample(counts, label=subject.name))
+    samples = [CitationSample(model.sample(n, child_seed(seed, 900, index)),
+                              label=subject.name)
+               for index, (subject, model, n) in enumerate(_subject_generators(args))]
     extra = {
         "data_source": "simulated from bundled subject parameters",
         "generator_family": args.family,
@@ -138,11 +137,10 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
     return samples, extra
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommand handlers: (args, master seed) -> output text ---------------
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    seed = _resolve_seed(args)
     families = ["lognormal", "hooked"] if args.dist == "both" else [args.dist]
     config = FitConfig(max_evals=args.max_evals)
     rows = []
@@ -156,31 +154,25 @@ def _cmd_fit(args) -> int:
             row.update(result.model.params)
             row["log_likelihood"] = result.log_likelihood
         rows.append(row)
-    emit_report(rows, args.format, args.out, _base_header(args, seed))
-    return 0
+    return _report(args, seed, rows)
 
 
-def _cmd_gof(args) -> int:
+def _cmd_gof(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    seed = _resolve_seed(args)
     config = FitConfig(max_evals=args.max_evals)
     result = ks_p_value(args.dist, sample, n_sim=args.nsim, seed=seed,
                         refit=args.refit, config=config)
-    row = {"family": args.dist, "n": len(sample)}
-    row.update(result.fit.model.params)
-    row.update({
+    row = {
+        "family": args.dist, "n": len(sample), **result.fit.model.params,
         "ks": result.ks_stat, "p": result.p_value, "n_sim": result.n_sim,
         "refit_mode": result.refit_mode, "fit_status": result.fit.status.value,
         "plausible": result.plausible,
-    })
-    emit_report([row], args.format, args.out,
-                _base_header(args, seed, n_sim=args.nsim))
-    return 0
+    }
+    return _report(args, seed, [row], n_sim=args.nsim)
 
 
-def _cmd_vuong(args) -> int:
+def _cmd_vuong(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    seed = _resolve_seed(args)
     config = FitConfig(max_evals=args.max_evals)
     hk = fit("hooked", sample, config)
     ln = fit("lognormal", sample, config)
@@ -196,13 +188,11 @@ def _cmd_vuong(args) -> int:
         "ln_mu": ln.model.mu, "ln_sigma": ln.model.sigma,
         "ln_status": ln.status.value,
     }
-    emit_report([row], args.format, args.out, _base_header(args, seed))
-    return 0
+    return _report(args, seed, [row])
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    seed = _resolve_seed(args)
     statistic = BOOTSTRAP_STATISTICS[args.statistic]
     summary = bootstrap_study(
         sample, args.reps, statistic, size=args.size, seed=seed,
@@ -214,114 +204,82 @@ def _cmd_bootstrap(args) -> int:
         "lo95": summary.lo95, "hi95": summary.hi95,
         "reps": summary.reps, "failed": summary.n_failed,
     }
-    emit_report([row], args.format, args.out,
-                _base_header(args, seed, reps=args.reps))
-    return 0
+    return _report(args, seed, [row], reps=args.reps)
 
 
-def _make_generator(args):
+def _cmd_simulate(args, seed: int) -> str:
+    n = args.n
     if args.subject:
         subject = _subject(args.subject)
-        model = subject.lognormal() if args.dist == "lognormal" else subject.hooked()
-        return model, subject.n
-    if args.dist == "lognormal":
+        model = subject.model(args.dist)
+        n = subject.n if n is None else n
+    elif args.dist == "lognormal":
         if args.mu is None or args.sigma is None:
             raise ParseError("--dist lognormal needs --mu and --sigma")
-        return DiscretisedLognormal(args.mu, args.sigma), None
-    if args.alpha is None or args.b is None:
+        model = DiscretisedLognormal(args.mu, args.sigma)
+    elif args.alpha is None or args.b is None:
         raise ParseError("--dist hooked needs --alpha and --b")
-    return HookedPowerLaw(args.alpha, args.b), None
-
-
-def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
-    model, fixture_n = _make_generator(args)
-    n = fixture_n if args.n is None else args.n
+    else:
+        model = HookedPowerLaw(args.alpha, args.b)
     if n is None:
         raise ParseError("give -n (no size available from the fixture)")
     counts = model.sample(n, seed)
-    _write("\n".join(str(int(c)) for c in counts) + "\n", args.out)
     print(f"simulated {n} counts from {model!r}", file=sys.stderr)
-    return 0
+    return "\n".join(str(int(c)) for c in counts) + "\n"
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    seed = _resolve_seed(args)
     result = fit(args.dist, sample, FitConfig(max_evals=args.max_evals))
     if not result.usable:
         raise CitefitError(f"cannot plot a degenerate fit: {result.message}")
-    emit_plot_data(result.model, sample, args.out)
-    return 0
+    return render_plot_data(result.model, sample)
 
 
-def _cmd_study_plausibility(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_plausibility(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
     rows = [
         plausibility_row(sample, n_sim=args.nsim, seed=child_seed(seed, i))
         for i, sample in enumerate(samples)
     ]
-    header = _base_header(args, seed, n_sim=args.nsim, **extra)
-    emit_report(rows, args.format, args.out, header,
-                columns=list(PLAUSIBILITY_COLUMNS))
-    return 0
+    return _report(args, seed, rows, PLAUSIBILITY_COLUMNS, n_sim=args.nsim, **extra)
 
 
-def _cmd_study_vuong(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_vuong(args, seed: int) -> str:
+    rows = []
     if args.files:
-        samples, extra = _study_samples(args, seed)
         mode = "bootstrap resamples of the input data"
-        rows = []
+        samples, _ = _study_samples(args, seed)
         for i, sample in enumerate(samples):
-            study = bootstrap_vuong_study(
-                sample, args.reps, size=args.size,
-                seed=child_seed(seed, i), workers=args.workers,
-            )
+            study = bootstrap_vuong_study(sample, args.reps, size=args.size,
+                                          seed=child_seed(seed, i), workers=args.workers)
             rows.append(study.row(sample.label, len(sample)))
     else:
         mode = "fresh samples simulated from bundled subject parameters"
-        rows = []
-        for i, subject in enumerate(_chosen_subjects(args.subject)):
-            model = (subject.lognormal() if args.family == "lognormal"
-                     else subject.hooked())
-            n = subject.n if args.n is None else args.n
-            if args.size is not None:
-                n = args.size
-            study = simulation_study(model, n, args.reps,
-                                     seed=child_seed(seed, i),
+        for i, (subject, model, n) in enumerate(_subject_generators(args)):
+            n = n if args.size is None else args.size
+            study = simulation_study(model, n, args.reps, seed=child_seed(seed, i),
                                      workers=args.workers)
             rows.append(study.row(subject.name, n))
-    header = _base_header(args, seed, reps=args.reps, mode=mode,
-                          generator_family=args.family)
-    emit_report(rows, args.format, args.out, header,
-                columns=list(VUONG_STUDY_COLUMNS))
-    return 0
+    return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,
+                   generator_family=args.family)
 
 
-def _cmd_study_scale(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_scale(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
     rows = scale_ci_study(samples, reps=args.reps, size=args.size,
                           seed=seed, workers=args.workers)
-    header = _base_header(args, seed, reps=args.reps, size=args.size, **extra)
-    emit_report(rows, args.format, args.out, header, columns=list(SCALE_COLUMNS))
-    return 0
+    return _report(args, seed, rows, SCALE_COLUMNS, reps=args.reps, size=args.size,
+                   **extra)
 
 
-def _cmd_study_shape(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_shape(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
     rows, totals = shape_table(samples, epsilon=args.epsilon)
-    header = _base_header(args, seed, epsilon=args.epsilon, **extra)
-    emit_report(rows + totals, args.format, args.out, header,
-                columns=list(SHAPE_COLUMNS))
-    return 0
+    return _report(args, seed, rows + totals, SHAPE_COLUMNS, epsilon=args.epsilon, **extra)
 
 
-def _cmd_study_mixture(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_mixture(args, seed: int) -> str:
     spec = MixtureSpec(
         components=(DiscretisedLognormal(args.mu_a, args.sigma_a),
                     DiscretisedLognormal(args.mu_b, args.sigma_b)),
@@ -331,13 +289,10 @@ def _cmd_study_mixture(args) -> int:
     rows, summary = mixture_impurity_study(
         spec, pure, n=args.n, reps=args.reps, seed=seed, workers=args.workers,
     )
-    header = _base_header(args, seed, n=args.n, **summary)
-    emit_report(rows, args.format, args.out, header, columns=list(MIXTURE_COLUMNS))
-    return 0
+    return _report(args, seed, rows, MIXTURE_COLUMNS, n=args.n, **summary)
 
 
-def _cmd_study_means(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_study_means(args, seed: int) -> str:
     rows = [{"subject": subject.name,
              "ln_mean": continuous_moments(subject.lognormal()).mean,
              "hook_mean": continuous_moments(subject.hooked()).mean}
@@ -345,8 +300,7 @@ def _cmd_study_means(args) -> int:
     rows.append({"subject": "average",
                  "ln_mean": float(np.mean([r["ln_mean"] for r in rows])),
                  "hook_mean": float(np.mean([r["hook_mean"] for r in rows]))})
-    emit_report(rows, args.format, args.out, _base_header(args, seed))
-    return 0
+    return _report(args, seed, rows)
 
 
 # --- parser ------------------------------------------------------------------
@@ -377,23 +331,22 @@ _ALPHA = _checked(float, lambda v: 1.0 < v < math.inf, "alpha must be > 1 and fi
 _B = _checked(float, lambda v: 0.0 < v < math.inf, "b must be > 0 and finite")
 
 
-def _add_common(parser, seed=True, fmt=True, offset=False, workers=False):
-    if seed:
-        parser.add_argument("--seed", type=_SEED, default=None,
-                            help=f"master seed (default: ${SEED_ENV_VAR} or random)")
-    if fmt:
-        parser.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        parser.add_argument("--out", default="-", help="output path (default stdout)")
-    if offset:
-        parser.add_argument("--offset", type=int, default=1,
-                            help="offset added to raw counts (default 1)")
-    if workers:
-        parser.add_argument("--workers", type=_WORKERS, default=1,
-                            help="parallel workers (identical results for any count)")
+def _add_offset(parser):
+    parser.add_argument("--offset", type=int, default=1,
+                        help="offset added to raw counts (default 1)")
+
+
+def _add_file(parser, max_evals=True):
+    """One count file; ``max_evals`` adds the budget of the fits made on it."""
+    parser.add_argument("file")
+    _add_offset(parser)
+    if max_evals:
+        parser.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
 
 
 def _add_study_source(parser):
     parser.add_argument("files", nargs="*", help="count files (plain lines or CSV)")
+    _add_offset(parser)
     parser.add_argument("--subject", default=None,
                         help="bundled subject name, or 'all', used when no files given")
     parser.add_argument("--family", choices=["lognormal", "hooked"],
@@ -401,6 +354,24 @@ def _add_study_source(parser):
                         help="generator family for simulated study data")
     parser.add_argument("--n", type=_SIZE, default=None,
                         help="simulated sample size (default: the subject's n)")
+
+
+def _add_subcommand(sub, name: str, handler, summary: str, report=True):
+    """The parser of subcommand ``name``, run by ``handler``, with the
+    --seed and --out that :func:`main` reads, and --format when ``report``."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--seed", type=_SEED, default=None,
+                        help=f"master seed (default: ${SEED_ENV_VAR} or random)")
+    parser.add_argument("--out", default="-", help="output path (default stdout)")
+    if report:
+        parser.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    return parser
+
+
+def _add_workers(parser):
+    parser.add_argument("--workers", type=_WORKERS, default=1,
+                        help="parallel workers (identical results for any count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,40 +383,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="maximum-likelihood fit")
-    p.add_argument("file")
+    p = _add_subcommand(sub, "fit", _cmd_fit, "maximum-likelihood fit")
+    _add_file(p)
     p.add_argument("--dist", choices=["lognormal", "hooked", "both"], default="both")
-    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
-    _add_common(p, offset=True)
-    p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("gof", help="Monte-Carlo KS goodness of fit")
-    p.add_argument("file")
+    p = _add_subcommand(sub, "gof", _cmd_gof, "Monte-Carlo KS goodness of fit")
+    _add_file(p)
     p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
     p.add_argument("--nsim", type=_NSIM, default=1000)
     p.add_argument("--refit", action="store_true",
                    help="refit each simulated sample")
-    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
-    _add_common(p, offset=True)
-    p.set_defaults(handler=_cmd_gof)
 
-    p = sub.add_parser("vuong", help="hooked vs lognormal Vuong test")
-    p.add_argument("file")
-    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
-    _add_common(p, offset=True)
-    p.set_defaults(handler=_cmd_vuong)
+    p = _add_subcommand(sub, "vuong", _cmd_vuong, "hooked vs lognormal Vuong test")
+    _add_file(p)
 
-    p = sub.add_parser("bootstrap", help="bootstrap a statistic")
-    p.add_argument("file")
+    p = _add_subcommand(sub, "bootstrap", _cmd_bootstrap, "bootstrap a statistic")
+    _add_file(p, max_evals=False)
     p.add_argument("--statistic", choices=sorted(BOOTSTRAP_STATISTICS),
                    default="mean")
     p.add_argument("--reps", type=_REPS, default=1000)
     p.add_argument("--size", type=_SIZE, default=None,
                    help="resample size (default: same as input)")
-    _add_common(p, offset=True, workers=True)
-    p.set_defaults(handler=_cmd_bootstrap)
+    _add_workers(p)
 
-    p = sub.add_parser("simulate", help="draw counts from a model")
+    p = _add_subcommand(sub, "simulate", _cmd_simulate,
+                        "draw counts from a model", report=False)
     p.add_argument("--dist", choices=["lognormal", "hooked"], default="lognormal")
     p.add_argument("--subject", default=None,
                    help="take parameters from a bundled subject")
@@ -454,50 +416,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_ALPHA, default=None)
     p.add_argument("--b", type=_B, default=None)
     p.add_argument("-n", type=_SIZE, default=None, dest="n")
-    p.add_argument("--out", default="-")
-    p.add_argument("--seed", type=_SEED, default=None)
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("plot", help="emit empirical/model CDF plot data")
-    p.add_argument("file")
+    p = _add_subcommand(sub, "plot", _cmd_plot,
+                        "emit empirical/model CDF plot data", report=False)
+    _add_file(p)
     p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
-    p.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
-    p.add_argument("--out", default="-")
-    p.add_argument("--offset", type=int, default=1)
-    p.add_argument("--seed", type=_SEED, default=None)
-    p.set_defaults(handler=_cmd_plot)
 
     study = sub.add_parser("study", help="table-producing experiments")
     study_sub = study.add_subparsers(dest="study", required=True)
 
-    p = study_sub.add_parser("plausibility", help="KS plausibility per sample")
+    p = _add_subcommand(study_sub, "plausibility", _cmd_study_plausibility,
+                        "KS plausibility per sample")
     _add_study_source(p)
     p.add_argument("--nsim", type=_NSIM, default=1000)
-    _add_common(p, offset=True)
-    p.set_defaults(handler=_cmd_study_plausibility)
 
-    p = study_sub.add_parser("vuong", help="bootstrap/simulation Vuong tallies")
+    p = _add_subcommand(study_sub, "vuong", _cmd_study_vuong,
+                        "bootstrap/simulation Vuong tallies")
     _add_study_source(p)
     p.add_argument("--reps", type=_REPS, default=50)
     p.add_argument("--size", type=_SIZE, default=None,
                    help="resample or simulation size (default: same size)")
-    _add_common(p, offset=True, workers=True)
-    p.set_defaults(handler=_cmd_study_vuong)
+    _add_workers(p)
 
-    p = study_sub.add_parser("scale", help="bootstrap CIs of lognormal sigma")
+    p = _add_subcommand(study_sub, "scale", _cmd_study_scale,
+                        "bootstrap CIs of lognormal sigma")
     _add_study_source(p)
     p.add_argument("--reps", type=_REPS, default=50)
     p.add_argument("--size", type=_SIZE, default=500)
-    _add_common(p, offset=True, workers=True)
-    p.set_defaults(handler=_cmd_study_scale)
+    _add_workers(p)
 
-    p = study_sub.add_parser("shape", help="cumulative-shape table")
+    p = _add_subcommand(study_sub, "shape", _cmd_study_shape, "cumulative-shape table")
     _add_study_source(p)
     p.add_argument("--epsilon", type=_EPSILON, default=0.01)
-    _add_common(p, offset=True)
-    p.set_defaults(handler=_cmd_study_shape)
 
-    p = study_sub.add_parser("mixture", help="mixture-impurity experiment")
+    p = _add_subcommand(study_sub, "mixture", _cmd_study_mixture,
+                        "mixture-impurity experiment")
     p.add_argument("--mu-a", type=_MU, default=1.0)
     p.add_argument("--mu-b", type=_MU, default=3.5)
     p.add_argument("--sigma-a", type=_SIGMA, default=1.0)
@@ -507,21 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pure-sigma", type=_SIGMA, default=1.0)
     p.add_argument("--n", type=_SIZE, default=10_000)
     p.add_argument("--reps", type=_MIXTURE_REPS, default=100)
-    _add_common(p, workers=True)
-    p.set_defaults(handler=_cmd_study_mixture)
+    _add_workers(p)
 
-    p = study_sub.add_parser("means", help="closed-form mean cross-check")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_study_means)
+    _add_subcommand(study_sub, "means", _cmd_study_means, "closed-form mean cross-check")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        seed = _resolve_seed(args)
+        _write(args.handler(args, seed), args.out)
     except (ParseError, OffsetError) as err:
         print(f"citefit: error: {err}", file=sys.stderr)
         return 2
@@ -531,6 +481,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"citefit: io failure: {err}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -87,17 +87,20 @@ def fit(family: str, sample, config: FitConfig | None = None) -> FitResult:
 
     values, mult = sample.unique_counts
     if values.size == 1:
-        return FitResult(
-            model=None,
-            log_likelihood=math.nan,
-            status=FitStatus.DEGENERATE,
-            evaluations=0,
-            message="all counts equal; two-parameter family not identifiable",
-        )
+        return _degenerate("all counts equal; two-parameter family not identifiable")
+    fit_family = _fit_lognormal if family == "lognormal" else _fit_hooked
+    try:
+        return fit_family(values, mult, config)
+    except ValueError:
+        # no finite start: counts near 2**62 that are equal as floats give a
+        # zero log spread, the pmf of such a count underflows there, or the
+        # hooked start b = mean leaves the search box (nelder_mead refuses)
+        return _degenerate("no finite log-likelihood at the starting point")
 
-    if family == "lognormal":
-        return _fit_lognormal(values, mult, config)
-    return _fit_hooked(values, mult, config)
+
+def _degenerate(message: str) -> FitResult:
+    return FitResult(model=None, log_likelihood=math.nan,
+                     status=FitStatus.DEGENERATE, evaluations=0, message=message)
 
 
 def _fit_lognormal(values, mult, config: FitConfig) -> FitResult:

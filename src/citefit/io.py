@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import sys
 from typing import Mapping
 
@@ -30,12 +31,17 @@ def detect_format(first_line: str) -> str:
     stripped = first_line.strip()
     if _parse_int(stripped) is not None:
         return PLAIN
-    if "citations" in [c.strip().lower() for c in stripped.split(",")]:
+    if "citations" in _header_names(stripped):
         return CSV_WITH_HEADER
     raise ParseError(
         "expected an integer count or a CSV header with a 'citations' column",
         line_number=1,
     )
+
+
+def _header_names(line: str) -> list[str]:
+    """CSV header cells, read like the data rows (quotes allowed), lowercased."""
+    return [c.strip().lower() for c in next(csv.reader([line]))]
 
 
 def _parse_int(text: str) -> int | None:
@@ -47,15 +53,16 @@ def _parse_int(text: str) -> int | None:
 
 def load_counts(path) -> list[int]:
     """Raw (pre-offset) counts from a plain-lines or CSV file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark; a byte that is not UTF-8
+    # reads as U+FFFD, which fails as a count or a header on its line
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
         lines = handle.read().splitlines()
-    stripped = [(i + 1, line.strip()) for i, line in enumerate(lines)]
-    stripped = [(no, line) for no, line in stripped if line]
+    stripped = [(no, line.strip()) for no, line in enumerate(lines, 1) if line.strip()]
     if not stripped:
         raise ParseError("file contains no counts")
     column = None
     if detect_format(stripped[0][1]) == CSV_WITH_HEADER:
-        column = [c.strip().lower() for c in stripped[0][1].split(",")].index("citations")
+        column = _header_names(stripped[0][1]).index("citations")
         stripped = stripped[1:]
         if not stripped:
             raise ParseError("CSV file contains no data rows")
@@ -115,12 +122,14 @@ def format_sig4(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serialisable: {type(obj)}")
+def _json_cell(value):
+    """A report cell for JSON: NumPy scalars as Python numbers, and a
+    non-finite float as null (JSON has no NaN or infinity; TSV writes NA)."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
 def render_report(rows, fmt: str = "tsv", header: Mapping | None = None,
@@ -129,8 +138,9 @@ def render_report(rows, fmt: str = "tsv", header: Mapping | None = None,
     rows = list(rows)
     header = {"tool_version": __version__, **dict(header or {})}
     if fmt == "json":
-        return json.dumps({"header": header, "rows": rows},
-                          indent=2, default=_json_default) + "\n"
+        doc = {"header": {k: _json_cell(v) for k, v in header.items()},
+               "rows": [{k: _json_cell(v) for k, v in row.items()} for row in rows]}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt != "tsv":
         raise ValueError(f"unknown report format {fmt!r}")
     if columns is None:
@@ -145,12 +155,6 @@ def render_report(rows, fmt: str = "tsv", header: Mapping | None = None,
     return out.getvalue()
 
 
-def emit_report(rows, fmt: str = "tsv", destination=None,
-                header: Mapping | None = None, columns=None) -> None:
-    """Write a rendered report to a path, file object or stdout."""
-    _write(render_report(rows, fmt, header, columns), destination)
-
-
 def render_plot_data(model, sample) -> str:
     """CSV of x, empirical_cdf, model_cdf at the ``cdf_breakpoints``."""
     out = _io.StringIO()
@@ -160,11 +164,8 @@ def render_plot_data(model, sample) -> str:
     return out.getvalue()
 
 
-def emit_plot_data(model, sample, destination=None) -> None:
-    _write(render_plot_data(model, sample), destination)
-
-
 def _write(text: str, destination) -> None:
+    """Write ``text`` to a path, a file object or ("-" or None) stdout."""
     if destination is None or destination == "-":
         sys.stdout.write(text)
     elif hasattr(destination, "write"):

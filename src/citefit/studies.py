@@ -182,12 +182,15 @@ def plausibility_row(sample, n_sim: int = 1000, seed: int = 0,
 
 # --- scale-parameter intervals (one per subject) --------------------------
 
-def fitted_lognormal_sigma(sample) -> float:
-    """Bootstrap statistic: sigma of the lognormal fit."""
-    result = fit("lognormal", sample)
+def fitted_param(sample, family: str, name: str) -> float:
+    """Bootstrap statistic: parameter ``name`` of the ``family`` fit."""
+    result = fit(family, sample)
     if not result.usable:
         raise DegenerateDataError(result.message)
-    return result.model.sigma
+    return float(getattr(result.model, name))
+
+
+fitted_lognormal_sigma = partial(fitted_param, family="lognormal", name="sigma")
 
 
 def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
@@ -233,16 +236,12 @@ def shape_table(samples, epsilon: float = 0.01,
         sample = as_sample(sample)
         row = dict.fromkeys(SHAPE_COLUMNS)
         row["subject"] = sample.label
-        ln = fit("lognormal", sample, config)
-        hk = fit("hooked", sample, config)
-        if ln.usable:
-            report = shape_classify(ln.model, sample, epsilon)
-            row["ln_bottom"], row["ln_middle"], row["ln_top"] = \
-                report.bottom, report.middle, report.top
-        if hk.usable:
-            report = shape_classify(hk.model, sample, epsilon)
-            row["hook_bottom"], row["hook_middle"], row["hook_top"] = \
-                report.bottom, report.middle, report.top
+        for family, prefix in (("lognormal", "ln"), ("hooked", "hook")):
+            result = fit(family, sample, config)
+            if result.usable:
+                report = shape_classify(result.model, sample, epsilon)
+                row.update({f"{prefix}_bottom": report.bottom,
+                            f"{prefix}_middle": report.middle, f"{prefix}_top": report.top})
         rows.append(row)
 
     totals = []

@@ -32,6 +32,10 @@ class SubjectParams:
     def hooked(self) -> HookedPowerLaw:
         return HookedPowerLaw(self.hook_alpha, self.hook_b)
 
+    def model(self, family: str):
+        """The fitted model of ``family``: "lognormal" or "hooked"."""
+        return self.lognormal() if family == "lognormal" else self.hooked()
+
 
 SUBJECTS: tuple[SubjectParams, ...] = (
     SubjectParams("Cancer Research", 9994, 2.77, 1.40, 3.94, 67.9),

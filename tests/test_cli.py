@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_simulate_then_fit_round_trip(tmp_path, capsys):
                                  "-n", "500", "--seed", "9", "--out", out_path])
     assert code == 0
     assert "master seed: 9" in err
-    values = [int(l) for l in open(out_path).read().splitlines()]
+    values = [int(l) for l in Path(out_path).read_text().splitlines()]
     assert len(values) == 500 and min(values) >= 1
     # counts are already offset-adjusted, so re-ingest with offset 0
     code, out, _ = _run(capsys, ["fit", out_path, "--dist", "lognormal",
@@ -149,6 +150,23 @@ def test_study_mixture(capsys):
     doc = json.loads(out)
     assert doc["header"]["reps"] == 5
     assert len(doc["rows"]) == 5
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("argv,nulls", [
+    (["study", "mixture", "--n", "1", "--reps", "2"], ("fraction_worse",)),
+    (["study", "vuong", "--subject", "Virology", "--n", "2", "--reps", "40"],
+     ("z_lo95", "z_median", "z_hi95")),
+])
+def test_json_reports_write_nan_as_null(capsys, argv, nulls):
+    code, out, _ = _run(capsys, argv + ["--seed", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_no_constants)
+    cells = {**doc["header"], **doc["rows"][0]}
+    assert all(cells[key] is None for key in nulls)
 
 
 def test_byte_identical_reruns(capsys, counts_file):

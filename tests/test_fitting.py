@@ -64,6 +64,17 @@ def test_constant_sample_is_degenerate(family):
     assert not result.usable
 
 
+@pytest.mark.parametrize("family,counts", [
+    ("lognormal", [1, 2 ** 62]),           # the pmf at 2**62 underflows at the start
+    ("lognormal", [2 ** 62 - 1, 2 ** 62]),  # equal as floats: zero log spread
+    ("hooked", [1, 10 ** 13]),             # the start b = mean lies beyond the box
+])
+def test_non_finite_start_is_degenerate(family, counts):
+    result = fit(family, CitationSample(counts))
+    assert result.status is FitStatus.DEGENERATE
+    assert not result.usable
+
+
 def test_lognormal_round_trip():
     gen = DiscretisedLognormal(2.08, 1.11)
     for seed in (11, 12, 13):

@@ -1,6 +1,7 @@
 """Ingestion, report rendering and plot-data emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_ingest_csv_bad_cell_reports_line(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("text", [
+    b"\xef\xbb\xbf3\n0\n",                                  # byte-order mark
+    b"\xef\xbb\xbfcitations\n3\n0\n",
+    b'"id","citations"\n"a",3\nb,"0"\n',                    # quoted header cells
+    b'\xef\xbb\xbf"Citations",id\n3,x\n0,y\n',
+])
+def test_ingest_bom_and_quoted_csv_header(tmp_path, text):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text)
+    assert list(ingest_file(path).counts) == [4, 1]
+
+
+def test_ingest_bytes_that_are_not_utf8_report_their_line(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_bytes(b"3\n\xff4\n")
+    with pytest.raises(ParseError) as err:
+        ingest_file(path)
+    assert err.value.line_number == 2
+
+
 def test_ingest_unrecognised_header(tmp_path):
     path = _write(tmp_path, "data.csv", "id,cites\n1,2\n")
     with pytest.raises(ParseError) as err:
@@ -132,6 +153,18 @@ def test_json_round_trip():
     assert parsed["rows"] == rows
     assert parsed["header"]["master_seed"] == 3
     assert "tool_version" in parsed["header"]
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+def test_json_writes_non_finite_floats_as_null():
+    rows = [{"a": math.nan, "b": np.float64(math.inf), "c": -math.inf, "d": 1.5}]
+    text = render_report(rows, "json", header={"fraction": math.nan})
+    doc = json.loads(text, parse_constant=_no_constants)
+    assert doc["rows"] == [{"a": None, "b": None, "c": None, "d": 1.5}]
+    assert doc["header"]["fraction"] is None
 
 
 def test_json_full_precision():
