@@ -32,7 +32,7 @@ from citefit.distributions import (
     make_model,
     simulate_sample,
 )
-from citefit.fitting import FitConfig, FitResult, FitStatus, fit, log_likelihood
+from citefit.fitting import FitResult, FitStatus, fit, log_likelihood
 from citefit.gof import (
     GofResult,
     ShapeReport,
@@ -66,7 +66,6 @@ __all__ = [
     "DiscretisedLognormal",
     "DomainError",
     "EmptySampleError",
-    "FitConfig",
     "FitFailedError",
     "FitResult",
     "FitStatus",

@@ -36,7 +36,7 @@ from citefit.distributions import (
     continuous_moments,
 )
 from citefit.exceptions import CitefitError, OffsetError, ParseError
-from citefit.fitting import FitConfig, fit
+from citefit.fitting import MAX_EVALS, fit
 from citefit.gof import ks_p_value
 from citefit.io import _write, ingest_file, render_plot_data
 from citefit.sample import CitationSample
@@ -142,10 +142,9 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
 def _cmd_fit(args, seed: int) -> str:
     sample = _load_file(args, args.file)
     families = ["lognormal", "hooked"] if args.dist == "both" else [args.dist]
-    config = FitConfig(max_evals=args.max_evals)
     rows = []
     for family in families:
-        result = fit(family, sample, config)
+        result = fit(family, sample, args.max_evals)
         row = {"family": family, "n": len(sample),
                "mu": None, "sigma": None, "alpha": None, "b": None,
                "log_likelihood": None, "status": result.status.value,
@@ -159,9 +158,8 @@ def _cmd_fit(args, seed: int) -> str:
 
 def _cmd_gof(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    config = FitConfig(max_evals=args.max_evals)
     result = ks_p_value(args.dist, sample, n_sim=args.nsim, seed=seed,
-                        refit=args.refit, config=config)
+                        refit=args.refit, max_evals=args.max_evals)
     row = {
         "family": args.dist, "n": len(sample), **result.fit.model.params,
         "ks": result.ks_stat, "p": result.p_value, "n_sim": result.n_sim,
@@ -173,9 +171,8 @@ def _cmd_gof(args, seed: int) -> str:
 
 def _cmd_vuong(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    config = FitConfig(max_evals=args.max_evals)
-    hk = fit("hooked", sample, config)
-    ln = fit("lognormal", sample, config)
+    hk = fit("hooked", sample, args.max_evals)
+    ln = fit("lognormal", sample, args.max_evals)
     if not (hk.usable and ln.usable):
         raise CitefitError("cannot compare: a fit is degenerate")
     result = vuong(hk.model, ln.model, sample)
@@ -230,7 +227,7 @@ def _cmd_simulate(args, seed: int) -> str:
 
 def _cmd_plot(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    result = fit(args.dist, sample, FitConfig(max_evals=args.max_evals))
+    result = fit(args.dist, sample, args.max_evals)
     if not result.usable:
         raise CitefitError(f"cannot plot a degenerate fit: {result.message}")
     return render_plot_data(result.model, sample)
@@ -341,7 +338,7 @@ def _add_file(parser, max_evals=True):
     parser.add_argument("file")
     _add_offset(parser)
     if max_evals:
-        parser.add_argument("--max-evals", type=_MAX_EVALS, default=10_000)
+        parser.add_argument("--max-evals", type=_MAX_EVALS, default=MAX_EVALS)
 
 
 def _add_study_source(parser):

@@ -33,7 +33,7 @@ from citefit.exceptions import (
     MomentUndefinedError,
     ParameterError,
 )
-from citefit.sample import CitationSample
+from citefit.sample import CitationSample, positive_ints
 from citefit.seeding import spawn_rng
 
 FAMILIES = ("lognormal", "hooked")
@@ -119,21 +119,6 @@ def _power_tail(alpha: float, b: float, start: int) -> float:
     return total + term * tail
 
 
-def _validate_support(x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x))
-    if arr.size == 0:
-        return arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(np.isfinite(arr)) or not np.all(arr == rounded):
-            raise DomainError("x must be integer-valued")
-        arr = rounded
-    arr = arr.astype(np.int64)
-    if arr.min() < 1:
-        raise DomainError("x must be >= 1 (support starts at 1)")
-    return arr
-
-
 class _CdfTable:
     """Geometrically grown cache of F(1), ..., F(m).
 
@@ -156,39 +141,25 @@ class _CdfTable:
         self._lock = threading.Lock()
         self._cdf = None
 
-    def ensure(self, u_max: float) -> np.ndarray:
-        cdf = self._cdf
-        if cdf is None:
-            with self._lock:
-                if self._cdf is None:
-                    self._cdf = self._build(_TABLE_START)
-                cdf = self._cdf
-        while cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
-            with self._lock:
-                cdf = self._cdf
-                if cdf[-1] >= u_max or len(cdf) >= _TABLE_CAP:
-                    break
+    def ensure(self, length: int = 1, u_max: float = 0.0) -> np.ndarray:
+        """The table, first grown to the smallest doubling of its size that
+        holds ``length`` entries, then doubled until F(m) >= ``u_max``, the
+        cap, or saturation. A saturated table still grows by one doubling
+        per call, which ``_quantile_beyond`` brackets from."""
+        with self._lock:
+            cdf = self._cdf
+            size = _TABLE_START if cdf is None else len(cdf)
+            while size < length:
+                size *= 2
+            if cdf is None or size > len(cdf):
+                cdf = self._cdf = self._build(size)
+            while cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
                 grown = self._build(2 * len(cdf))
-                if grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START:
-                    # saturated in floating point; growing further is futile
-                    self._cdf = grown
-                    cdf = grown
+                # saturated in floating point; growing further is futile
+                saturated = grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START
+                cdf = self._cdf = grown
+                if saturated:
                     break
-                self._cdf = grown
-                cdf = grown
-        return cdf
-
-    def ensure_length(self, m: int) -> np.ndarray:
-        cdf = self._cdf
-        if cdf is None or len(cdf) < m:
-            with self._lock:
-                cdf = self._cdf
-                if cdf is None or len(cdf) < m:
-                    size = max(_TABLE_START, len(cdf) if cdf is not None else 0)
-                    while size < m:
-                        size *= 2
-                    self._cdf = self._build(size)
-                cdf = self._cdf
         return cdf
 
     def _build(self, m: int) -> np.ndarray:
@@ -235,22 +206,22 @@ class _DiscreteModel(ABC):
 
     def log_pmf(self, x):
         scalar = np.ndim(x) == 0
-        out = self._log_pmf(_validate_support(x))
+        out = self._log_pmf(positive_ints(x, "x"))
         return float(out[0]) if scalar else out
 
     def pmf(self, x):
         scalar = np.ndim(x) == 0
-        out = np.exp(self._log_pmf(_validate_support(x)))
+        out = np.exp(self._log_pmf(positive_ints(x, "x")))
         return float(out[0]) if scalar else out
 
     def cdf(self, x):
         """F(x): the table up to the cap, the tail formula beyond it."""
         scalar = np.ndim(x) == 0
-        arr = _validate_support(x)
+        arr = positive_ints(x, "x")
         if arr.size == 0:
             return np.empty(0)
         m = int(arr.max())
-        table = self._table.ensure_length(min(m, _TABLE_CAP))
+        table = self._table.ensure(min(m, _TABLE_CAP))
         out = table.take(arr - 1, mode="clip")
         if m > len(table):
             beyond = arr > len(table)
@@ -269,7 +240,7 @@ class _DiscreteModel(ABC):
     def _quantile_array(self, u: np.ndarray) -> np.ndarray:
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
-        table = self._table.ensure(float(u.max()))
+        table = self._table.ensure(u_max=float(u.max()))
         x = np.searchsorted(table, u, side="left") + 1
         overflow = u > table[-1]
         if np.any(overflow):

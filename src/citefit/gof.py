@@ -16,11 +16,12 @@ which corrects the known conservatism of the fixed-parameter procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from citefit.exceptions import DomainError, FitFailedError
-from citefit.fitting import FitConfig, FitResult, fit
+from citefit.fitting import MAX_EVALS, FitResult, fit
 from citefit.sample import as_sample
 from citefit.seeding import spawn_rng
 
@@ -95,27 +96,27 @@ def mc_p_value(exceed_count: int, n_sim: int) -> float:
     return (exceed_count + 1) / (n_sim + 1)
 
 
-def _mc_ks(model, sample, n_sim: int, seed: int, refit: bool,
-           family: str | None, config: FitConfig | None,
-           fitted: FitResult | None) -> GofResult:
+def _mc_ks(model, sample, n_sim: int, seed: int, refit,
+           fitted: FitResult | None = None) -> GofResult:
+    """``refit``: None to test against ``model``, or a fit of each simulated sample."""
     d_obs = ks_statistic(model, sample)
     n = len(sample)
     exceed = 0
     for i in range(n_sim):
         rng = spawn_rng(seed, i)
         sim = as_sample(model.sample_with(rng, n), label="sim")
-        if refit:
-            sim_fit = fit(family, sim, config)
-            sim_model = sim_fit.model if sim_fit.usable else model
-        else:
+        if refit is None:
             sim_model = model
+        else:
+            sim_fit = refit(sim)
+            sim_model = sim_fit.model if sim_fit.usable else model
         if ks_statistic(sim_model, sim) >= d_obs:
             exceed += 1
     return GofResult(
         ks_stat=d_obs,
         p_value=mc_p_value(exceed, n_sim),
         n_sim=n_sim,
-        refit_mode="refit" if refit else "fixed",
+        refit_mode="fixed" if refit is None else "refit",
         fit=fitted,
     )
 
@@ -132,18 +133,18 @@ def ks_test_fixed(model, sample, n_sim: int = 1000, seed: int = 0) -> GofResult:
     sample.require_nonempty()
     if n_sim < 1:
         raise DomainError("n_sim must be >= 1")
-    return _mc_ks(model, sample, n_sim, seed, refit=False,
-                  family=None, config=None, fitted=None)
+    return _mc_ks(model, sample, n_sim, seed, refit=None)
 
 
 def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
-               refit: bool = False, config: FitConfig | None = None) -> GofResult:
+               refit: bool = False, max_evals: int = MAX_EVALS) -> GofResult:
     """Fit ``family`` to the sample and Monte-Carlo test the fit.
 
     With ``refit`` off (the default) the simulated samples are compared
     against the one fitted model, which is conservative for estimated
     parameters; ``refit=True`` refits every simulated sample instead.
-    Deterministic given ``seed``.
+    Every fit is given ``max_evals`` likelihood evaluations. Deterministic
+    given ``seed``.
 
     Raises
     ------
@@ -155,11 +156,13 @@ def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
     sample.require_nonempty()
     if n_sim < 1:
         raise DomainError("n_sim must be >= 1")
-    fitted = fit(family, sample, config)
+    fitted = fit(family, sample, max_evals)
     if not fitted.usable:
         raise FitFailedError(f"cannot test an unusable fit: {fitted.message}")
-    return _mc_ks(fitted.model, sample, n_sim, seed, refit=refit,
-                  family=family, config=config, fitted=fitted)
+    # this module's ``fit``, so a wrapper set on ``citefit.gof.fit`` (as the
+    # perfbench tracer does) also sees the refits
+    refit_fn = partial(fit, family, max_evals=max_evals) if refit else None
+    return _mc_ks(fitted.model, sample, n_sim, seed, refit_fn, fitted)
 
 
 def _classify(delta: float, epsilon: float) -> str:

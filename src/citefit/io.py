@@ -147,7 +147,8 @@ def render_report(rows, fmt: str = "tsv", header: Mapping | None = None,
         columns = list(rows[0].keys()) if rows else []
     out = _io.StringIO()
     for key, value in header.items():
-        out.write(f"# {key}\t{value}\n")
+        nan = isinstance(value, (float, np.floating)) and math.isnan(value)
+        out.write(f"# {key}\t{'NA' if nan else value}\n")
     if columns:
         out.write("\t".join(columns) + "\n")
         for row in rows:

@@ -10,6 +10,25 @@ import numpy as np
 from citefit.exceptions import DomainError, EmptySampleError
 
 
+def positive_ints(x, what: str) -> np.ndarray:
+    """``x`` as a new int64 array (at least 1-d) of integers in [1, 2**63).
+
+    Everything is checked before the cast, so a non-finite, fractional or
+    out-of-range value raises DomainError instead of wrapping around.
+    """
+    arr = np.atleast_1d(np.asarray(x))
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        if not np.all(np.isfinite(arr) & (arr == np.rint(arr))):
+            raise DomainError(f"{what} must be integers")
+    if arr.max() >= 2 ** 63:
+        raise DomainError(f"{what} must be below 2**63")
+    if arr.min() < 1:
+        raise DomainError(f"{what} must be >= 1")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CitationSample:
     """A multiset of offset-adjusted positive integer counts.
@@ -31,15 +50,7 @@ class CitationSample:
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.counts)
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.all(arr == rounded):
-                raise DomainError("counts must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64, copy=True).reshape(-1)
-        if arr.size and arr.min() < 1:
-            raise DomainError("counts must all be >= 1 (apply an offset first)")
+        arr = positive_ints(self.counts, "counts (after the offset)").reshape(-1)
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
         if self.offset_applied < 0:

@@ -3,8 +3,11 @@
 A compact derivative-free simplex search used for the maximum-likelihood
 fits. The discretised likelihoods are cheap but not smooth enough to make
 gradient methods attractive, and the simplex keeps full control over the
-stopping rule and the evaluation budget. Points are lists of plain
-floats: in the fits' two dimensions NumPy calls cost more than the maths.
+stopping rule and the evaluation budget. Only the budget is set per call;
+the coefficients, ``_STEP``, ``_REL_F_TOL`` and ``_X_TOL`` are fixed (J. A.
+Nelder and R. Mead, "A simplex method for function minimization", Comput.
+J. 7(4), 1965). Points are lists of plain floats: in the fits' two
+dimensions NumPy calls cost more than the maths.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
+_STEP = 0.25        # initial offset of each coordinate from the start
+_REL_F_TOL = 1e-8   # converged: relative spread of the function values
+_X_TOL = 1e-6       # converged: simplex diameter
 
 
 @dataclass(frozen=True)
@@ -28,13 +34,12 @@ class SimplexResult:
     converged: bool
 
 
-def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
-                rel_f_tol=1e-8, x_tol=1e-6) -> SimplexResult:
+def nelder_mead(fn, x0, max_evals=10_000) -> SimplexResult:
     """Minimise ``fn`` starting from ``x0``.
 
     Stops as converged when the relative spread of the simplex function
-    values falls below ``rel_f_tol`` or the simplex diameter falls below
-    ``x_tol``; stops unconverged when ``max_evals`` evaluations are spent
+    values falls below ``_REL_F_TOL`` or the simplex diameter falls below
+    ``_X_TOL``; stops unconverged when ``max_evals`` evaluations are spent
     (the budget is checked between iterations, so the final iteration may
     overshoot it by a few evaluations). ``fn`` may return ``inf`` for
     out-of-domain points.
@@ -46,7 +51,7 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
         float.
     x0 : array_like
         Starting point; the initial simplex offsets each coordinate by
-        ``step``.
+        ``_STEP``.
     """
     x0 = np.asarray(x0, dtype=np.float64).tolist()
     dim = len(x0)
@@ -58,7 +63,7 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
         v = fn(x)
         return float(v) if math.isfinite(v) else math.inf
 
-    points = [x0] + [[v + step if j == i else v for j, v in enumerate(x0)]
+    points = [x0] + [[v + _STEP if j == i else v for j, v in enumerate(x0)]
                      for i in range(dim)]
     values = [call(p) for p in points]
     if not math.isfinite(values[0]):
@@ -72,9 +77,9 @@ def nelder_mead(fn, x0, step=0.25, max_evals=10_000,
 
     while evals < max_evals:
         best, worst = values[0], values[-1]
-        spread_ok = (worst - best) <= rel_f_tol * max(1.0, abs(best))
+        spread_ok = (worst - best) <= _REL_F_TOL * max(1.0, abs(best))
         diameter = max(abs(v - u) for p in points[1:] for u, v in zip(points[0], p))
-        if spread_ok or diameter <= x_tol:
+        if spread_ok or diameter <= _X_TOL:
             return SimplexResult(np.array(points[0]), values[0], evals, True)
 
         # mean of all but the worst point, summed left to right as np.mean does

@@ -39,12 +39,12 @@ from citefit.exceptions import (
     FitFailedError,
     TooFewRepsError,
 )
-from citefit.fitting import FitConfig, FitStatus, fit
+from citefit.fitting import FitStatus, fit
 from citefit.gof import ks_p_value, ks_statistic, shape_classify
 from citefit.sample import CitationSample, as_sample
 from citefit.seeding import child_seed, spawn_rng
 from citefit.subjects import SUBJECTS
-from citefit.vuong import MODEL_A, MODEL_B, NEITHER, Z_THRESHOLD, _favored, vuong
+from citefit.vuong import MODEL_A, MODEL_B, NEITHER, _favored, vuong
 
 PLAUSIBILITY_COLUMNS = (
     "subject", "n", "ln_mu", "ln_sigma", "ln_ks", "ln_p",
@@ -100,7 +100,7 @@ class VuongStudy:
 
 # --- hooked-vs-lognormal z replicates -----------------------------------
 
-def hooked_vs_lognormal_z(sample, config: FitConfig | None = None) -> float:
+def hooked_vs_lognormal_z(sample) -> float:
     """Vuong z of the hooked fit against the lognormal fit of ``sample``.
 
     Raises a citefit error when either fit is degenerate, when the hooked
@@ -108,8 +108,8 @@ def hooked_vs_lognormal_z(sample, config: FitConfig | None = None) -> float:
     from studies and counted as failed), or when z is undefined.
     """
     sample = as_sample(sample)
-    ln = fit("lognormal", sample, config)
-    hk = fit("hooked", sample, config)
+    ln = fit("lognormal", sample)
+    hk = fit("hooked", sample)
     if ln.status is not FitStatus.CONVERGED:
         raise FitFailedError(f"lognormal fit unusable: {ln.status.value}")
     if hk.status is not FitStatus.CONVERGED:
@@ -124,7 +124,7 @@ def _simulation_rep(generator, n: int, seed: int, rep: int) -> float:
 
 def _vuong_study(values, reps: int) -> VuongStudy:
     summary = summarise(values, reps, "vuong_z")
-    tally = Counter(_favored(z, Z_THRESHOLD) for z in summary.raw if not math.isnan(z))
+    tally = Counter(_favored(z) for z in summary.raw if not math.isnan(z))
     return VuongStudy(z_summary=summary, hooked_wins=tally[MODEL_A],
                       lognormal_wins=tally[MODEL_B], neither=tally[NEITHER],
                       failed=summary.n_failed, reps=reps)
@@ -149,8 +149,7 @@ def simulation_study(generator, n: int, reps: int, seed: int = 0,
 
 # --- plausibility rows ----------------------------------------------------
 
-def plausibility_row(sample, n_sim: int = 1000, seed: int = 0,
-                     config: FitConfig | None = None) -> dict:
+def plausibility_row(sample, n_sim: int = 1000, seed: int = 0) -> dict:
     """One KS-plausibility table row: both families fitted and tested."""
     sample = as_sample(sample)
     sample.require_nonempty()
@@ -159,14 +158,14 @@ def plausibility_row(sample, n_sim: int = 1000, seed: int = 0,
     row["n"] = len(sample)
     flags = []
     try:
-        ln = ks_p_value("lognormal", sample, n_sim, child_seed(seed, 0), config=config)
+        ln = ks_p_value("lognormal", sample, n_sim, child_seed(seed, 0))
         row["ln_mu"] = ln.fit.model.mu
         row["ln_sigma"] = ln.fit.model.sigma
         row["ln_ks"] = ln.ks_stat
         row["ln_p"] = ln.p_value
         if ln.plausible:
             flags.append("L")
-        hk = ks_p_value("hooked", sample, n_sim, child_seed(seed, 1), config=config)
+        hk = ks_p_value("hooked", sample, n_sim, child_seed(seed, 1))
         row["hook_alpha"] = hk.fit.model.alpha
         row["hook_b"] = hk.fit.model.b
         row["hook_ks"] = hk.ks_stat
@@ -224,8 +223,7 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
 
 # --- shape tables ----------------------------------------------------------
 
-def shape_table(samples, epsilon: float = 0.01,
-                config: FitConfig | None = None) -> tuple[list[dict], list[dict]]:
+def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]:
     """Bottom/middle/top shape classification per sample and family.
 
     Returns the per-sample rows plus three totals rows counting "+", "="
@@ -237,7 +235,7 @@ def shape_table(samples, epsilon: float = 0.01,
         row = dict.fromkeys(SHAPE_COLUMNS)
         row["subject"] = sample.label
         for family, prefix in (("lognormal", "ln"), ("hooked", "hook")):
-            result = fit(family, sample, config)
+            result = fit(family, sample)
             if result.usable:
                 report = shape_classify(result.model, sample, epsilon)
                 row.update({f"{prefix}_bottom": report.bottom,
@@ -269,8 +267,7 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int,
 
 
 def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
-                           seed: int = 0, config: FitConfig | None = None,
-                           workers: int = 1) -> tuple[list[dict], dict]:
+                           seed: int = 0, workers: int = 1) -> tuple[list[dict], dict]:
     """Compare lognormal KS fits on mixture data against pure data.
 
     Each rep draws one sample from the mixture and one from ``pure_model``,
@@ -279,8 +276,7 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
     mixture = spec.to_model()
-    rows = run_reps(partial(_mixture_rep, mixture, pure_model, n, seed, config),
-                    reps, workers)
+    rows = run_reps(partial(_mixture_rep, mixture, pure_model, n, seed), reps, workers)
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {
@@ -292,12 +288,12 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     return rows, summary
 
 
-def _mixture_rep(mixture, pure_model, n: int, seed: int, config, rep: int) -> dict:
+def _mixture_rep(mixture, pure_model, n: int, seed: int, rep: int) -> dict:
     row = {"rep": rep, "mixture_ks": None, "pure_ks": None, "mixture_worse": None}
     mix_data = CitationSample(mixture.sample_with(spawn_rng(seed, rep, 0), n))
     pure_data = CitationSample(pure_model.sample_with(spawn_rng(seed, rep, 1), n))
-    mix_fit = fit("lognormal", mix_data, config)
-    pure_fit = fit("lognormal", pure_data, config)
+    mix_fit = fit("lognormal", mix_data)
+    pure_fit = fit("lognormal", pure_data)
     if not (mix_fit.usable and pure_fit.usable):
         return row
     row["mixture_ks"] = ks_statistic(mix_fit.model, mix_data)

@@ -5,7 +5,8 @@ log pmf_B(c_i), the statistic z = mean(d) * sqrt(n) / sd(d) is
 approximately standard normal when the models fit equally well; positive
 z favours model A. Both families here have two parameters, so the
 information-criterion correction terms cancel and the uncorrected
-statistic is used.
+statistic is used. A model is favoured when |z| exceeds the fixed
+``Z_THRESHOLD`` (1.96, a two-sided 5% level).
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ class VuongResult:
     n: int
 
 
-def _favored(z: float, threshold: float) -> str:
-    if z > threshold:
+def _favored(z: float) -> str:
+    if z > Z_THRESHOLD:
         return MODEL_A
-    if z < -threshold:
+    if z < -Z_THRESHOLD:
         return MODEL_B
     return NEITHER
 
 
-def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray | None = None,
-                     threshold: float = Z_THRESHOLD) -> VuongResult:
+def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray | None = None) -> VuongResult:
     """Build the z statistic from per-observation log-likelihood differences.
 
     ``weights`` are multiplicities for tied observations; the sample
@@ -63,16 +63,16 @@ def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray | None = None,
         )
     z = mean * math.sqrt(n) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return VuongResult(z=z, p_two_sided=p, favored=_favored(z, threshold), n=n)
+    return VuongResult(z=z, p_two_sided=p, favored=_favored(z), n=n)
 
 
-def vuong(model_a, model_b, sample, threshold: float = Z_THRESHOLD) -> VuongResult:
+def vuong(model_a, model_b, sample) -> VuongResult:
     """Vuong test of ``model_a`` against ``model_b`` on ``sample``."""
     sample = as_sample(sample)
     sample.require_nonempty()
     values, mult = sample.unique_counts
     diffs = model_a.log_pmf(values) - model_b.log_pmf(values)
-    return vuong_from_diffs(diffs, mult, threshold)
+    return vuong_from_diffs(diffs, mult)
 
 
 @dataclass(frozen=True)

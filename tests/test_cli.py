@@ -169,6 +169,14 @@ def test_json_reports_write_nan_as_null(capsys, argv, nulls):
     assert all(cells[key] is None for key in nulls)
 
 
+def test_tsv_header_writes_nan_as_na(capsys):
+    code, out, _ = _run(capsys, ["study", "mixture", "--n", "1", "--reps", "2",
+                                 "--seed", "1"])
+    assert code == 0
+    assert "# fraction_worse\tNA\n" in out
+    assert "nan" not in out
+
+
 def test_byte_identical_reruns(capsys, counts_file):
     args = ["study", "vuong", counts_file, "--reps", "40", "--size", "300",
             "--seed", "21"]

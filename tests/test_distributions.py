@@ -13,6 +13,7 @@ import scipy.stats
 from numpy.testing import assert_allclose, assert_array_equal
 
 from citefit import (
+    CitationSample,
     DiscretisedLognormal,
     DomainError,
     HookedPowerLaw,
@@ -60,6 +61,20 @@ def test_support_starts_at_one(x):
         model.pmf(x)
     with pytest.raises(DomainError):
         model.cdf(x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,message", [
+    (math.inf, "must be integers"), (-math.inf, "must be integers"),
+    (math.nan, "must be integers"), (2.0 ** 63, "below 2"), (1e30, "below 2"),
+    (np.uint64(2 ** 63), "below 2"), (-1e30, ">= 1"),
+])
+def test_out_of_range_values_rejected_before_the_cast(x, message):
+    # casting such a float to int64 wraps around with a RuntimeWarning
+    with pytest.raises(DomainError, match=message):
+        CitationSample(np.array([3, x]))
+    with pytest.raises(DomainError, match=message):
+        HookedPowerLaw(2.0, 1.0).cdf(x)
 
 
 @pytest.mark.parametrize("u", [-0.1, 1.0, 1.5, math.nan])
@@ -289,6 +304,51 @@ def test_cdf_table_built_on_first_use():
     table = model._table
     model.cdf(7)
     assert model._table is table
+
+
+# Interleaved quantile/cdf/sample calls with each call's output and the CDF
+# table length after it, as recorded before the two table-growth loops were
+# folded into one. Quantiles beyond a saturated table depend on its length,
+# which grows by one doubling per call (the mixture's repeated top quantile).
+_TOP = float(np.nextafter(1.0, 0.0))
+_GROWTH_PINS = [
+    (HookedPowerLaw(1.05, 0.5), [
+        ("cdf", [1, 5, 3000], [0.03272674218155836, 0.08400148030003747,
+                               0.3286248027980934], 4096),
+        ("quantile", 0.3, 1302, 4096),
+        ("quantile", [0.5, 0.1], [1089360, 8], 2097152),
+        ("cdf", 2000, 0.31488064278472166, 2097152),
+        ("cdf", [7, 2 ** 40], [0.09705917139303397, 0.7495225683258917], 8388608),
+        ("sample", (5, 1), [1757928, 2 ** 62, 23, 2 ** 62, 1830], 8388608),
+        ("quantile", 0.9, 2 ** 62, 8388608),
+    ]),
+    (DiscretisedLognormal(1.0, 0.8), [
+        ("quantile", 0.5, 3, 1024),
+        ("quantile", _TOP, 1860, 2048),
+        ("quantile", _TOP, 1860, 2048),
+        ("cdf", 5000, 1.0, 8192),
+        ("sample", (6, 3), [1, 2, 5, 3, 1, 2], 8192),
+        ("quantile", _TOP, 1860, 8192),
+        ("cdf", [2, 40000], [0.44887817121209544, 1.0], 65536),
+    ]),
+    (Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4, 0.6)), [
+        ("sample", (4, 4), [4, 1, 5, 1], 1024),
+        ("cdf", 1500, 0.9999999999999901, 2048),
+        ("quantile", _TOP, 8193, 8192),
+        ("quantile", _TOP, 16385, 16384),
+        ("cdf", [3, 70000], [0.9276186944502771, 0.9999999999999901], 131072),
+        ("quantile", [0.2, 0.999999], [1, 43], 131072),
+        ("sample", (3, 5), [2, 2, 1], 131072),
+    ]),
+]
+
+
+@pytest.mark.parametrize("model,steps", _GROWTH_PINS, ids=["hooked", "lognormal", "mixture"])
+def test_cdf_table_growth_is_pinned(model, steps):
+    for method, arg, expected, length in steps:
+        got = model.sample(*arg) if method == "sample" else getattr(model, method)(arg)
+        assert np.asarray(got).tolist() == expected, (method, arg)
+        assert len(model._table._cdf) == length, (method, arg)
 
 
 # --- continuous moments ------------------------------------------------------

@@ -9,13 +9,14 @@ from citefit import (
     CitationSample,
     DiscretisedLognormal,
     EmptySampleError,
-    FitConfig,
     FitStatus,
     HookedPowerLaw,
     ParameterError,
     fit,
     log_likelihood,
 )
+import citefit.fitting
+from citefit.fitting import MAX_EVALS
 from citefit.seeding import child_seed
 
 ZETA2_MINUS_1 = math.pi ** 2 / 6.0 - 1.0
@@ -130,11 +131,12 @@ def test_location_shift_moves_mu_not_sigma():
     assert abs(hi.model.sigma - lo.model.sigma) <= 0.05
 
 
-def test_ridge_guard_reports_non_converged():
+def test_ridge_guard_reports_non_converged(monkeypatch):
     # near-geometric data pushes the hooked fit up the alpha-b ridge
+    monkeypatch.setattr(citefit.fitting, "RIDGE_B_CAP", 100.0)
     rng_counts = np.random.default_rng(7).geometric(0.25, size=4000)
     data = CitationSample(rng_counts)
-    result = fit("hooked", data, FitConfig(b_cap=100.0))
+    result = fit("hooked", data)
     assert result.status is FitStatus.NON_CONVERGED
     assert "ridge" in result.message or "budget" in result.message
     assert result.usable  # best point is still reported
@@ -142,7 +144,7 @@ def test_ridge_guard_reports_non_converged():
 
 def test_evaluation_budget_respected():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(500, 1))
-    result = fit("lognormal", data, FitConfig(max_evals=15))
+    result = fit("lognormal", data, max_evals=15)
     assert result.status is FitStatus.NON_CONVERGED
     # the budget is checked per iteration; one iteration may overshoot
     assert result.evaluations <= 15 + 4
@@ -160,37 +162,37 @@ def test_seeded_fits_differ_across_seeds():
 # NumPy-array simplex and the per-evaluation log(x +- 0.5). Any change to
 # the order of floating-point operations in a fit shows up here.
 PINNED_FITS = [
-    ("lognormal", DiscretisedLognormal(2.08, 1.11), 2000, 1, None,
+    ("lognormal", DiscretisedLognormal(2.08, 1.11), 2000, 1, MAX_EVALS,
      "0x1.0b2b4b0a6be50p+1", "0x1.1a3787b169aa2p+0", "-0x1.c1a6b1bc8a51fp+12", 45,
      "converged"),
-    ("lognormal", DiscretisedLognormal(0.5, 2.3), 800, 2, None,
+    ("lognormal", DiscretisedLognormal(0.5, 2.3), 800, 2, MAX_EVALS,
      "0x1.2a7eae627dbfcp-2", "0x1.32618f2ade0adp+1", "-0x1.53c60bab66e2ap+11", 50,
      "converged"),
-    ("lognormal", HookedPowerLaw(2.5, 10.0), 1500, 6, None,
+    ("lognormal", HookedPowerLaw(2.5, 10.0), 1500, 6, MAX_EVALS,
      "0x1.e577b79d2491ep+0", "0x1.609ce91095a82p+0", "-0x1.54edb52a5a100p+12", 46,
      "converged"),
-    ("lognormal", DiscretisedLognormal(2.0, 1.0), 500, 1, FitConfig(max_evals=15),
+    ("lognormal", DiscretisedLognormal(2.0, 1.0), 500, 1, 15,
      "0x1.fba2439985077p+0", "0x1.f2b303fe30586p-1", "-0x1.a5d9b488d86f3p+10", 16,
      "non_converged"),
-    ("hooked", HookedPowerLaw(5.07, 41.9), 2000, 3, None,
+    ("hooked", HookedPowerLaw(5.07, 41.9), 2000, 3, MAX_EVALS,
      "0x1.3e9eb3973b56fp+2", "0x1.408ff061252b1p+5", "-0x1.bec721f381c27p+12", 51,
      "converged"),
-    ("hooked", HookedPowerLaw(1.8, 3.0), 800, 4, None,
+    ("hooked", HookedPowerLaw(1.8, 3.0), 800, 4, MAX_EVALS,
      "0x1.cb3baeb367146p+0", "0x1.b73566d162588p+1", "-0x1.82c99918b0cb3p+11", 64,
      "converged"),
-    ("hooked", DiscretisedLognormal(2.08, 1.11), 2000, 5, None,
+    ("hooked", DiscretisedLognormal(2.08, 1.11), 2000, 5, MAX_EVALS,
      "0x1.0158b39b12b3dp+2", "0x1.c67b9a4f9d3e6p+4", "-0x1.c0c0b615cd53ep+12", 50,
      "converged"),
 ]
 
 
 @pytest.mark.parametrize(
-    "family,gen,n,seed,config,p1,p2,ll,evals,status", PINNED_FITS,
+    "family,gen,n,seed,max_evals,p1,p2,ll,evals,status", PINNED_FITS,
     ids=["ln-ln", "ln-wide", "ln-on-hooked", "ln-budget",
          "hk-hk", "hk-heavy", "hk-on-ln"])
-def test_fit_is_bit_exact(family, gen, n, seed, config, p1, p2, ll, evals, status):
+def test_fit_is_bit_exact(family, gen, n, seed, max_evals, p1, p2, ll, evals, status):
     data = CitationSample(gen.sample(n, seed))
-    result = fit(family, data, config)
+    result = fit(family, data, max_evals)
     assert [float(v).hex() for v in result.model.params.values()] == [p1, p2]
     assert result.log_likelihood.hex() == ll
     assert (result.evaluations, result.status.value) == (evals, status)
@@ -198,9 +200,10 @@ def test_fit_is_bit_exact(family, gen, n, seed, config, p1, p2, ll, evals, statu
     assert result.log_likelihood == log_likelihood(result.model, data)
 
 
-def test_ridge_guard_fit_is_bit_exact():
+def test_ridge_guard_fit_is_bit_exact(monkeypatch):
+    monkeypatch.setattr(citefit.fitting, "RIDGE_B_CAP", 100.0)
     data = CitationSample(np.random.default_rng(7).geometric(0.25, size=4000))
-    result = fit("hooked", data, FitConfig(b_cap=100.0))
+    result = fit("hooked", data)
     assert result.model.alpha.hex() == "0x1.42caa2936ee0cp+5"
     assert result.model.b.hex() == "0x1.08bb473f6cb10p+7"
     assert result.log_likelihood.hex() == "-0x1.18c271cce5a39p+13"
