@@ -1,11 +1,12 @@
 """Bootstrap resampling and the replicate runner behind every study.
 
 A study evaluates a statistic on ``reps`` independent replicates (bootstrap
-resamples or fresh simulated samples). :func:`run_reps` runs them, through
-one process pool per call when ``workers > 1``, and :func:`summarise`
-takes the 95% interval from the order statistics of their values: with
-k = ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
-values, the 25th smallest / 25th largest for the canonical 1000-rep study.
+resamples or fresh simulated samples). :func:`run_reps` runs the replicates
+of every sample in a study run together, through one process pool when
+``workers > 1``, and :func:`summarise` takes the 95% interval from the
+order statistics of each sample's values: with k = ceil(0.025 * reps) the
+bounds are the k-th smallest and k-th largest values, the 25th smallest /
+25th largest for the canonical 1000-rep study.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -19,6 +20,7 @@ are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -81,15 +83,27 @@ def order_stat_bounds(raw_sorted: np.ndarray, reps: int) -> tuple[float, float]:
     return (float(raw_sorted[k - 1]), float(raw_sorted[len(raw_sorted) - k]))
 
 
-def run_reps(rep_fn, reps: int, workers: int) -> list:
-    """``[rep_fn(rep) for rep in range(reps)]``, run in one process pool
-    when ``workers > 1``; ``rep_fn`` must then be picklable (a partial of a
-    module-level function)."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(rep_fn, range(reps),
-                                 chunksize=max(1, reps // (4 * workers))))
-    return [rep_fn(rep) for rep in range(reps)]
+def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
+    """``[[fn(rep) for rep in range(reps)] for fn in rep_fns]``.
+
+    With ``workers > 1`` one process pool of at most ``os.cpu_count()``
+    workers runs them all: every function's replicates are submitted before
+    any result is read, so the pool stays busy across samples. The chunk
+    size follows the requested ``workers``, not the pool size, and the
+    values do not depend on either. Each ``fn`` must then be picklable (a
+    partial of a module-level function). A replicate that raises cancels
+    the work still queued, and the exception propagates.
+    """
+    if workers <= 1:
+        return [[fn(rep) for rep in range(reps)] for fn in rep_fns]
+    chunksize = max(1, reps // (4 * workers))
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        try:
+            pending = [pool.map(fn, range(reps), chunksize=chunksize) for fn in rep_fns]
+            return [list(values) for values in pending]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _replicate_value(statistic, sample) -> float:
@@ -151,8 +165,8 @@ def bootstrap_study(sample, reps: int, statistic, size: int | None = None,
     replicate failed.
     """
     sample, size = _checked_resampling(sample, reps, size)
-    values = run_reps(partial(_bootstrap_rep, sample, size, seed, statistic),
-                      reps, workers)
+    [values] = run_reps([partial(_bootstrap_rep, sample, size, seed, statistic)],
+                        reps, workers)
     summary = summarise(values, reps, statistic_name)
     if summary.n_failed == reps:
         raise AllStatisticsFailedError(

@@ -48,7 +48,7 @@ from citefit.studies import (
     SHAPE_COLUMNS,
     VUONG_STUDY_COLUMNS,
     MixtureSpec,
-    bootstrap_vuong_study,
+    bootstrap_z_reps,
     fitted_lognormal_sigma,
     fitted_param,
     hooked_vs_lognormal_z,
@@ -56,7 +56,8 @@ from citefit.studies import (
     plausibility_row,
     scale_ci_study,
     shape_table,
-    simulation_study,
+    simulation_z_reps,
+    vuong_studies,
 )
 from citefit.subjects import SUBJECTS, get_subject
 from citefit.vuong import MODEL_A, MODEL_B, vuong
@@ -243,21 +244,20 @@ def _cmd_study_plausibility(args, seed: int) -> str:
 
 
 def _cmd_study_vuong(args, seed: int) -> str:
-    rows = []
     if args.files:
         mode = "bootstrap resamples of the input data"
         samples, _ = _study_samples(args, seed)
-        for i, sample in enumerate(samples):
-            study = bootstrap_vuong_study(sample, args.reps, size=args.size,
-                                          seed=child_seed(seed, i), workers=args.workers)
-            rows.append(study.row(sample.label, len(sample)))
+        studied = [(sample.label, len(sample),
+                    bootstrap_z_reps(sample, args.reps, args.size, child_seed(seed, i)))
+                   for i, sample in enumerate(samples)]
     else:
         mode = "fresh samples simulated from bundled subject parameters"
+        studied = []
         for i, (subject, model, n) in enumerate(_subject_generators(args)):
             n = n if args.size is None else args.size
-            study = simulation_study(model, n, args.reps, seed=child_seed(seed, i),
-                                     workers=args.workers)
-            rows.append(study.row(subject.name, n))
+            studied.append((subject.name, n, simulation_z_reps(model, n, child_seed(seed, i))))
+    studies = vuong_studies([rep_fn for _, _, rep_fn in studied], args.reps, args.workers)
+    rows = [study.row(label, n) for (label, n, _), study in zip(studied, studies)]
     return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,
                    generator_family=args.family)
 

@@ -145,7 +145,7 @@ class _CdfTable:
         """The table, first grown to the smallest doubling of its size that
         holds ``length`` entries, then doubled until F(m) >= ``u_max``, the
         cap, or saturation. A saturated table still grows by one doubling
-        per call, which ``_quantile_beyond`` brackets from."""
+        per call."""
         with self._lock:
             cdf = self._cdf
             size = _TABLE_START if cdf is None else len(cdf)
@@ -245,13 +245,18 @@ class _DiscreteModel(ABC):
         overflow = u > table[-1]
         if np.any(overflow):
             for idx in np.flatnonzero(overflow):
-                x[idx] = self._quantile_beyond(float(u[idx]), len(table))
+                x[idx] = self._quantile_beyond(float(u[idx]))
         return x.astype(np.int64)
 
-    def _quantile_beyond(self, u: float, lo: int) -> int:
-        # exponential bracket then bisection on the tail cdf; saturates at
-        # 2**62 for quantiles beyond any representable count
-        hi = 2 * lo
+    def _quantile_beyond(self, u: float) -> int:
+        """Smallest x with ``_cdf_beyond(x) >= u``, for u beyond the table.
+
+        An exponential bracket from 1, then bisection, so the result depends
+        on the model and u alone, not on how far the table has grown (a
+        table saturated in floating point can end below u at any length).
+        Saturates at 2**62 for quantiles beyond any representable count.
+        """
+        lo, hi = 0, 1
         while self._cdf_beyond(hi) < u:
             lo = hi
             hi *= 2

@@ -17,6 +17,9 @@ def positive_ints(x, what: str) -> np.ndarray:
     out-of-range value raises DomainError instead of wrapping around.
     """
     arr = np.atleast_1d(np.asarray(x))
+    if arr.dtype == object:
+        # Python ints beyond 64 bits; as floats they fail the range check
+        arr = arr.astype(np.float64)
     if arr.size == 0:
         return arr.astype(np.int64)
     if not np.issubdtype(arr.dtype, np.integer):

@@ -4,13 +4,13 @@ experiments and the closed-form mean cross-check.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
-worker count. Replicated studies run through :func:`citefit.bootstrap.run_reps`,
-which opens one process pool per call when ``workers > 1``, and share its
-failure rule: a replicate that raises a citefit error or yields a
-non-finite value counts as failed. Vuong studies always orient the test as
-hooked (model A) against lognormal (model B): positive z favours the
-hooked power law, and each surviving z is classified by the Vuong test's
-own +-1.96 rule.
+worker count. A replicated study makes one :func:`citefit.bootstrap.run_reps`
+call however many samples it covers, so a run opens at most one process
+pool (when ``workers > 1``). Every study shares its failure rule: a
+replicate that raises a citefit error or yields a non-finite value counts
+as failed. Vuong studies always orient the test as hooked (model A)
+against lognormal (model B): positive z favours the hooked power law, and
+each surviving z is classified by the Vuong test's own +-1.96 rule.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from citefit.bootstrap import (
     _bootstrap_rep,
     _checked_resampling,
     _replicate_value,
-    bootstrap_study,
     run_reps,
     summarise,
 )
 from citefit.distributions import Mixture, continuous_moments
 from citefit.exceptions import (
-    AllStatisticsFailedError,
     DegenerateDataError,
     FitFailedError,
     TooFewRepsError,
@@ -122,29 +120,47 @@ def _simulation_rep(generator, n: int, seed: int, rep: int) -> float:
     return _replicate_value(hooked_vs_lognormal_z, data)
 
 
-def _vuong_study(values, reps: int) -> VuongStudy:
-    summary = summarise(values, reps, "vuong_z")
-    tally = Counter(_favored(z) for z in summary.raw if not math.isnan(z))
-    return VuongStudy(z_summary=summary, hooked_wins=tally[MODEL_A],
-                      lognormal_wins=tally[MODEL_B], neither=tally[NEITHER],
-                      failed=summary.n_failed, reps=reps)
+def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
+    """The replicate function of a bootstrap Vuong study of ``sample``:
+    rep -> Vuong z on resample ``rep`` drawn from ``seed``."""
+    sample, size = _checked_resampling(sample, reps, size)
+    return partial(_bootstrap_rep, sample, size, seed, hooked_vs_lognormal_z)
+
+
+def simulation_z_reps(generator, n: int, seed: int):
+    """The replicate function of a simulation Vuong study: rep -> Vuong z on
+    a fresh sample of size ``n`` from ``generator`` drawn from ``seed``."""
+    return partial(_simulation_rep, generator, n, seed)
+
+
+def vuong_studies(rep_fns, reps: int, workers: int = 1) -> list[VuongStudy]:
+    """One :class:`VuongStudy` per replicate function (from
+    :func:`bootstrap_z_reps` or :func:`simulation_z_reps`), all run through
+    one :func:`~citefit.bootstrap.run_reps` call."""
+    if reps < MIN_REPS:
+        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
+    studies = []
+    for values in run_reps(rep_fns, reps, workers):
+        summary = summarise(values, reps, "vuong_z")
+        tally = Counter(_favored(z) for z in summary.raw if not math.isnan(z))
+        studies.append(VuongStudy(z_summary=summary, hooked_wins=tally[MODEL_A],
+                                  lognormal_wins=tally[MODEL_B], neither=tally[NEITHER],
+                                  failed=summary.n_failed, reps=reps))
+    return studies
 
 
 def bootstrap_vuong_study(sample, reps: int, size: int | None = None,
                           seed: int = 0, workers: int = 1) -> VuongStudy:
     """Vuong z over ``reps`` bootstrap resamples of ``sample``."""
-    sample, size = _checked_resampling(sample, reps, size)
-    rep_fn = partial(_bootstrap_rep, sample, size, seed, hooked_vs_lognormal_z)
-    return _vuong_study(run_reps(rep_fn, reps, workers), reps)
+    [study] = vuong_studies([bootstrap_z_reps(sample, reps, size, seed)], reps, workers)
+    return study
 
 
 def simulation_study(generator, n: int, reps: int, seed: int = 0,
                      workers: int = 1) -> VuongStudy:
     """Vuong z over ``reps`` fresh samples of size ``n`` from ``generator``."""
-    if reps < MIN_REPS:
-        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    rep_fn = partial(_simulation_rep, generator, n, seed)
-    return _vuong_study(run_reps(rep_fn, reps, workers), reps)
+    [study] = vuong_studies([simulation_z_reps(generator, n, seed)], reps, workers)
+    return study
 
 
 # --- plausibility rows ----------------------------------------------------
@@ -194,29 +210,30 @@ fitted_lognormal_sigma = partial(fitted_param, family="lognormal", name="sigma")
 
 def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
                    seed: int = 0, workers: int = 1) -> list[dict]:
-    """Bootstrap interval of the fitted lognormal sigma for each sample."""
+    """Bootstrap interval of the fitted lognormal sigma for each sample.
+
+    Every sample is checked before any replicate runs, and all of them run
+    through one :func:`~citefit.bootstrap.run_reps` call. A sample whose
+    replicates all failed gets the note "degenerate" and no interval.
+    """
+    checked = [_checked_resampling(sample, reps, size) for sample in samples]
+    rep_fns = [partial(_bootstrap_rep, sample, n, child_seed(seed, index),
+                       fitted_lognormal_sigma)
+               for index, (sample, n) in enumerate(checked)]
     rows = []
-    for index, sample in enumerate(samples):
-        sample = as_sample(sample)
+    for (sample, _), values in zip(checked, run_reps(rep_fns, reps, workers)):
+        summary = summarise(values, reps, "lognormal_sigma")
         row = dict.fromkeys(SCALE_COLUMNS)
         row["subject"] = sample.label
         row["reps"] = reps
-        try:
-            summary = bootstrap_study(
-                sample, reps, fitted_lognormal_sigma, size=size,
-                seed=child_seed(seed, index), statistic_name="lognormal_sigma",
-                workers=workers,
-            )
-        except AllStatisticsFailedError:
-            row["note"] = "degenerate"
-            row["failed"] = reps
-            rows.append(row)
-            continue
-        row["sigma_median"] = summary.median
-        row["sigma_lo95"] = summary.lo95
-        row["sigma_hi95"] = summary.hi95
         row["failed"] = summary.n_failed
-        row["note"] = ""
+        if summary.n_failed == reps:
+            row["note"] = "degenerate"
+        else:
+            row["sigma_median"] = summary.median
+            row["sigma_lo95"] = summary.lo95
+            row["sigma_hi95"] = summary.hi95
+            row["note"] = ""
         rows.append(row)
     return rows
 
@@ -276,7 +293,7 @@ def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
     mixture = spec.to_model()
-    rows = run_reps(partial(_mixture_rep, mixture, pure_model, n, seed), reps, workers)
+    [rows] = run_reps([partial(_mixture_rep, mixture, pure_model, n, seed)], reps, workers)
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {

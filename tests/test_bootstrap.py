@@ -3,11 +3,13 @@ failure accounting and worker independence."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import citefit.bootstrap
 from citefit import (
     AllStatisticsFailedError,
     CitationSample,
@@ -20,7 +22,7 @@ from citefit import (
     bootstrap_vuong_study,
     resample,
 )
-from citefit.bootstrap import order_stat_bounds, summarise
+from citefit.bootstrap import order_stat_bounds, run_reps, summarise
 from citefit.studies import fitted_lognormal_sigma, hooked_vs_lognormal_z
 
 
@@ -37,6 +39,41 @@ def _fails_on_small_mean(sample):
     if value < 2.5:
         raise DegenerateDataError("below threshold")
     return value
+
+
+def _power(exponent, rep):
+    return rep ** exponent
+
+
+def _raises(rep):
+    raise RuntimeError(f"replicate {rep} broke")
+
+
+@pytest.fixture()
+def inline_pools(monkeypatch):
+    """Replace the process pool with a recorder that runs every call inline."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunksizes, self.cancelled = max_workers, [], False
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            self.chunksizes.append(chunksize)
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.cancelled = self.cancelled or cancel_futures
+
+    monkeypatch.setattr(citefit.bootstrap, "ProcessPoolExecutor", InlinePool)
+    return pools
 
 
 def test_resample_membership_and_size():
@@ -166,3 +203,26 @@ def test_summarise_counts_non_finite_values_as_failed():
     assert all(math.isnan(v) for v in summary.raw) and len(summary.raw) == 3
     mixed = summarise([2.0, math.inf, 1.0], 40, "z")
     assert (mixed.median, mixed.n_failed) == (1.5, 1)
+
+
+@pytest.mark.parametrize("cpus,workers,pool_size", [(2, 64, 2), (8, 3, 3), (None, 4, 1)])
+def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, workers,
+                                           pool_size):
+    monkeypatch.setattr(citefit.bootstrap.os, "cpu_count", lambda: cpus)
+    values = run_reps([partial(_power, 1), partial(_power, 2)], 40, workers)
+    assert values == [list(range(40)), [r * r for r in range(40)]]
+    assert [pool.max_workers for pool in inline_pools] == [pool_size]
+    # chunking follows the requested workers, whatever the machine
+    assert inline_pools[0].chunksizes == [max(1, 40 // (4 * workers))] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_raising_replicate_propagates(workers):
+    with pytest.raises(RuntimeError, match="broke"):
+        run_reps([_raises, partial(_power, 1)], 40, workers)
+
+
+def test_a_raising_replicate_cancels_the_queued_work(inline_pools):
+    with pytest.raises(RuntimeError, match="broke"):
+        run_reps([_raises, partial(_power, 1)], 40, 2)
+    assert inline_pools[0].cancelled

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import citefit
+import citefit.bootstrap
+import citefit.cli
 
 from citefit.cli import main
 from citefit.distributions import DiscretisedLognormal
@@ -184,6 +186,44 @@ def test_byte_identical_reruns(capsys, counts_file):
     code2, out2, _ = _run(capsys, args + ["--workers", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.fixture()
+def opened_pools(monkeypatch):
+    """Count the process pools the replicate runner opens, as perfbench does."""
+    opened = []
+    real = citefit.bootstrap.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(citefit.bootstrap, "ProcessPoolExecutor", counting)
+    return opened
+
+
+@pytest.mark.parametrize("study", ["scale", "vuong-files", "vuong-subjects"])
+def test_multi_sample_study_opens_one_pool(capsys, tmp_path, monkeypatch, counts_file,
+                                           opened_pools, study):
+    other = tmp_path / "other.txt"
+    other.write_text("\n".join(map(str, DiscretisedLognormal(1.0, 0.7).sample(300, 3))))
+    flat = tmp_path / "flat.txt"     # every lognormal fit of it is degenerate
+    flat.write_text("3\n" * 200)
+    argv = {
+        "scale": ["study", "scale", counts_file, str(flat), str(other), "--size", "100"],
+        "vuong-files": ["study", "vuong", counts_file, str(other), "--size", "100"],
+        "vuong-subjects": ["study", "vuong", "--subject", "all", "--size", "100"],
+    }[study] + ["--reps", "40", "--seed", "8"]
+    monkeypatch.setattr(citefit.cli, "SUBJECTS", citefit.SUBJECTS[:2])
+    code1, out1, _ = _run(capsys, argv)
+    assert (code1, len(opened_pools)) == (0, 0)
+    code2, out2, _ = _run(capsys, argv + ["--workers", "2"])
+    assert (code2, len(opened_pools)) == (0, 1)
+    assert out1 == out2
+    rows = [line for line in out1.splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == (2 if study.startswith("vuong") else 3)
+    if study == "scale":
+        assert rows[1].startswith("flat\t") and rows[1].endswith("\tdegenerate")
 
 
 def test_seed_env_var_honoured(capsys, counts_file, monkeypatch):

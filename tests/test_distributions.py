@@ -68,6 +68,7 @@ def test_support_starts_at_one(x):
     (math.inf, "must be integers"), (-math.inf, "must be integers"),
     (math.nan, "must be integers"), (2.0 ** 63, "below 2"), (1e30, "below 2"),
     (np.uint64(2 ** 63), "below 2"), (-1e30, ">= 1"),
+    (2 ** 64, "below 2"), (-2 ** 64, ">= 1"),    # Python ints: object arrays
 ])
 def test_out_of_range_values_rejected_before_the_cast(x, message):
     # casting such a float to int64 wraps around with a RuntimeWarning
@@ -218,6 +219,18 @@ def test_quantile_deep_tail_bisection():
     assert x > 10_000_000
 
 
+def test_quantile_beyond_a_saturated_table_is_history_free():
+    # the table's cumulative sum saturates below u, and each call doubles it
+    u = float(np.nextafter(1.0, 0.0))
+    model = HookedPowerLaw(8.0, 1.0)
+    first = model.quantile(u)
+    assert [model.quantile(u) for _ in range(3)] == [first] * 3
+    grown = HookedPowerLaw(8.0, 1.0)
+    grown.cdf(10 ** 6)
+    assert grown.quantile([u, 0.5, u]).tolist() == [first, 1, first]
+    assert model._cdf_beyond(first - 1) < u <= model._cdf_beyond(first)
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_empty_and_negative():
@@ -308,8 +321,9 @@ def test_cdf_table_built_on_first_use():
 
 # Interleaved quantile/cdf/sample calls with each call's output and the CDF
 # table length after it, as recorded before the two table-growth loops were
-# folded into one. Quantiles beyond a saturated table depend on its length,
-# which grows by one doubling per call (the mixture's repeated top quantile).
+# folded into one. A saturated table grows by one doubling per call (the
+# mixture's repeated top quantile); quantiles beyond it come from the tail
+# formula alone, so the repeated call returns the same value.
 _TOP = float(np.nextafter(1.0, 0.0))
 _GROWTH_PINS = [
     (HookedPowerLaw(1.05, 0.5), [
@@ -334,8 +348,8 @@ _GROWTH_PINS = [
     (Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4, 0.6)), [
         ("sample", (4, 4), [4, 1, 5, 1], 1024),
         ("cdf", 1500, 0.9999999999999901, 2048),
-        ("quantile", _TOP, 8193, 8192),
-        ("quantile", _TOP, 16385, 16384),
+        ("quantile", _TOP, 3344, 8192),
+        ("quantile", _TOP, 3344, 16384),
         ("cdf", [3, 70000], [0.9276186944502771, 0.9999999999999901], 131072),
         ("quantile", [0.2, 0.999999], [1, 43], 131072),
         ("sample", (3, 5), [2, 2, 1], 131072),
