@@ -29,8 +29,6 @@ from citefit.distributions import (
     Mixture,
     Moments,
     continuous_moments,
-    make_model,
-    simulate_sample,
 )
 from citefit.fitting import FitResult, FitStatus, fit, log_likelihood
 from citefit.gof import (
@@ -98,7 +96,6 @@ __all__ = [
     "ks_statistic",
     "ks_test_fixed",
     "log_likelihood",
-    "make_model",
     "mc_p_value",
     "mean_crosscheck",
     "mixture_impurity_study",
@@ -108,7 +105,6 @@ __all__ = [
     "scale_ci_study",
     "shape_classify",
     "shape_table",
-    "simulate_sample",
     "simulation_study",
     "tally_significance",
     "vuong",

@@ -33,7 +33,7 @@ from citefit.exceptions import (
     MomentUndefinedError,
     ParameterError,
 )
-from citefit.sample import CitationSample, positive_ints
+from citefit.sample import positive_ints
 from citefit.seeding import spawn_rng
 
 FAMILIES = ("lognormal", "hooked")
@@ -56,23 +56,26 @@ _TABLE_CAP = 1 << 23
 MAX_COUNT = 2 ** 62     # draws saturate here; larger counts are not ingested
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_HALF_WIDTHS = np.array([[-0.5], [0.5]])    # lognormal interval edges x -/+ 0.5
 
 
-def _normal_interval_masses(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
-    """Phi(z_hi) - Phi(z_lo) for standard-normal Phi, elementwise.
+def _normal_interval_masses(z: np.ndarray) -> np.ndarray:
+    """Phi(z[1]) - Phi(z[0]) for standard-normal Phi, elementwise over a
+    (2, m) float64 array of interval edges.
 
     Intervals on the right half-axis are differenced through upper-tail
     erfc values and mirrored otherwise, which preserves relative accuracy
     deep in both tails (needed for tail pmf values feeding KS statistics
-    and log-likelihoods).
+    and log-likelihoods). Both edges go through one erfc call; mirroring
+    the scaled edges is exact, since (-z) * k == -(z * k) in IEEE
+    arithmetic.
     """
-    z_lo = np.asarray(z_lo, dtype=np.float64)
-    z_hi = np.asarray(z_hi, dtype=np.float64)
-    right = (z_lo + z_hi) > 0.0
-    a = np.where(right, z_lo, -z_hi)
-    c = np.where(right, z_hi, -z_lo)
-    out = 0.5 * (erfc(a * _INV_SQRT2) - erfc(c * _INV_SQRT2))
-    return np.maximum(out, 0.0)
+    right = (z[0] + z[1]) > 0.0
+    w = z * _INV_SQRT2
+    e = np.where(right, w, -w[::-1])
+    erfc(e, out=e)
+    out = 0.5 * (e[0] - e[1])
+    return np.maximum(out, 0.0, out=out)
 
 
 def _power_tail(alpha: float, b: float, start: int) -> float:
@@ -131,6 +134,7 @@ class _CdfTable:
         self._grid_fn = grid_fn
         self._lock = threading.Lock()
         self._cdf: np.ndarray | None = None
+        self._saturated = False
 
     def __getstate__(self):
         # the cache is rebuilt on demand; locks do not pickle
@@ -140,12 +144,13 @@ class _CdfTable:
         self._grid_fn = state["_grid_fn"]
         self._lock = threading.Lock()
         self._cdf = None
+        self._saturated = False
 
     def ensure(self, length: int = 1, u_max: float = 0.0) -> np.ndarray:
         """The table, first grown to the smallest doubling of its size that
         holds ``length`` entries, then doubled until F(m) >= ``u_max``, the
-        cap, or saturation. A saturated table still grows by one doubling
-        per call."""
+        cap, or a doubling that leaves F(m) where it was. Once saturated
+        that way, the table no longer grows for any ``u_max``."""
         with self._lock:
             cdf = self._cdf
             size = _TABLE_START if cdf is None else len(cdf)
@@ -153,13 +158,12 @@ class _CdfTable:
                 size *= 2
             if cdf is None or size > len(cdf):
                 cdf = self._cdf = self._build(size)
-            while cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
+            while not self._saturated and cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
                 grown = self._build(2 * len(cdf))
-                # saturated in floating point; growing further is futile
-                saturated = grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START
+                # saturated in floating point: growing for a u_max is futile
+                # from now on (quantiles beyond it come from the tail formula)
+                self._saturated = grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START
                 cdf = self._cdf = grown
-                if saturated:
-                    break
         return cdf
 
     def _build(self, m: int) -> np.ndarray:
@@ -186,8 +190,10 @@ class _DiscreteModel(ABC):
 
     def _log_pmf(self, x: np.ndarray) -> np.ndarray:
         """log P(X = x) for a validated int64 array; a fit computes the
-        parameter-free ``_features(x)`` once and calls ``_log_pmf_at``."""
-        return self._log_pmf_at(self._features(x))
+        parameter-free ``_features(x)`` once and calls ``_log_pmf_at``
+        (under its own ``np.errstate``: a mass that underflows is -inf)."""
+        with np.errstate(divide="ignore"):
+            return self._log_pmf_at(self._features(x))
 
     @abstractmethod
     def _grid(self, m: int) -> np.ndarray:
@@ -220,13 +226,18 @@ class _DiscreteModel(ABC):
         arr = positive_ints(x, "x")
         if arr.size == 0:
             return np.empty(0)
-        m = int(arr.max())
-        table = self._table.ensure(min(m, _TABLE_CAP))
-        out = table.take(arr - 1, mode="clip")
-        if m > len(table):
-            beyond = arr > len(table)
-            out[beyond] = [self._cdf_beyond(int(v)) for v in arr[beyond]]
+        out = self._cdf_at(arr)
         return float(out[0]) if scalar else out
+
+    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
+        """``cdf`` of a non-empty int64 array of counts in [1, 2**63), unchecked."""
+        m = int(x.max())
+        table = self._table.ensure(min(m, _TABLE_CAP))
+        out = table.take(x - 1, mode="clip")
+        if m > len(table):
+            beyond = x > len(table)
+            out[beyond] = [self._cdf_beyond(int(v)) for v in x[beyond]]
+        return out
 
     def quantile(self, u):
         """Smallest x >= 1 with F(x) >= u, for u in [0, 1)."""
@@ -240,13 +251,13 @@ class _DiscreteModel(ABC):
     def _quantile_array(self, u: np.ndarray) -> np.ndarray:
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
-        table = self._table.ensure(u_max=float(u.max()))
+        u_max = float(u.max())
+        table = self._table.ensure(u_max=u_max)
         x = np.searchsorted(table, u, side="left") + 1
-        overflow = u > table[-1]
-        if np.any(overflow):
-            for idx in np.flatnonzero(overflow):
+        if u_max > table[-1]:
+            for idx in np.flatnonzero(u > table[-1]):
                 x[idx] = self._quantile_beyond(float(u[idx]))
-        return x.astype(np.int64)
+        return x
 
     def _quantile_beyond(self, u: float) -> int:
         """Smallest x with ``_cdf_beyond(x) >= u``, for u beyond the table.
@@ -328,21 +339,24 @@ class DiscretisedLognormal(_DiscreteModel):
         return {"mu": self.mu, "sigma": self.sigma}
 
     @staticmethod
-    def _features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log(x - 0.5) and log(x + 0.5), the parameter-free interval edges."""
-        xf = x.astype(np.float64)
-        return np.log(xf - 0.5), np.log(xf + 0.5)
+    def _features(x: np.ndarray) -> np.ndarray:
+        """log(x - 0.5) and log(x + 0.5), the parameter-free interval edges,
+        as the rows of one (2, m) array."""
+        return np.log(x.astype(np.float64) + _HALF_WIDTHS)
 
     def _log_pmf_at(self, features) -> np.ndarray:
-        z_lo, z_hi = ((log_edge - self.mu) / self.sigma for log_edge in features)
-        with np.errstate(divide="ignore"):
-            return np.log(_normal_interval_masses(z_lo, z_hi)) - self._log_norm
+        """Needs ``np.errstate(divide="ignore")``: a mass that underflows is -inf."""
+        z = features - self.mu
+        z /= self.sigma
+        out = np.log(_normal_interval_masses(z))
+        out -= self._log_norm
+        return out
 
     def _grid(self, m: int) -> np.ndarray:
-        xf = np.arange(1, m + 1, dtype=np.float64)
-        z_hi = (np.log(xf + 0.5) - self.mu) / self.sigma
-        z_lo = np.full(m, self._z_half)
-        out = _normal_interval_masses(z_lo, z_hi) / self._norm
+        z = np.empty((2, m))
+        z[0] = self._z_half
+        z[1] = (np.log(np.arange(1, m + 1, dtype=np.float64) + 0.5) - self.mu) / self.sigma
+        out = _normal_interval_masses(z) / self._norm
         # the per-element tail branch can wiggle by an ulp; force monotone
         return np.minimum(np.maximum.accumulate(out), 1.0)
 
@@ -413,7 +427,11 @@ class HookedPowerLaw(_DiscreteModel):
         return (x - 1).astype(np.float64)
 
     def _log_pmf_at(self, features) -> np.ndarray:
-        return -self.alpha * np.log1p(features / (self.b + 1.0)) - self._log_scaled_norm
+        out = features / (self.b + 1.0)
+        np.log1p(out, out=out)
+        out *= -self.alpha
+        out -= self._log_scaled_norm
+        return out
 
     def _grid(self, m: int) -> np.ndarray:
         steps = np.arange(m, dtype=np.float64)
@@ -536,18 +554,3 @@ def continuous_moments(model) -> Moments:
         sd = None
     return Moments(mean=mean, sd=sd)
 
-
-def make_model(family: str, *params: float) -> _DiscreteModel:
-    """Build a model from a family name and its two parameters."""
-    if family == "lognormal":
-        return DiscretisedLognormal(*params)
-    if family == "hooked":
-        return HookedPowerLaw(*params)
-    raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def simulate_sample(model, n: int, seed: int, label: str = "") -> CitationSample:
-    """Draw n counts from ``model`` into a :class:`CitationSample`."""
-    counts = model.sample(n, seed)
-    return CitationSample(counts, offset_applied=1,
-                          label=label or f"simulated[{model!r}]")

@@ -110,6 +110,7 @@ _SEARCH = {
 def _fit(family: str, values, mult, max_evals: int) -> FitResult:
     cls, start, outside, params = _SEARCH[family]
     features = cls._features(values)
+    weights = mult.astype(np.float64)   # what np.dot would cast to on every call
 
     def objective(theta):
         if outside(theta):
@@ -118,10 +119,12 @@ def _fit(family: str, values, mult, max_evals: int) -> FitResult:
             model = cls(*params(theta))
         except ParameterError:
             return math.inf
-        ll = float(np.dot(mult, model._log_pmf_at(features)))
+        ll = float(np.dot(weights, model._log_pmf_at(features)))
         return -ll if math.isfinite(ll) else math.inf
 
-    res = nelder_mead(objective, start(values, mult, mult.sum()), max_evals=max_evals)
+    # one errstate for every evaluation: a pmf that underflows is -inf
+    with np.errstate(divide="ignore"):
+        res = nelder_mead(objective, start(values, mult, mult.sum()), max_evals=max_evals)
     model = cls(*params(res.x))
     if family == "hooked" and model.b > RIDGE_B_CAP:
         message = f"scale parameter ridge guard tripped (b > {RIDGE_B_CAP:g})"

@@ -11,6 +11,12 @@ is (r + 1) / (n_sim + 1), where r counts simulated statistics at least as
 large as the observed one. By default the simulated samples are compared
 against the one fitted model; ``refit=True`` refits each simulated sample,
 which corrects the known conservatism of the fixed-parameter procedure.
+
+Simulation i is a replicate run through ``bootstrap.run_reps``: it draws
+from the stream (seed, i), sorts the draws in place and reads the
+breakpoints and F_hat off their runs of equal values, the same points and
+floats ``cdf_breakpoints`` gives for a sample. It builds a
+``CitationSample`` only to refit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 
 from citefit.exceptions import DomainError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit
-from citefit.sample import as_sample
+from citefit.bootstrap import run_reps
+from citefit.sample import CitationSample, as_sample
 from citefit.seeding import spawn_rng
 
 PLUS = "+"
@@ -62,6 +69,26 @@ def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(sample.sorted_counts, grid, side="right") / len(sample)
 
 
+def _sorted_breakpoints(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints x of the empirical CDF of non-empty sorted ``counts``,
+    with F_hat(x) there.
+
+    x runs over each distinct count v and v - 1 (when v > 1), that is
+    np.union1d(v[v > 1] - 1, v). F_hat is read off the runs of equal
+    counts: F_hat(v) is the index after the last v over n, F_hat(v - 1)
+    the index of the first v over n, the same floats as
+    ``empirical_cdf`` gives.
+    """
+    first = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1])))
+    v = counts[first]
+    x = np.empty(2 * v.size, dtype=np.int64)
+    at_most = np.empty(2 * v.size, dtype=np.int64)     # how many counts are <= x
+    x[0::2], x[1::2] = v - 1, v         # non-decreasing
+    at_most[0::2], at_most[1::2] = first, np.append(first[1:], counts.size)
+    keep = np.concatenate(([x[0] > 0], x[1:] != x[:-1]))
+    return x[keep], at_most[keep] / counts.size
+
+
 def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breakpoints x of the empirical CDF, with F_hat(x) and F(x) there.
 
@@ -72,14 +99,8 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     sample = as_sample(sample)
     sample.require_nonempty()
-    # np.union1d(v[v > 1] - 1, v) over the distinct counts v, in a few
-    # passes over sorted arrays at a fraction of np.unique's cost per call
-    counts = sample.sorted_counts
-    v = counts[np.concatenate(([True], counts[1:] != counts[:-1]))]
-    x = np.empty(2 * v.size, dtype=np.int64)
-    x[0::2], x[1::2] = v - 1, v         # non-decreasing
-    x = x[np.concatenate(([x[0] > 0], x[1:] != x[:-1]))]
-    return x, empirical_cdf(sample, x), model.cdf(x)
+    x, emp_cdf = _sorted_breakpoints(sample.sorted_counts)
+    return x, emp_cdf, model.cdf(x)
 
 
 def ks_statistic(model, sample) -> float:
@@ -96,22 +117,27 @@ def mc_p_value(exceed_count: int, n_sim: int) -> float:
     return (exceed_count + 1) / (n_sim + 1)
 
 
+def _mc_ks_rep(model, n: int, seed: int, refit, i: int) -> float:
+    """KS statistic of simulation i: n draws of ``model`` from the stream
+    (seed, i), against ``model`` or, with ``refit``, against their own fit
+    when it is usable."""
+    draws = model.sample_with(spawn_rng(seed, i), n)
+    draws.sort()
+    if refit is not None:
+        sim_fit = refit(CitationSample(draws, label="sim"))
+        if sim_fit.usable:
+            model = sim_fit.model
+    x, emp_cdf = _sorted_breakpoints(draws)
+    return float(np.abs(model._cdf_at(x) - emp_cdf).max())
+
+
 def _mc_ks(model, sample, n_sim: int, seed: int, refit,
            fitted: FitResult | None = None) -> GofResult:
     """``refit``: None to test against ``model``, or a fit of each simulated sample."""
     d_obs = ks_statistic(model, sample)
-    n = len(sample)
-    exceed = 0
-    for i in range(n_sim):
-        rng = spawn_rng(seed, i)
-        sim = as_sample(model.sample_with(rng, n), label="sim")
-        if refit is None:
-            sim_model = model
-        else:
-            sim_fit = refit(sim)
-            sim_model = sim_fit.model if sim_fit.usable else model
-        if ks_statistic(sim_model, sim) >= d_obs:
-            exceed += 1
+    [d_sim] = run_reps([partial(_mc_ks_rep, model, len(sample), seed, refit)],
+                       n_sim, workers=1)
+    exceed = sum(d >= d_obs for d in d_sim)
     return GofResult(
         ks_stat=d_obs,
         p_value=mc_p_value(exceed, n_sim),

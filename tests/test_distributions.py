@@ -22,7 +22,6 @@ from citefit import (
     MomentUndefinedError,
     ParameterError,
     continuous_moments,
-    make_model,
 )
 from citefit.subjects import SUBJECTS
 
@@ -45,13 +44,6 @@ def test_lognormal_rejects_bad_parameters(mu, sigma):
 def test_hooked_rejects_bad_parameters(alpha, b):
     with pytest.raises(ParameterError):
         HookedPowerLaw(alpha, b)
-
-
-def test_make_model():
-    assert make_model("lognormal", 1.0, 2.0).params == {"mu": 1.0, "sigma": 2.0}
-    assert make_model("hooked", 2.0, 3.0).params == {"alpha": 2.0, "b": 3.0}
-    with pytest.raises(ParameterError):
-        make_model("weibull", 1.0, 2.0)
 
 
 @pytest.mark.parametrize("x", [0, -1, 2.5])
@@ -321,9 +313,10 @@ def test_cdf_table_built_on_first_use():
 
 # Interleaved quantile/cdf/sample calls with each call's output and the CDF
 # table length after it, as recorded before the two table-growth loops were
-# folded into one. A saturated table grows by one doubling per call (the
-# mixture's repeated top quantile); quantiles beyond it come from the tail
-# formula alone, so the repeated call returns the same value.
+# folded into one. A table that a doubling left saturated grows no further
+# for a quantile (the mixture's repeated top quantile); quantiles beyond it
+# come from the tail formula alone, so the repeated call returns the same
+# value.
 _TOP = float(np.nextafter(1.0, 0.0))
 _GROWTH_PINS = [
     (HookedPowerLaw(1.05, 0.5), [
@@ -349,7 +342,7 @@ _GROWTH_PINS = [
         ("sample", (4, 4), [4, 1, 5, 1], 1024),
         ("cdf", 1500, 0.9999999999999901, 2048),
         ("quantile", _TOP, 3344, 8192),
-        ("quantile", _TOP, 3344, 16384),
+        ("quantile", _TOP, 3344, 8192),
         ("cdf", [3, 70000], [0.9276186944502771, 0.9999999999999901], 131072),
         ("quantile", [0.2, 0.999999], [1, 43], 131072),
         ("sample", (3, 5), [2, 2, 1], 131072),
@@ -363,6 +356,15 @@ def test_cdf_table_growth_is_pinned(model, steps):
         got = model.sample(*arg) if method == "sample" else getattr(model, method)(arg)
         assert np.asarray(got).tolist() == expected, (method, arg)
         assert len(model._table._cdf) == length, (method, arg)
+
+
+def test_saturated_table_stops_growing():
+    # the table saturates below _TOP at 8192 entries; the quantile comes
+    # from the tail formula, and repeating it leaves the table alone
+    model = HookedPowerLaw(8.0, 1.0)
+    for _ in range(12):
+        assert model.quantile(_TOP) == 297
+        assert len(model._table._cdf) == 8192
 
 
 # --- continuous moments ------------------------------------------------------

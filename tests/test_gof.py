@@ -94,6 +94,35 @@ def test_ks_on_draws_at_the_count_ceiling():
     assert 0.0 <= ks_statistic(model, draws) <= 1.0
 
 
+_LN = DiscretisedLognormal(2.0, 1.1)
+_HOOKED_WIDE = HookedPowerLaw(1.05, 0.5)
+_MIX = Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4, 0.6))
+
+
+# D and p as recorded before the simulations were read off sorted draws.
+# The hooked draws reach beyond the CDF table, up to the 2**62 ceiling.
+@pytest.mark.parametrize("run,d_hex,p_hex", [
+    (lambda: ks_test_fixed(_LN, _LN.sample(300, 7), n_sim=39, seed=3),
+     "0x1.200e5ec3ae580p-5", "0x1.6666666666666p-1"),
+    (lambda: ks_test_fixed(_HOOKED_WIDE, _HOOKED_WIDE.sample(8, 2), n_sim=19, seed=4),
+     "0x1.4e51dc74f16aep-2", "0x1.3333333333333p-2"),
+    (lambda: ks_test_fixed(_MIX, _MIX.sample(150, 5), n_sim=29, seed=6),
+     "0x1.16955f51f0e80p-5", "0x1.bbbbbbbbbbbbcp-2"),
+    (lambda: ks_test_fixed(_LN, [5], n_sim=19, seed=8),
+     "0x1.386a794092dd8p-1", "0x1.8000000000000p-1"),
+    (lambda: ks_p_value("lognormal", _LN.sample(300, 7), n_sim=19, seed=9),
+     "0x1.1705950cb1c30p-5", "0x1.6666666666666p-1"),
+    (lambda: ks_p_value("hooked", _LN.sample(300, 7)[:120], n_sim=9, seed=10, refit=True),
+     "0x1.56ddf08c33350p-5", "0x1.3333333333333p-1"),
+    (lambda: ks_p_value("lognormal", _LN.sample(300, 7)[:120], n_sim=9, seed=11, refit=True),
+     "0x1.09a8321382490p-5", "0x1.ccccccccccccdp-1"),
+], ids=["lognormal", "hooked-beyond-table", "mixture", "n1", "fitted", "refit-hooked",
+        "refit-lognormal"])
+def test_mc_ks_is_pinned(run, d_hex, p_hex):
+    result = run()
+    assert (result.ks_stat.hex(), result.p_value.hex()) == (d_hex, p_hex)
+
+
 def test_ks_requires_data():
     with pytest.raises(EmptySampleError):
         ks_statistic(HookedPowerLaw(2, 1), CitationSample([]))

@@ -1,14 +1,19 @@
 """Numerical kernels: the hooked power sum and the normal interval masses,
-against high-precision mpmath references."""
+against high-precision mpmath references, and the lognormal pmf and CDF
+table against a frozen copy of their earlier two-erfc form."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erfc
 
 from citefit.distributions import (
+    DiscretisedLognormal,
     HookedPowerLaw,
     _normal_interval_masses,
     _power_tail,
@@ -89,14 +94,14 @@ def _exact_mass(z_lo, z_hi):
 def test_normal_interval_masses_matches_mpmath():
     z_lo = np.array([-1.0, 0.3, 5.0, -8.0, 20.0, -36.0, -0.2])
     z_hi = np.array([1.0, 0.9, 6.0, -7.0, 21.0, -35.0, 0.2])
-    got = _normal_interval_masses(z_lo, z_hi)
+    got = _normal_interval_masses(np.array([z_lo, z_hi]))
     exact = np.array([_exact_mass(l, h) for l, h in zip(z_lo, z_hi)])
     assert_allclose(got, exact, rtol=1e-12)
 
 
 def test_normal_interval_masses_deep_tail_relative_accuracy():
     # masses near 1e-200 must keep relative accuracy, not just absolute
-    got = float(_normal_interval_masses(np.array([30.0]), np.array([30.5]))[0])
+    got = float(_normal_interval_masses(np.array([[30.0], [30.5]]))[0])
     exact = _exact_mass(30.0, 30.5)
     assert exact > 0
     assert abs(got - exact) <= 1e-10 * exact
@@ -105,5 +110,56 @@ def test_normal_interval_masses_deep_tail_relative_accuracy():
 def test_normal_interval_masses_never_negative():
     rng = np.random.default_rng(0)
     z = np.sort(rng.normal(size=(100, 2)) * 10, axis=1)
-    out = _normal_interval_masses(z[:, 0], z[:, 1])
+    out = _normal_interval_masses(z.T.copy())
     assert np.all(out >= 0.0)
+
+
+# The lognormal kernel as it was with one erfc call per interval edge: the
+# one-call form must reproduce it bit for bit.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _two_erfc_masses(z_lo, z_hi):
+    right = (z_lo + z_hi) > 0.0
+    a = np.where(right, z_lo, -z_hi)
+    c = np.where(right, z_hi, -z_lo)
+    out = 0.5 * (erfc(a * _INV_SQRT2) - erfc(c * _INV_SQRT2))
+    return np.maximum(out, 0.0)
+
+
+def _two_erfc_log_pmf(model, x):
+    xf = x.astype(np.float64)
+    z_lo = (np.log(xf - 0.5) - model.mu) / model.sigma
+    z_hi = (np.log(xf + 0.5) - model.mu) / model.sigma
+    with np.errstate(divide="ignore"):
+        return np.log(_two_erfc_masses(z_lo, z_hi)) - model._log_norm
+
+
+def _two_erfc_grid(model, m):
+    xf = np.arange(1, m + 1, dtype=np.float64)
+    z_hi = (np.log(xf + 0.5) - model.mu) / model.sigma
+    z_lo = np.full(m, model._z_half)
+    out = _two_erfc_masses(z_lo, z_hi) / model._norm
+    return np.minimum(np.maximum.accumulate(out), 1.0)
+
+
+@st.composite
+def _lognormals(draw):
+    # mu in [-40, 40], log sigma in [-5, 4]; below log(0.5) - 30 sigma the
+    # support mass underflows and the constructor refuses the parameters
+    sigma = math.exp(draw(st.floats(-5.0, 4.0)))
+    mu = draw(st.floats(max(-40.0, math.log(0.5) - 30.0 * sigma), 40.0))
+    return DiscretisedLognormal(mu, sigma)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(model=_lognormals(),
+       counts=st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10 ** 11)),
+                       min_size=1, max_size=50),
+       m=st.integers(1, 3000))
+def test_lognormal_kernel_is_bit_identical_to_two_erfc_form(model, counts, m):
+    x = np.array(counts, dtype=np.int64)
+    got, ref = model.log_pmf(x), _two_erfc_log_pmf(model, x)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+    got, ref = model._grid(m), _two_erfc_grid(model, m)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
