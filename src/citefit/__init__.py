@@ -23,13 +23,7 @@ from citefit.exceptions import (
     TooFewRepsError,
 )
 from citefit.sample import CitationSample, as_sample
-from citefit.distributions import (
-    DiscretisedLognormal,
-    HookedPowerLaw,
-    Mixture,
-    Moments,
-    continuous_moments,
-)
+from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
 from citefit.fitting import FitResult, FitStatus, fit, log_likelihood
 from citefit.gof import (
     GofResult,
@@ -40,16 +34,14 @@ from citefit.gof import (
     mc_p_value,
     shape_classify,
 )
-from citefit.vuong import Tally, VuongResult, tally_significance, vuong
+from citefit.vuong import VuongResult, vuong
 from citefit.bootstrap import StudySummary, bootstrap_study, resample
 from citefit.subjects import SUBJECTS, SubjectParams, get_subject
 from citefit.studies import (
-    MixtureSpec,
     VuongStudy,
     bootstrap_vuong_study,
-    mean_crosscheck,
+    mean_table,
     mixture_impurity_study,
-    mixture_sample,
     plausibility_row,
     scale_ci_study,
     shape_table,
@@ -72,8 +64,6 @@ __all__ = [
     "IdenticalModelsError",
     "InvalidWeightsError",
     "Mixture",
-    "MixtureSpec",
-    "Moments",
     "MomentUndefinedError",
     "OffsetError",
     "ParameterError",
@@ -82,14 +72,12 @@ __all__ = [
     "StudySummary",
     "SUBJECTS",
     "SubjectParams",
-    "Tally",
     "TooFewRepsError",
     "VuongResult",
     "VuongStudy",
     "as_sample",
     "bootstrap_study",
     "bootstrap_vuong_study",
-    "continuous_moments",
     "fit",
     "get_subject",
     "ks_p_value",
@@ -97,15 +85,13 @@ __all__ = [
     "ks_test_fixed",
     "log_likelihood",
     "mc_p_value",
-    "mean_crosscheck",
+    "mean_table",
     "mixture_impurity_study",
-    "mixture_sample",
     "plausibility_row",
     "resample",
     "scale_ci_study",
     "shape_classify",
     "shape_table",
     "simulation_study",
-    "tally_significance",
     "vuong",
 ]

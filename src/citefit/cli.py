@@ -30,11 +30,7 @@ import numpy as np
 import citefit.io
 from citefit import __version__
 from citefit.bootstrap import MIN_REPS, bootstrap_study
-from citefit.distributions import (
-    DiscretisedLognormal,
-    HookedPowerLaw,
-    continuous_moments,
-)
+from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
 from citefit.gof import ks_p_value
@@ -47,11 +43,11 @@ from citefit.studies import (
     SCALE_COLUMNS,
     SHAPE_COLUMNS,
     VUONG_STUDY_COLUMNS,
-    MixtureSpec,
     bootstrap_z_reps,
     fitted_lognormal_sigma,
     fitted_param,
     hooked_vs_lognormal_z,
+    mean_table,
     mixture_impurity_study,
     plausibility_row,
     scale_ci_study,
@@ -246,12 +242,13 @@ def _cmd_study_plausibility(args, seed: int) -> str:
 def _cmd_study_vuong(args, seed: int) -> str:
     if args.files:
         mode = "bootstrap resamples of the input data"
-        samples, _ = _study_samples(args, seed)
+        samples, extra = _study_samples(args, seed)
         studied = [(sample.label, len(sample),
                     bootstrap_z_reps(sample, args.reps, args.size, child_seed(seed, i)))
                    for i, sample in enumerate(samples)]
     else:
         mode = "fresh samples simulated from bundled subject parameters"
+        extra = {"generator_family": args.family}
         studied = []
         for i, (subject, model, n) in enumerate(_subject_generators(args)):
             n = n if args.size is None else args.size
@@ -259,7 +256,7 @@ def _cmd_study_vuong(args, seed: int) -> str:
     studies = vuong_studies([rep_fn for _, _, rep_fn in studied], args.reps, args.workers)
     rows = [study.row(label, n) for (label, n, _), study in zip(studied, studies)]
     return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,
-                   generator_family=args.family)
+                   **extra)
 
 
 def _cmd_study_scale(args, seed: int) -> str:
@@ -277,27 +274,18 @@ def _cmd_study_shape(args, seed: int) -> str:
 
 
 def _cmd_study_mixture(args, seed: int) -> str:
-    spec = MixtureSpec(
-        components=(DiscretisedLognormal(args.mu_a, args.sigma_a),
-                    DiscretisedLognormal(args.mu_b, args.sigma_b)),
-        weights=(args.weight_a, 1.0 - args.weight_a),
-    )
+    mixture = Mixture((DiscretisedLognormal(args.mu_a, args.sigma_a),
+                       DiscretisedLognormal(args.mu_b, args.sigma_b)),
+                      (args.weight_a, 1.0 - args.weight_a))
     pure = DiscretisedLognormal(args.pure_mu, args.pure_sigma)
     rows, summary = mixture_impurity_study(
-        spec, pure, n=args.n, reps=args.reps, seed=seed, workers=args.workers,
+        mixture, pure, n=args.n, reps=args.reps, seed=seed, workers=args.workers,
     )
     return _report(args, seed, rows, MIXTURE_COLUMNS, n=args.n, **summary)
 
 
 def _cmd_study_means(args, seed: int) -> str:
-    rows = [{"subject": subject.name,
-             "ln_mean": continuous_moments(subject.lognormal()).mean,
-             "hook_mean": continuous_moments(subject.hooked()).mean}
-            for subject in SUBJECTS]
-    rows.append({"subject": "average",
-                 "ln_mean": float(np.mean([r["ln_mean"] for r in rows])),
-                 "hook_mean": float(np.mean([r["hook_mean"] for r in rows]))})
-    return _report(args, seed, rows)
+    return _report(args, seed, mean_table())
 
 
 # --- parser ------------------------------------------------------------------

@@ -22,7 +22,6 @@ import functools
 import math
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -412,12 +411,6 @@ class HookedPowerLaw(_DiscreteModel):
         return {"alpha": self.alpha, "b": self.b}
 
     @property
-    def normalizer(self) -> float:
-        """Sum of (b + x)**(-alpha) over the support (may underflow to 0.0
-        for extreme parameters; ``log_normalizer`` is always finite)."""
-        return math.exp(self.log_normalizer)
-
-    @property
     def log_normalizer(self) -> float:
         return self._log_scaled_norm - self.alpha * math.log1p(self.b)
 
@@ -443,9 +436,12 @@ class HookedPowerLaw(_DiscreteModel):
         return min(1.0 - _power_tail(self.alpha, self.b, x + 1) / self._scaled_norm, 1.0)
 
     def continuous_mean(self) -> float:
+        """Mean of the continuous analogue: the Lomax law with shape alpha
+        and scale b (an approximation to the discrete mean)."""
         return self.b / (self.alpha - 1.0)
 
     def continuous_sd(self) -> float:
+        """Lomax sd; raises MomentUndefinedError for alpha <= 2."""
         if self.alpha <= 2.0:
             raise MomentUndefinedError(
                 f"sd undefined for alpha <= 2 (infinite variance), got alpha={self.alpha}"
@@ -524,33 +520,4 @@ class Mixture(_DiscreteModel):
             for w, c in zip(self.weights, self.components)
         )
         return math.sqrt(max(second - mean ** 2, 0.0))
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Continuous-analogue mean and sd (approximations to the discrete moments)."""
-
-    mean: float
-    sd: float | None
-
-    @property
-    def sd_defined(self) -> bool:
-        return self.sd is not None
-
-
-def continuous_moments(model) -> Moments:
-    """Closed-form mean and sd of the continuous analogue of ``model``.
-
-    For the lognormal family these are exp(mu + sigma**2 / 2) and
-    sqrt((exp(sigma**2) - 1) * exp(2 mu + sigma**2)).  For the hooked
-    family the standard Lomax formulae are used with ``alpha`` read as
-    the Lomax shape and ``b`` as its scale: mean b / (alpha - 1), sd
-    defined only for alpha > 2 (``sd`` is None below that).
-    """
-    mean = model.continuous_mean()
-    try:
-        sd = model.continuous_sd()
-    except MomentUndefinedError:
-        sd = None
-    return Moments(mean=mean, sd=sd)
 

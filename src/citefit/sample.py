@@ -80,9 +80,6 @@ class CitationSample:
         if self.counts.size == 0:
             raise EmptySampleError("operation requires a non-empty sample")
 
-    def relabel(self, label: str) -> "CitationSample":
-        return CitationSample(self.counts, self.offset_applied, label)
-
 
 def as_sample(data, label: str = "", offset_applied: int = 1) -> CitationSample:
     """Coerce an array of counts (or pass through a CitationSample)."""

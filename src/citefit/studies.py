@@ -1,6 +1,8 @@
-"""Reproducible study harness: plausibility rows, bootstrap and simulation
-Vuong tallies, scale-parameter intervals, shape tables, mixture-impurity
-experiments and the closed-form mean cross-check.
+"""Reproducible study harness, one function per table: plausibility rows,
+bootstrap and simulation Vuong tallies, scale-parameter intervals, shape
+tables, the mixture-impurity experiment (a
+:class:`~citefit.distributions.Mixture` against a pure model) and the
+closed-form mean table.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
@@ -31,7 +33,6 @@ from citefit.bootstrap import (
     run_reps,
     summarise,
 )
-from citefit.distributions import Mixture, continuous_moments
 from citefit.exceptions import (
     DegenerateDataError,
     FitFailedError,
@@ -62,16 +63,8 @@ VUONG_STUDY_COLUMNS = ("label", "n", "z_lo95", "z_median", "z_hi95",
 
 MIXTURE_COLUMNS = ("rep", "mixture_ks", "pure_ks", "mixture_worse")
 
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weighted combination of models feeding the impurity experiments."""
-
-    components: tuple
-    weights: tuple[float, ...]
-
-    def to_model(self) -> Mixture:
-        return Mixture(self.components, self.weights)
+# (family, column prefix, plausibility flag); family i fits on child_seed(seed, i)
+_FAMILY_CELLS = (("lognormal", "ln", "L"), ("hooked", "hook", "H"))
 
 
 @dataclass(frozen=True)
@@ -173,24 +166,18 @@ def plausibility_row(sample, n_sim: int = 1000, seed: int = 0) -> dict:
     row["subject"] = sample.label
     row["n"] = len(sample)
     flags = []
-    try:
-        ln = ks_p_value("lognormal", sample, n_sim, child_seed(seed, 0))
-        row["ln_mu"] = ln.fit.model.mu
-        row["ln_sigma"] = ln.fit.model.sigma
-        row["ln_ks"] = ln.ks_stat
-        row["ln_p"] = ln.p_value
-        if ln.plausible:
-            flags.append("L")
-        hk = ks_p_value("hooked", sample, n_sim, child_seed(seed, 1))
-        row["hook_alpha"] = hk.fit.model.alpha
-        row["hook_b"] = hk.fit.model.b
-        row["hook_ks"] = hk.ks_stat
-        row["hook_p"] = hk.p_value
-        if hk.plausible:
-            flags.append("H")
-    except FitFailedError:
-        row["plausible"] = "degenerate"
-        return row
+    for i, (family, prefix, flag) in enumerate(_FAMILY_CELLS):
+        try:
+            result = ks_p_value(family, sample, n_sim, child_seed(seed, i))
+        except FitFailedError:
+            row["plausible"] = "degenerate"
+            return row
+        for name, value in result.fit.model.params.items():
+            row[f"{prefix}_{name}"] = value
+        row[f"{prefix}_ks"] = result.ks_stat
+        row[f"{prefix}_p"] = result.p_value
+        if result.plausible:
+            flags.append(flag)
     row["plausible"] = ",".join(flags)
     return row
 
@@ -251,7 +238,7 @@ def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]
         sample = as_sample(sample)
         row = dict.fromkeys(SHAPE_COLUMNS)
         row["subject"] = sample.label
-        for family, prefix in (("lognormal", "ln"), ("hooked", "hook")):
+        for family, prefix, _ in _FAMILY_CELLS:
             result = fit(family, sample)
             if result.usable:
                 report = shape_classify(result.model, sample, epsilon)
@@ -271,28 +258,16 @@ def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]
 
 # --- mixtures ---------------------------------------------------------------
 
-def mixture_sample(spec: MixtureSpec, n: int, seed: int,
-                   label: str = "mixture") -> CitationSample:
-    """Draw ``n`` counts from the mixture by inverse transform.
-
-    Sampling inverts the mixture CDF with one uniform per draw, so a
-    single-component mixture reproduces the component's sample stream
-    exactly.
-    """
-    model = spec.to_model()
-    return CitationSample(model.sample(n, seed), label=label)
-
-
-def mixture_impurity_study(spec: MixtureSpec, pure_model, n: int, reps: int,
+def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
                            seed: int = 0, workers: int = 1) -> tuple[list[dict], dict]:
     """Compare lognormal KS fits on mixture data against pure data.
 
-    Each rep draws one sample from the mixture and one from ``pure_model``,
+    Each rep draws one sample from ``mixture`` (a
+    :class:`~citefit.distributions.Mixture`) and one from ``pure_model``,
     fits the lognormal family to each, and records both KS statistics.
     """
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
-    mixture = spec.to_model()
     [rows] = run_reps([partial(_mixture_rep, mixture, pure_model, n, seed)], reps, workers)
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
@@ -319,13 +294,14 @@ def _mixture_rep(mixture, pure_model, n: int, seed: int, rep: int) -> dict:
     return row
 
 
-# --- closed-form mean cross-check -------------------------------------------
+# --- closed-form mean table -------------------------------------------------
 
-def mean_crosscheck(fixture=SUBJECTS) -> dict[str, float]:
-    """Average closed-form mean estimates of both families over a fixture."""
-    ln_means = [continuous_moments(s.lognormal()).mean for s in fixture]
-    hook_means = [continuous_moments(s.hooked()).mean for s in fixture]
-    return {
-        "ln_mean_avg": float(np.mean(ln_means)),
-        "hook_mean_avg": float(np.mean(hook_means)),
-    }
+def mean_table(fixture=SUBJECTS) -> list[dict]:
+    """Closed-form continuous-analogue means of both fitted families, one row
+    per subject of ``fixture``, then their ``average`` row."""
+    rows = [{"subject": s.name, "ln_mean": s.lognormal().continuous_mean(),
+             "hook_mean": s.hooked().continuous_mean()} for s in fixture]
+    rows.append({"subject": "average",
+                 "ln_mean": float(np.mean([r["ln_mean"] for r in rows])),
+                 "hook_mean": float(np.mean([r["hook_mean"] for r in rows]))})
+    return rows

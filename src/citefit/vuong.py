@@ -74,26 +74,3 @@ def vuong(model_a, model_b, sample) -> VuongResult:
     diffs = model_a.log_pmf(values) - model_b.log_pmf(values)
     return vuong_from_diffs(diffs, mult)
 
-
-@dataclass(frozen=True)
-class Tally:
-    a_wins: int
-    b_wins: int
-    neither: int
-
-    @property
-    def total(self) -> int:
-        return self.a_wins + self.b_wins + self.neither
-
-
-def tally_significance(results) -> Tally:
-    """Count favoured outcomes over a collection of Vuong results."""
-    a = b = neither = 0
-    for r in results:
-        if r.favored == MODEL_A:
-            a += 1
-        elif r.favored == MODEL_B:
-            b += 1
-        else:
-            neither += 1
-    return Tally(a_wins=a, b_wins=b, neither=neither)

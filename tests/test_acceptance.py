@@ -16,13 +16,13 @@ from citefit import (
     CitationSample,
     DiscretisedLognormal,
     HookedPowerLaw,
-    MixtureSpec,
+    Mixture,
     bootstrap_study,
     fit,
     ks_statistic,
     ks_test_fixed,
     log_likelihood,
-    mean_crosscheck,
+    mean_table,
     mixture_impurity_study,
     simulation_study,
 )
@@ -41,13 +41,13 @@ def _report(number, name, passed, detail):
 
 def test_01_mean_crosscheck():
     start = time.perf_counter()
-    result = mean_crosscheck(SUBJECTS)
+    average = mean_table(SUBJECTS)[-1]
     elapsed = time.perf_counter() - start
-    ok = (abs(result["ln_mean_avg"] - 25.4) <= 0.3
-          and abs(result["hook_mean_avg"] - 14.2) <= 0.3
+    ok = (abs(average["ln_mean"] - 25.4) <= 0.3
+          and abs(average["hook_mean"] - 14.2) <= 0.3
           and elapsed < 1.0)
     _report(1, "mean cross-check", ok,
-            f"ln_avg={result['ln_mean_avg']:.3f} hook_avg={result['hook_mean_avg']:.3f} "
+            f"ln_avg={average['ln_mean']:.3f} hook_avg={average['hook_mean']:.3f} "
             f"elapsed={elapsed:.2f}s")
 
 
@@ -176,12 +176,12 @@ def test_09_bootstrap_ci_mechanics():
 
 def test_10_mixture_impurity():
     start = time.perf_counter()
-    spec = MixtureSpec(
+    mixture = Mixture(
         components=(DiscretisedLognormal(1.0, 1.0), DiscretisedLognormal(3.5, 1.0)),
         weights=(0.5, 0.5),
     )
     pure = DiscretisedLognormal(2.25, 1.0)
-    _, summary = mixture_impurity_study(spec, pure, n=10_000, reps=100,
+    _, summary = mixture_impurity_study(mixture, pure, n=10_000, reps=100,
                                         seed=child_seed(MASTER_SEED, 10))
     elapsed = time.perf_counter() - start
     ok = (summary["valid"] == 100 and summary["mixture_worse_count"] >= 90

@@ -21,7 +21,6 @@ from citefit import (
     Mixture,
     MomentUndefinedError,
     ParameterError,
-    continuous_moments,
 )
 from citefit.subjects import SUBJECTS
 
@@ -371,31 +370,26 @@ def test_saturated_table_stops_growing():
 
 def test_lognormal_moments_closed_form():
     model = DiscretisedLognormal(2.54, 1.26)
-    moments = continuous_moments(model)
-    assert moments.mean == pytest.approx(28.0447, abs=1e-3)
+    assert model.continuous_mean() == pytest.approx(28.0447, abs=1e-3)
     ref = scipy.stats.lognorm(s=1.26, scale=math.exp(2.54))
-    assert moments.mean == pytest.approx(ref.mean(), rel=1e-12)
-    assert moments.sd == pytest.approx(ref.std(), rel=1e-12)
+    assert model.continuous_mean() == pytest.approx(ref.mean(), rel=1e-12)
+    assert model.continuous_sd() == pytest.approx(ref.std(), rel=1e-12)
 
 
 def test_hooked_moments_lomax_convention():
     model = HookedPowerLaw(5.76, 89.8)
-    moments = continuous_moments(model)
-    assert moments.mean == pytest.approx(89.8 / 4.76, rel=1e-12)
-    assert moments.mean == pytest.approx(18.8655, abs=1e-3)
+    assert model.continuous_mean() == pytest.approx(89.8 / 4.76, rel=1e-12)
+    assert model.continuous_mean() == pytest.approx(18.8655, abs=1e-3)
     ref = scipy.stats.lomax(c=5.76, scale=89.8)
-    assert moments.mean == pytest.approx(ref.mean(), rel=1e-12)
-    assert moments.sd == pytest.approx(ref.std(), rel=1e-12)
+    assert model.continuous_mean() == pytest.approx(ref.mean(), rel=1e-12)
+    assert model.continuous_sd() == pytest.approx(ref.std(), rel=1e-12)
 
 
 def test_hooked_sd_undefined_at_low_alpha():
     model = HookedPowerLaw(1.5, 10.0)
     with pytest.raises(MomentUndefinedError):
         model.continuous_sd()
-    moments = continuous_moments(model)
-    assert moments.mean == pytest.approx(20.0)
-    assert moments.sd is None
-    assert not moments.sd_defined
+    assert model.continuous_mean() == pytest.approx(20.0)
 
 
 # --- mixtures ----------------------------------------------------------------
@@ -440,6 +434,6 @@ def test_mixture_mean_is_convex_combination():
     b = DiscretisedLognormal(3.5, 1.0)
     mix = Mixture([a, b], [0.5, 0.5])
     draws = mix.sample(100_000, 8)
-    mean_a = continuous_moments(a).mean
-    mean_b = continuous_moments(b).mean
+    mean_a = a.continuous_mean()
+    mean_b = b.continuous_mean()
     assert mean_a < draws.mean() < mean_b

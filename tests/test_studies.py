@@ -7,13 +7,12 @@ from citefit import (
     CitationSample,
     DiscretisedLognormal,
     HookedPowerLaw,
-    MixtureSpec,
+    Mixture,
     ParameterError,
     TooFewRepsError,
     bootstrap_vuong_study,
-    mean_crosscheck,
+    mean_table,
     mixture_impurity_study,
-    mixture_sample,
     plausibility_row,
     scale_ci_study,
     shape_table,
@@ -39,15 +38,15 @@ def test_subject_fixture_shape():
 
 
 def test_mean_crosscheck_averages():
-    result = mean_crosscheck()
-    assert result["ln_mean_avg"] == pytest.approx(25.4, abs=0.3)
-    assert result["hook_mean_avg"] == pytest.approx(14.2, abs=0.3)
+    average = mean_table()[-1]
+    assert average["ln_mean"] == pytest.approx(25.4, abs=0.3)
+    assert average["hook_mean"] == pytest.approx(14.2, abs=0.3)
 
 
 def test_mean_crosscheck_single_subject():
-    result = mean_crosscheck([get_subject("Food Science")])
-    assert result["ln_mean_avg"] == pytest.approx(28.0, abs=0.1)
-    assert result["hook_mean_avg"] == pytest.approx(18.87, abs=0.01)
+    average = mean_table([get_subject("Food Science")])[-1]
+    assert average["ln_mean"] == pytest.approx(28.0, abs=0.1)
+    assert average["hook_mean"] == pytest.approx(18.87, abs=0.01)
 
 
 def test_plausibility_row_schema_and_flags():
@@ -163,29 +162,29 @@ def test_shape_table_self_fit_mostly_equal():
 
 
 def test_mixture_sample_single_component_identity():
-    spec = MixtureSpec((DiscretisedLognormal(2.0, 1.1),), (1.0,))
+    mixture = Mixture((DiscretisedLognormal(2.0, 1.1),), (1.0,))
     plain = DiscretisedLognormal(2.0, 1.1).sample(5000, 42)
-    assert_array_equal(mixture_sample(spec, 5000, 42).counts, plain)
+    assert_array_equal(mixture.sample(5000, 42), plain)
 
 
 def test_mixture_sample_mean_between_components():
-    spec = MixtureSpec(
+    mixture = Mixture(
         (DiscretisedLognormal(1.0, 1.0), DiscretisedLognormal(3.5, 1.0)),
         (0.5, 0.5),
     )
-    counts = mixture_sample(spec, 100_000, 9).counts
+    counts = mixture.sample(100_000, 9)
     lo = DiscretisedLognormal(1.0, 1.0).sample(100_000, 9).mean()
     hi = DiscretisedLognormal(3.5, 1.0).sample(100_000, 9).mean()
     assert lo < counts.mean() < hi
 
 
 def test_mixture_impurity_study_degrades_fit():
-    spec = MixtureSpec(
+    mixture = Mixture(
         (DiscretisedLognormal(1.0, 1.0), DiscretisedLognormal(3.5, 1.0)),
         (0.5, 0.5),
     )
     pure = DiscretisedLognormal(2.25, 1.0)
-    rows, summary = mixture_impurity_study(spec, pure, n=5000, reps=20, seed=99)
+    rows, summary = mixture_impurity_study(mixture, pure, n=5000, reps=20, seed=99)
     assert tuple(rows[0].keys()) == MIXTURE_COLUMNS
     assert summary["reps"] == 20
     assert summary["mixture_worse_count"] >= 18
@@ -193,18 +192,18 @@ def test_mixture_impurity_study_degrades_fit():
 
 
 def test_mixture_impurity_study_worker_independence():
-    spec = MixtureSpec(
+    mixture = Mixture(
         (DiscretisedLognormal(1.0, 1.0), DiscretisedLognormal(3.0, 1.0)),
         (0.5, 0.5),
     )
     pure = DiscretisedLognormal(2.0, 1.0)
-    a = mixture_impurity_study(spec, pure, n=1000, reps=8, seed=3, workers=1)
-    b = mixture_impurity_study(spec, pure, n=1000, reps=8, seed=3, workers=2)
+    a = mixture_impurity_study(mixture, pure, n=1000, reps=8, seed=3, workers=1)
+    b = mixture_impurity_study(mixture, pure, n=1000, reps=8, seed=3, workers=2)
     assert a == b
 
 
 @pytest.mark.parametrize("reps", [0, -2])
 def test_mixture_impurity_study_rejects_too_few_reps(reps):
-    spec = MixtureSpec((DiscretisedLognormal(1.0, 1.0),), (1.0,))
+    mixture = Mixture((DiscretisedLognormal(1.0, 1.0),), (1.0,))
     with pytest.raises(TooFewRepsError):
-        mixture_impurity_study(spec, DiscretisedLognormal(2.0, 1.0), n=100, reps=reps)
+        mixture_impurity_study(mixture, DiscretisedLognormal(2.0, 1.0), n=100, reps=reps)

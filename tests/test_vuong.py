@@ -1,5 +1,7 @@
 """Vuong test: hand-checked z values, symmetry and tallies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from citefit import (
     DiscretisedLognormal,
     HookedPowerLaw,
     IdenticalModelsError,
-    tally_significance,
     vuong,
 )
-from citefit.vuong import MODEL_A, MODEL_B, NEITHER, VuongResult, vuong_from_diffs
+from citefit.studies import vuong_studies
+from citefit.vuong import MODEL_A, MODEL_B, NEITHER, vuong_from_diffs
 
 
 def test_hand_computed_z():
@@ -71,14 +73,9 @@ def test_threshold_boundaries():
     assert abs(near.z) < 1.96 and near.favored == NEITHER
 
 
-def test_tally_empty():
-    t = tally_significance([])
-    assert (t.a_wins, t.b_wins, t.neither) == (0, 0, 0)
-
-
-def test_tally_threshold_split():
-    results = [VuongResult(z, 0.0, f, 10) for z, f in
-               [(2.5, MODEL_A), (-2.5, MODEL_B), (0.0, NEITHER)]]
-    t = tally_significance(results)
-    assert (t.a_wins, t.b_wins, t.neither) == (1, 1, 1)
-    assert t.total == 3
+def test_study_tally_at_the_threshold():
+    # z = +-1.96 itself favours neither model, and a NaN z is a failed rep
+    zs = (2.5, -2.5, 0.0, 1.96, -1.96, math.nan)
+    [study] = vuong_studies([lambda rep: zs[rep % 6]], 42)
+    assert (study.hooked_wins, study.lognormal_wins, study.neither, study.failed) \
+        == (7, 7, 21, 7)
