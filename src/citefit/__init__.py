@@ -24,7 +24,7 @@ from citefit.exceptions import (
 )
 from citefit.sample import CitationSample, as_sample
 from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
-from citefit.fitting import FitResult, FitStatus, fit, log_likelihood
+from citefit.fitting import FitResult, FitStatus, fit, fit_many, log_likelihood
 from citefit.gof import (
     GofResult,
     ShapeReport,
@@ -79,6 +79,7 @@ __all__ = [
     "bootstrap_study",
     "bootstrap_vuong_study",
     "fit",
+    "fit_many",
     "get_subject",
     "ks_p_value",
     "ks_statistic",

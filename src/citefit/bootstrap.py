@@ -1,12 +1,15 @@
 """Bootstrap resampling and the replicate runner behind every study.
 
 A study evaluates a statistic on ``reps`` independent replicates (bootstrap
-resamples or fresh simulated samples). :func:`run_reps` runs the replicates
-of every sample in a study run together, through one process pool when
-``workers > 1``, and :func:`summarise` takes the 95% interval from the
-order statistics of each sample's values: with k = ceil(0.025 * reps) the
-bounds are the k-th smallest and k-th largest values, the 25th smallest /
-25th largest for the canonical 1000-rep study.
+resamples or fresh simulated samples). A study's replicate function maps a
+``range`` of replicate indices to their values, so that it can fit the
+samples of a whole chunk together (:func:`citefit.fitting.fit_many`).
+:func:`run_reps` runs the replicates of every sample in a study run
+together, in chunks through one process pool when ``workers > 1``, and
+:func:`summarise` takes the 95% interval from the order statistics of
+each sample's values: with k = ceil(0.025 * reps) the bounds are the k-th
+smallest and k-th largest values, the 25th smallest / 25th largest for the
+canonical 1000-rep study.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -84,40 +87,54 @@ def order_stat_bounds(raw_sorted: np.ndarray, reps: int) -> tuple[float, float]:
 
 
 def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
-    """``[[fn(rep) for rep in range(reps)] for fn in rep_fns]``.
+    """``[fn(range(reps)) for fn in rep_fns]``, run in chunks of replicates.
 
-    With ``workers > 1`` one process pool of at most ``os.cpu_count()``
-    workers runs them all: every function's replicates are submitted before
-    any result is read, so the pool stays busy across samples. The chunk
-    size follows the requested ``workers``, not the pool size, and the
-    values do not depend on either. Each ``fn`` must then be picklable (a
-    partial of a module-level function). A replicate that raises cancels
-    the work still queued, and the exception propagates.
+    Each ``fn`` maps a ``range`` of replicate indices to the list of their
+    values, in order, and a replicate's value must depend on its index
+    alone, not on the range it came in. With ``workers > 1`` one process
+    pool of at most ``os.cpu_count()`` workers runs them all, each call on
+    a chunk of ``max(1, reps // (4 * workers))`` consecutive replicates:
+    every function's chunks are submitted before any result is read, so the
+    pool stays busy across samples. The chunks follow the requested
+    ``workers``, not the pool size, and the values depend on neither. Each
+    ``fn`` must then be picklable (a partial of a module-level function). A
+    replicate that raises cancels the work still queued, and the exception
+    propagates.
     """
     if workers <= 1:
-        return [[fn(rep) for rep in range(reps)] for fn in rep_fns]
+        return [fn(range(reps)) for fn in rep_fns]
     chunksize = max(1, reps // (4 * workers))
+    chunks = [range(start, min(start + chunksize, reps))
+              for start in range(0, reps, chunksize)]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         try:
-            pending = [pool.map(fn, range(reps), chunksize=chunksize) for fn in rep_fns]
-            return [list(values) for values in pending]
+            pending = [pool.map(fn, chunks, chunksize=1) for fn in rep_fns]
+            return [[value for chunk in values for value in chunk] for values in pending]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-def _replicate_value(statistic, sample) -> float:
-    """``statistic(sample)`` as a float, NaN when it raises a citefit error."""
+def _replicate_value(statistic, *args) -> float:
+    """``statistic(*args)`` as a float, NaN when it raises a citefit error."""
     try:
-        return float(statistic(sample))
+        return float(statistic(*args))
     except CitefitError:
         return math.nan
 
 
-def _bootstrap_rep(sample: CitationSample, size: int, seed: int, statistic,
-                   rep: int) -> float:
-    """Replicate ``rep``: ``statistic`` on a resample drawn from (seed, rep)."""
-    return _replicate_value(statistic, _resample_with(sample, size, spawn_rng(seed, rep)))
+def _resamples(sample: CitationSample, size: int, seed: int,
+               reps: range) -> list[CitationSample]:
+    """The resample of each ``rep`` in ``reps``, drawn from (seed, rep)."""
+    return [_resample_with(sample, size, spawn_rng(seed, rep)) for rep in reps]
+
+
+def _bootstrap_reps(sample: CitationSample, size: int, seed: int, statistic,
+                    reps: range) -> list[float]:
+    """``statistic`` on the resample of each ``rep`` in ``reps``, drawn from
+    (seed, rep), one resample at a time."""
+    return [_replicate_value(statistic, _resample_with(sample, size, spawn_rng(seed, rep)))
+            for rep in reps]
 
 
 def summarise(values, reps: int, name: str) -> StudySummary:
@@ -165,7 +182,7 @@ def bootstrap_study(sample, reps: int, statistic, size: int | None = None,
     replicate failed.
     """
     sample, size = _checked_resampling(sample, reps, size)
-    [values] = run_reps([partial(_bootstrap_rep, sample, size, seed, statistic)],
+    [values] = run_reps([partial(_bootstrap_reps, sample, size, seed, statistic)],
                         reps, workers)
     summary = summarise(values, reps, statistic_name)
     if summary.n_failed == reps:

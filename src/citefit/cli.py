@@ -111,25 +111,38 @@ def _subject(name: str):
         raise ParseError(err.args[0]) from None
 
 
+def _generator_family(args) -> str:
+    return "lognormal" if args.family is None else args.family
+
+
 def _subject_generators(args) -> list:
     """(subject, model, n) for each bundled subject that ``--subject`` names
     (one, or 'all'): its ``--family`` model, and ``--n`` or its own size."""
     if args.subject is None:
         raise ParseError("give count files or --subject (a name, or 'all')")
     subjects = list(SUBJECTS) if args.subject.lower() == "all" else [_subject(args.subject)]
-    return [(s, s.model(args.family), s.n if args.n is None else args.n) for s in subjects]
+    family = _generator_family(args)
+    return [(s, s.model(family), s.n if args.n is None else args.n) for s in subjects]
 
 
 def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
-    """Count files if given, otherwise simulated data from the fixture."""
+    """Count files if given, otherwise simulated data from the fixture.
+
+    The options that choose the simulated data are rejected with files.
+    """
     if args.files:
+        given = [f"--{name}" for name in ("subject", "family", "n")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ParseError(f"{', '.join(given)} only choose simulated data; "
+                             "drop them or the count files")
         return [_load_file(args, p) for p in args.files], {"data_source": "files"}
     samples = [CitationSample(model.sample(n, child_seed(seed, 900, index)),
                               label=subject.name)
                for index, (subject, model, n) in enumerate(_subject_generators(args))]
     extra = {
         "data_source": "simulated from bundled subject parameters",
-        "generator_family": args.family,
+        "generator_family": _generator_family(args),
     }
     return samples, extra
 
@@ -248,7 +261,7 @@ def _cmd_study_vuong(args, seed: int) -> str:
                    for i, sample in enumerate(samples)]
     else:
         mode = "fresh samples simulated from bundled subject parameters"
-        extra = {"generator_family": args.family}
+        extra = {"generator_family": _generator_family(args)}
         studied = []
         for i, (subject, model, n) in enumerate(_subject_generators(args)):
             n = n if args.size is None else args.size
@@ -334,9 +347,9 @@ def _add_study_source(parser):
     _add_offset(parser)
     parser.add_argument("--subject", default=None,
                         help="bundled subject name, or 'all', used when no files given")
-    parser.add_argument("--family", choices=["lognormal", "hooked"],
-                        default="lognormal",
-                        help="generator family for simulated study data")
+    parser.add_argument("--family", choices=["lognormal", "hooked"], default=None,
+                        help="generator family for simulated study data "
+                             "(default lognormal)")
     parser.add_argument("--n", type=_SIZE, default=None,
                         help="simulated sample size (default: the subject's n)")
 

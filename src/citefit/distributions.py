@@ -188,11 +188,16 @@ class _DiscreteModel(ABC):
     # --- family-specific primitives -------------------------------------
 
     def _log_pmf(self, x: np.ndarray) -> np.ndarray:
-        """log P(X = x) for a validated int64 array; a fit computes the
-        parameter-free ``_features(x)`` once and calls ``_log_pmf_at``
-        (under its own ``np.errstate``: a mass that underflows is -inf)."""
+        """log P(X = x) for a validated int64 array.
+
+        A family computes it as ``_log_pmf_at(_features(x), *_kernel_args)``.
+        The features are parameter-free, so a fit computes them once per
+        sample, and the kernel takes each parameter as a scalar or as one
+        value per feature element, so one call can serve several fits
+        (under the caller's ``np.errstate``: a mass that underflows is -inf).
+        """
         with np.errstate(divide="ignore"):
-            return self._log_pmf_at(self._features(x))
+            return self._log_pmf_at(self._features(x), *self._kernel_args)
 
     @abstractmethod
     def _grid(self, m: int) -> np.ndarray:
@@ -343,12 +348,17 @@ class DiscretisedLognormal(_DiscreteModel):
         as the rows of one (2, m) array."""
         return np.log(x.astype(np.float64) + _HALF_WIDTHS)
 
-    def _log_pmf_at(self, features) -> np.ndarray:
+    @property
+    def _kernel_args(self) -> tuple[float, float, float]:
+        return self.mu, self.sigma, self._log_norm
+
+    @staticmethod
+    def _log_pmf_at(features, mu, sigma, log_norm) -> np.ndarray:
         """Needs ``np.errstate(divide="ignore")``: a mass that underflows is -inf."""
-        z = features - self.mu
-        z /= self.sigma
+        z = features - mu
+        z /= sigma
         out = np.log(_normal_interval_masses(z))
-        out -= self._log_norm
+        out -= log_norm
         return out
 
     def _grid(self, m: int) -> np.ndarray:
@@ -419,11 +429,16 @@ class HookedPowerLaw(_DiscreteModel):
         """x - 1 as float64, the parameter-free distance from the support's start."""
         return (x - 1).astype(np.float64)
 
-    def _log_pmf_at(self, features) -> np.ndarray:
-        out = features / (self.b + 1.0)
+    @property
+    def _kernel_args(self) -> tuple[float, float, float]:
+        return self.b + 1.0, -self.alpha, self._log_scaled_norm
+
+    @staticmethod
+    def _log_pmf_at(features, b_plus_1, neg_alpha, log_scaled_norm) -> np.ndarray:
+        out = features / b_plus_1
         np.log1p(out, out=out)
-        out *= -self.alpha
-        out -= self._log_scaled_norm
+        out *= neg_alpha
+        out -= log_scaled_norm
         return out
 
     def _grid(self, m: int) -> np.ndarray:

@@ -13,10 +13,11 @@ against the one fitted model; ``refit=True`` refits each simulated sample,
 which corrects the known conservatism of the fixed-parameter procedure.
 
 Simulation i is a replicate run through ``bootstrap.run_reps``: it draws
-from the stream (seed, i), sorts the draws in place and reads the
+from the stream (seed, i), sorts the draws and reads the
 breakpoints and F_hat off their runs of equal values, the same points and
-floats ``cdf_breakpoints`` gives for a sample. It builds a
-``CitationSample`` only to refit.
+floats ``cdf_breakpoints`` gives for a sample. With ``refit`` the
+simulated samples of a run are fitted together, by one
+``fitting.fit_many`` call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from citefit.exceptions import DomainError, FitFailedError
-from citefit.fitting import MAX_EVALS, FitResult, fit
+from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
 from citefit.bootstrap import run_reps
 from citefit.sample import CitationSample, as_sample
 from citefit.seeding import spawn_rng
@@ -117,25 +118,31 @@ def mc_p_value(exceed_count: int, n_sim: int) -> float:
     return (exceed_count + 1) / (n_sim + 1)
 
 
-def _mc_ks_rep(model, n: int, seed: int, refit, i: int) -> float:
-    """KS statistic of simulation i: n draws of ``model`` from the stream
-    (seed, i), against ``model`` or, with ``refit``, against their own fit
-    when it is usable."""
-    draws = model.sample_with(spawn_rng(seed, i), n)
-    draws.sort()
-    if refit is not None:
-        sim_fit = refit(CitationSample(draws, label="sim"))
-        if sim_fit.usable:
-            model = sim_fit.model
-    x, emp_cdf = _sorted_breakpoints(draws)
+def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
+    """KS statistic of each simulation i in ``reps``: n draws of ``model``
+    from the stream (seed, i), against ``model`` or, with ``refit`` (a batch
+    fit of one family), against their own fit when it is usable. Only a
+    refit holds the simulated samples of ``reps`` at once."""
+    draws = (np.sort(model.sample_with(spawn_rng(seed, i), n)) for i in reps)
+    if refit is None:
+        return [_sorted_ks(model, sim) for sim in draws]
+    sims = [CitationSample(sim, label="sim") for sim in draws]
+    return [_sorted_ks(sim_fit.model if sim_fit.usable else model, sim.counts)
+            for sim, sim_fit in zip(sims, refit(sims))]
+
+
+def _sorted_ks(model, counts: np.ndarray) -> float:
+    """``ks_statistic`` of ``model`` on non-empty sorted ``counts``."""
+    x, emp_cdf = _sorted_breakpoints(counts)
     return float(np.abs(model._cdf_at(x) - emp_cdf).max())
 
 
 def _mc_ks(model, sample, n_sim: int, seed: int, refit,
            fitted: FitResult | None = None) -> GofResult:
-    """``refit``: None to test against ``model``, or a fit of each simulated sample."""
+    """``refit``: None to test against ``model``, or a batch fit of the
+    simulated samples."""
     d_obs = ks_statistic(model, sample)
-    [d_sim] = run_reps([partial(_mc_ks_rep, model, len(sample), seed, refit)],
+    [d_sim] = run_reps([partial(_mc_ks_reps, model, len(sample), seed, refit)],
                        n_sim, workers=1)
     exceed = sum(d >= d_obs for d in d_sim)
     return GofResult(
@@ -185,9 +192,7 @@ def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
     fitted = fit(family, sample, max_evals)
     if not fitted.usable:
         raise FitFailedError(f"cannot test an unusable fit: {fitted.message}")
-    # this module's ``fit``, so a wrapper set on ``citefit.gof.fit`` (as the
-    # perfbench tracer does) also sees the refits
-    refit_fn = partial(fit, family, max_evals=max_evals) if refit else None
+    refit_fn = partial(fit_many, family, max_evals=max_evals) if refit else None
     return _mc_ks(fitted.model, sample, n_sim, seed, refit_fn, fitted)
 
 

@@ -8,8 +8,11 @@ Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
 worker count. A replicated study makes one :func:`citefit.bootstrap.run_reps`
 call however many samples it covers, so a run opens at most one process
-pool (when ``workers > 1``). Every study shares its failure rule: a
-replicate that raises a citefit error or yields a non-finite value counts
+pool (when ``workers > 1``). Its replicate functions take a range of
+replicates and fit all of their samples with one
+:func:`~citefit.fitting.fit_many` call per family, which gives each sample
+the fit :func:`~citefit.fitting.fit` would. Every study shares its failure
+rule: a replicate that raises a citefit error or yields a non-finite value counts
 as failed. Vuong studies always orient the test as hooked (model A)
 against lognormal (model B): positive z favours the hooked power law, and
 each surviving z is classified by the Vuong test's own +-1.96 rule.
@@ -27,9 +30,9 @@ import numpy as np
 from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
-    _bootstrap_rep,
     _checked_resampling,
     _replicate_value,
+    _resamples,
     run_reps,
     summarise,
 )
@@ -38,7 +41,7 @@ from citefit.exceptions import (
     FitFailedError,
     TooFewRepsError,
 )
-from citefit.fitting import FitStatus, fit
+from citefit.fitting import FitStatus, fit, fit_many
 from citefit.gof import ks_p_value, ks_statistic, shape_classify
 from citefit.sample import CitationSample, as_sample
 from citefit.seeding import child_seed, spawn_rng
@@ -99,8 +102,12 @@ def hooked_vs_lognormal_z(sample) -> float:
     from studies and counted as failed), or when z is undefined.
     """
     sample = as_sample(sample)
-    ln = fit("lognormal", sample)
-    hk = fit("hooked", sample)
+    return _z_from_fits(sample, fit("lognormal", sample), fit("hooked", sample))
+
+
+def _z_from_fits(sample, ln, hk) -> float:
+    """Vuong z of the hooked fit ``hk`` against the lognormal fit ``ln`` of
+    ``sample``, under the failure rule of :func:`hooked_vs_lognormal_z`."""
     if ln.status is not FitStatus.CONVERGED:
         raise FitFailedError(f"lognormal fit unusable: {ln.status.value}")
     if hk.status is not FitStatus.CONVERGED:
@@ -108,22 +115,35 @@ def hooked_vs_lognormal_z(sample) -> float:
     return vuong(hk.model, ln.model, sample).z
 
 
-def _simulation_rep(generator, n: int, seed: int, rep: int) -> float:
-    data = CitationSample(generator.sample_with(spawn_rng(seed, rep), n))
-    return _replicate_value(hooked_vs_lognormal_z, data)
+def _z_values(samples) -> list[float]:
+    """:func:`hooked_vs_lognormal_z` of each sample, NaN where it raises,
+    from one :func:`~citefit.fitting.fit_many` call per family."""
+    fits = zip(samples, fit_many("lognormal", samples), fit_many("hooked", samples))
+    return [_replicate_value(_z_from_fits, *sample_fits) for sample_fits in fits]
+
+
+def _bootstrap_z_reps(sample: CitationSample, size: int, seed: int,
+                      reps: range) -> list[float]:
+    return _z_values(_resamples(sample, size, seed, reps))
+
+
+def _simulation_z_reps(generator, n: int, seed: int, reps: range) -> list[float]:
+    return _z_values([CitationSample(generator.sample_with(spawn_rng(seed, rep), n))
+                      for rep in reps])
 
 
 def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
     """The replicate function of a bootstrap Vuong study of ``sample``:
-    rep -> Vuong z on resample ``rep`` drawn from ``seed``."""
+    replicates -> Vuong z on each resample ``rep`` drawn from ``seed``."""
     sample, size = _checked_resampling(sample, reps, size)
-    return partial(_bootstrap_rep, sample, size, seed, hooked_vs_lognormal_z)
+    return partial(_bootstrap_z_reps, sample, size, seed)
 
 
 def simulation_z_reps(generator, n: int, seed: int):
-    """The replicate function of a simulation Vuong study: rep -> Vuong z on
-    a fresh sample of size ``n`` from ``generator`` drawn from ``seed``."""
-    return partial(_simulation_rep, generator, n, seed)
+    """The replicate function of a simulation Vuong study: replicates ->
+    Vuong z on each fresh sample of size ``n`` from ``generator`` drawn from
+    (``seed``, rep)."""
+    return partial(_simulation_z_reps, generator, n, seed)
 
 
 def vuong_studies(rep_fns, reps: int, workers: int = 1) -> list[VuongStudy]:
@@ -204,8 +224,7 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
     replicates all failed gets the note "degenerate" and no interval.
     """
     checked = [_checked_resampling(sample, reps, size) for sample in samples]
-    rep_fns = [partial(_bootstrap_rep, sample, n, child_seed(seed, index),
-                       fitted_lognormal_sigma)
+    rep_fns = [partial(_sigma_reps, sample, n, child_seed(seed, index))
                for index, (sample, n) in enumerate(checked)]
     rows = []
     for (sample, _), values in zip(checked, run_reps(rep_fns, reps, workers)):
@@ -223,6 +242,13 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
             row["note"] = ""
         rows.append(row)
     return rows
+
+
+def _sigma_reps(sample: CitationSample, size: int, seed: int, reps: range) -> list[float]:
+    """:func:`fitted_lognormal_sigma` of each resample of ``reps``, NaN where
+    the fit is degenerate."""
+    fits = fit_many("lognormal", _resamples(sample, size, seed, reps))
+    return [result.model.sigma if result.usable else math.nan for result in fits]
 
 
 # --- shape tables ----------------------------------------------------------
@@ -268,7 +294,7 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
     """
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
-    [rows] = run_reps([partial(_mixture_rep, mixture, pure_model, n, seed)], reps, workers)
+    [rows] = run_reps([partial(_mixture_reps, mixture, pure_model, n, seed)], reps, workers)
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {
@@ -280,18 +306,22 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
     return rows, summary
 
 
-def _mixture_rep(mixture, pure_model, n: int, seed: int, rep: int) -> dict:
-    row = {"rep": rep, "mixture_ks": None, "pure_ks": None, "mixture_worse": None}
-    mix_data = CitationSample(mixture.sample_with(spawn_rng(seed, rep, 0), n))
-    pure_data = CitationSample(pure_model.sample_with(spawn_rng(seed, rep, 1), n))
-    mix_fit = fit("lognormal", mix_data)
-    pure_fit = fit("lognormal", pure_data)
-    if not (mix_fit.usable and pure_fit.usable):
-        return row
-    row["mixture_ks"] = ks_statistic(mix_fit.model, mix_data)
-    row["pure_ks"] = ks_statistic(pure_fit.model, pure_data)
-    row["mixture_worse"] = row["mixture_ks"] > row["pure_ks"]
-    return row
+def _mixture_reps(mixture, pure_model, n: int, seed: int, reps: range) -> list[dict]:
+    mix_data = [CitationSample(mixture.sample_with(spawn_rng(seed, rep, 0), n))
+                for rep in reps]
+    pure_data = [CitationSample(pure_model.sample_with(spawn_rng(seed, rep, 1), n))
+                 for rep in reps]
+    fits = fit_many("lognormal", mix_data + pure_data)
+    rows = []
+    for rep, mix, pure, mix_fit, pure_fit in zip(reps, mix_data, pure_data, fits,
+                                                 fits[len(reps):]):
+        row = {"rep": rep, "mixture_ks": None, "pure_ks": None, "mixture_worse": None}
+        if mix_fit.usable and pure_fit.usable:
+            row["mixture_ks"] = ks_statistic(mix_fit.model, mix)
+            row["pure_ks"] = ks_statistic(pure_fit.model, pure)
+            row["mixture_worse"] = row["mixture_ks"] > row["pure_ks"]
+        rows.append(row)
+    return rows
 
 
 # --- closed-form mean table -------------------------------------------------

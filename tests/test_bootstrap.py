@@ -41,12 +41,22 @@ def _fails_on_small_mean(sample):
     return value
 
 
-def _power(exponent, rep):
-    return rep ** exponent
+def _power(exponent, reps):
+    return [rep ** exponent for rep in reps]
 
 
-def _raises(rep):
-    raise RuntimeError(f"replicate {rep} broke")
+def _chunk_start(reps):
+    return [reps.start] * len(reps)
+
+
+def _raises(reps):
+    raise RuntimeError(f"replicates {reps} broke")
+
+
+def _raises_at(bad, reps):
+    if bad in reps:
+        raise RuntimeError(f"replicate {bad} broke")
+    return list(reps)
 
 
 @pytest.fixture()
@@ -209,11 +219,12 @@ def test_summarise_counts_non_finite_values_as_failed():
 def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, workers,
                                            pool_size):
     monkeypatch.setattr(citefit.bootstrap.os, "cpu_count", lambda: cpus)
-    values = run_reps([partial(_power, 1), partial(_power, 2)], 40, workers)
-    assert values == [list(range(40)), [r * r for r in range(40)]]
+    values = run_reps([partial(_power, 1), partial(_power, 2), _chunk_start], 40, workers)
+    assert values[:2] == [list(range(40)), [r * r for r in range(40)]]
     assert [pool.max_workers for pool in inline_pools] == [pool_size]
     # chunking follows the requested workers, whatever the machine
-    assert inline_pools[0].chunksizes == [max(1, 40 // (4 * workers))] * 2
+    chunk = max(1, 40 // (4 * workers))
+    assert values[2] == [r - r % chunk for r in range(40)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -226,3 +237,15 @@ def test_a_raising_replicate_cancels_the_queued_work(inline_pools):
     with pytest.raises(RuntimeError, match="broke"):
         run_reps([_raises, partial(_power, 1)], 40, 2)
     assert inline_pools[0].cancelled
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_uneven_chunks_give_every_worker_count_the_same_values(workers):
+    values = run_reps([partial(_power, 2), _chunk_start], 41, workers)
+    assert values[0] == [r * r for r in range(41)]
+    # one range when serial; otherwise chunks of 41 // (4 * workers), the last
+    # one shorter
+    chunk = 41 if workers == 1 else 41 // (4 * workers)
+    assert values[1] == [r - r % chunk for r in range(41)]
+    with pytest.raises(RuntimeError, match="replicate 40 broke"):
+        run_reps([partial(_power, 1), partial(_raises_at, 40)], 41, workers)

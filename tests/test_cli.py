@@ -265,6 +265,21 @@ def test_unknown_subject_exits_2(capsys, argv):
     assert "unknown subject 'Astrology'" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["study", "shape", "--subject", "Astrology", "--family", "hooked", "--n", "5"],
+     "--subject, --family, --n"),
+    (["study", "scale", "--subject", "Virology", "--reps", "40"], "--subject"),
+    (["study", "vuong", "--n", "7", "--family", "hooked", "--reps", "40"], "--family, --n"),
+    (["study", "plausibility", "--subject", "all", "--nsim", "9"], "--subject"),
+])
+def test_simulation_options_with_count_files_exit_2(capsys, tmp_path, argv, named):
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(str(v % 7) for v in range(40)) + "\n")
+    code, out, err = _run(capsys, argv[:2] + [str(path)] + argv[2:] + ["--seed", "1"])
+    assert (code, out) == (2, "")
+    assert f"citefit: error: {named} only choose simulated data" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["study", "vuong", "--subject", "Virology", "--reps", "39"], "need reps >= 40"),
     (["study", "scale", "--subject", "Virology", "--reps", "10"], "need reps >= 40"),

@@ -16,7 +16,7 @@ from citefit import (
     log_likelihood,
 )
 import citefit.fitting
-from citefit.fitting import MAX_EVALS
+from citefit.fitting import MAX_EVALS, fit_many
 from citefit.seeding import child_seed
 
 ZETA2_MINUS_1 = math.pi ** 2 / 6.0 - 1.0
@@ -209,3 +209,36 @@ def test_ridge_guard_fit_is_bit_exact(monkeypatch):
     assert result.log_likelihood.hex() == "-0x1.18c271cce5a39p+13"
     assert result.evaluations == 65
     assert result.message == "scale parameter ridge guard tripped (b > 100)"
+
+
+def _fingerprint(result):
+    params = None if result.model is None else [v.hex() for v in result.model.params.values()]
+    return (params, result.log_likelihood.hex(), result.evaluations, result.status,
+            result.message)
+
+
+@pytest.mark.parametrize("max_evals", [MAX_EVALS, 12])
+@pytest.mark.parametrize("family", ["lognormal", "hooked"])
+def test_fit_many_equals_one_fit_per_sample(monkeypatch, family, max_evals):
+    monkeypatch.setattr(citefit.fitting, "RIDGE_B_CAP", 100.0)
+    batch = [
+        CitationSample(DiscretisedLognormal(2.08, 1.11).sample(2000, 1)),
+        CitationSample([5, 5, 5, 5]),                                   # all equal
+        CitationSample(HookedPowerLaw(1.8, 3.0).sample(300, 4)),
+        CitationSample([1, 2 ** 62]),                                   # no finite start
+        CitationSample(np.random.default_rng(7).geometric(0.25, size=4000)),  # ridge
+        CitationSample([2 ** 62 - 1, 2 ** 62]),                         # no finite start
+        CitationSample([1, 10 ** 13]),                                  # no finite start
+        CitationSample(HookedPowerLaw(5.07, 41.9).sample(60, 3)),
+    ]
+    got = [_fingerprint(r) for r in fit_many(family, batch, max_evals)]
+    assert got == [_fingerprint(fit(family, s, max_evals)) for s in batch]
+    messages = {message for *_, message in got}
+    assert "no finite log-likelihood at the starting point" in messages
+    assert any(m.startswith("all counts equal") for m in messages)
+    if max_evals == 12:
+        assert "evaluation budget exhausted" in messages
+    else:
+        assert "" in messages       # converged
+        if family == "hooked":
+            assert "scale parameter ridge guard tripped (b > 100)" in messages

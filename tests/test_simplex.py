@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from citefit.simplex import nelder_mead
+from citefit.simplex import nelder_mead, nelder_mead_lockstep
 
 
 def quadratic(x):
@@ -101,3 +101,44 @@ def test_iterates_are_bit_exact(fn, x0, x_hex, fx_hex, evals):
     assert [float(v).hex() for v in res.x] == x_hex
     assert res.fx.hex() == fx_hex
     assert res.evaluations == evals and res.converged
+
+
+def _recorded(fn, log):
+    def recording(x):
+        log.append([float(v).hex() for v in x])
+        return fn(x)
+    return recording
+
+
+def test_lockstep_reproduces_each_search():
+    # searches of different dimensions and lengths, with a non-finite start
+    # in the middle that ends only its own search
+    problems = [(flat_bottom, [3.0]), (rosenbrock, [-1.2, 1.0]),
+                (lambda x: float("inf"), [0.0, 0.0]), (rosenbrock3, [-1.0, 0.5, 2.0]),
+                (quadratic, [0.0, 0.0])]
+    alone = []
+    for fn, x0 in problems:
+        log = []
+        try:
+            alone.append((nelder_mead(_recorded(fn, log), x0, max_evals=5000), log))
+        except ValueError:
+            alone.append((None, log))
+
+    logs = [[] for _ in problems]
+    fns = [_recorded(fn, log) for (fn, _), log in zip(problems, logs)]
+    rounds = []
+
+    def batch(live, points):
+        rounds.append(list(live))
+        return [fns[i](x) for i, x in zip(live, points)]
+
+    results = nelder_mead_lockstep(batch, [x0 for _, x0 in problems], max_evals=5000)
+    assert rounds[0] == [0, 1, 2, 3, 4] and 2 not in rounds[3]
+    for (res, log), got, got_log in zip(alone, results, logs):
+        assert got_log == log
+        if res is None:
+            assert got is None
+        else:
+            assert [v.hex() for v in got.x] == [v.hex() for v in res.x]
+            assert (got.fx.hex(), got.evaluations, got.converged) == \
+                (res.fx.hex(), res.evaluations, res.converged)

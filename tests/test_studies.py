@@ -96,7 +96,8 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
             raise ParameterError("out of the box")
         return float(sample.counts.mean())
 
-    monkeypatch.setattr(studies, "hooked_vs_lognormal_z", raises_on_large_mean)
+    monkeypatch.setattr(studies, "_z_from_fits",
+                        lambda sample, ln, hk: raises_on_large_mean(sample))
     for study in (bootstrap_vuong_study(data, reps=40, seed=3),
                   simulation_study(HookedPowerLaw(3.94, 67.9), 50, reps=40, seed=3)):
         assert 0 < study.failed < 40

@@ -76,6 +76,6 @@ def test_threshold_boundaries():
 def test_study_tally_at_the_threshold():
     # z = +-1.96 itself favours neither model, and a NaN z is a failed rep
     zs = (2.5, -2.5, 0.0, 1.96, -1.96, math.nan)
-    [study] = vuong_studies([lambda rep: zs[rep % 6]], 42)
+    [study] = vuong_studies([lambda reps: [zs[rep % 6] for rep in reps]], 42)
     assert (study.hooked_wins, study.lognormal_wins, study.neither, study.failed) \
         == (7, 7, 21, 7)
