@@ -5,11 +5,16 @@ resamples or fresh simulated samples). A study's replicate function maps a
 ``range`` of replicate indices to their values, so that it can fit the
 samples of a whole chunk together (:func:`citefit.fitting.fit_many`).
 :func:`run_reps` runs the replicates of every sample in a study run
-together, in chunks through one process pool when ``workers > 1``, and
-:func:`summarise` takes the 95% interval from the order statistics of
-each sample's values: with k = ceil(0.025 * reps) the bounds are the k-th
-smallest and k-th largest values, the 25th smallest / 25th largest for the
-canonical 1000-rep study.
+together, through one process pool when ``workers > 1`` in chunks planned
+for the whole study: when the study has at least four samples per
+requested worker, one task per sample. :func:`summarise` takes the 95%
+interval from the order statistics of each sample's values: with k =
+ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
+values, the 25th smallest / 25th largest for the canonical 1000-rep study.
+
+Replicates that only fit and compare models draw each resample straight
+into its distinct counts (``_distinct_resamples``), so a chunk's memory
+follows the distinct counts of its resamples, not their size.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -36,7 +41,7 @@ from citefit.exceptions import (
     DomainError,
     TooFewRepsError,
 )
-from citefit.sample import CitationSample, as_sample
+from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
 MIN_REPS = 40   # keeps k = ceil(0.025 * reps) >= 1
@@ -92,18 +97,21 @@ def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
     Each ``fn`` maps a ``range`` of replicate indices to the list of their
     values, in order, and a replicate's value must depend on its index
     alone, not on the range it came in. With ``workers > 1`` one process
-    pool of at most ``os.cpu_count()`` workers runs them all, each call on
-    a chunk of ``max(1, reps // (4 * workers))`` consecutive replicates:
-    every function's chunks are submitted before any result is read, so the
-    pool stays busy across samples. The chunks follow the requested
-    ``workers``, not the pool size, and the values depend on neither. Each
-    ``fn`` must then be picklable (a partial of a module-level function). A
-    replicate that raises cancels the work still queued, and the exception
-    propagates.
+    pool of at most ``os.cpu_count()`` workers runs them all, in about
+    ``4 * workers`` tasks shared among the F functions: each function's
+    replicates go in ``ceil(4 * workers / F)`` chunks of consecutive
+    replicates. That is chunks of ``reps // (4 * workers)`` for one
+    function, and one task per function, its sample pickled once, when
+    ``F >= 4 * workers``. Every function's chunks are submitted before any
+    result is read, so the pool stays busy across samples. The chunks
+    follow the requested ``workers``, not the pool size, and the values
+    depend on neither. Each ``fn`` must then be picklable (a partial of a
+    module-level function). A replicate that raises cancels the work still
+    queued, and the exception propagates.
     """
-    if workers <= 1:
+    if workers <= 1 or not rep_fns:
         return [fn(range(reps)) for fn in rep_fns]
-    chunksize = max(1, reps // (4 * workers))
+    chunksize = max(1, reps // math.ceil(4 * workers / len(rep_fns)))
     chunks = [range(start, min(start + chunksize, reps))
               for start in range(0, reps, chunksize)]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
@@ -123,10 +131,20 @@ def _replicate_value(statistic, *args) -> float:
         return math.nan
 
 
-def _resamples(sample: CitationSample, size: int, seed: int,
-               reps: range) -> list[CitationSample]:
-    """The resample of each ``rep`` in ``reps``, drawn from (seed, rep)."""
-    return [_resample_with(sample, size, spawn_rng(seed, rep)) for rep in reps]
+def _distinct_resamples(sample: CitationSample, size: int, seed: int,
+                        reps: range) -> list[DistinctCounts]:
+    """The resample of each ``rep`` in ``reps``, drawn from (seed, rep) as
+    :func:`resample` draws it, held as its distinct counts: bit for bit
+    ``np.unique(resample.counts, return_counts=True)``, with no sort and
+    no raw draws kept."""
+    values, inverse = np.unique(sample.counts, return_inverse=True)
+    resamples = []
+    for rep in reps:
+        idx = spawn_rng(seed, rep).integers(0, len(sample), size=size)
+        mult = np.bincount(inverse[idx], minlength=values.size)
+        drawn = np.flatnonzero(mult)
+        resamples.append(DistinctCounts(values[drawn], mult[drawn]))
+    return resamples
 
 
 def _bootstrap_reps(sample: CitationSample, size: int, seed: int, statistic,

@@ -260,6 +260,8 @@ def _cmd_study_vuong(args, seed: int) -> str:
                     bootstrap_z_reps(sample, args.reps, args.size, child_seed(seed, i)))
                    for i, sample in enumerate(samples)]
     else:
+        if args.n is not None and args.size is not None:
+            raise ParseError("--n and --size both set the simulated sample size; give one")
         mode = "fresh samples simulated from bundled subject parameters"
         extra = {"generator_family": _generator_family(args)}
         studied = []

@@ -81,8 +81,37 @@ class CitationSample:
             raise EmptySampleError("operation requires a non-empty sample")
 
 
-def as_sample(data, label: str = "", offset_applied: int = 1) -> CitationSample:
-    """Coerce an array of counts (or pass through a CitationSample)."""
-    if isinstance(data, CitationSample):
+@dataclass(frozen=True, eq=False)
+class DistinctCounts:
+    """A count multiset held only as its distinct values and multiplicities.
+
+    This is all that fits and the Vuong test read of a sample
+    (:attr:`CitationSample.unique_counts`), so a study replicate that only
+    fits and compares models keeps one of these instead of its raw counts.
+    ``values`` is strictly increasing and ``mult`` positive, as
+    :func:`numpy.unique` returns them; nothing is checked, because they
+    come from counts that were.
+    """
+
+    values: np.ndarray
+    mult: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.mult.sum())
+
+    @property
+    def unique_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values, self.mult
+
+    def require_nonempty(self) -> None:
+        if self.values.size == 0:
+            raise EmptySampleError("operation requires a non-empty sample")
+
+
+def as_sample(data, label: str = "",
+              offset_applied: int = 1) -> CitationSample | DistinctCounts:
+    """Coerce an array of counts to a CitationSample (or pass through a
+    CitationSample or DistinctCounts)."""
+    if isinstance(data, (CitationSample, DistinctCounts)):
         return data
     return CitationSample(np.asarray(data), offset_applied=offset_applied, label=label)

@@ -8,10 +8,14 @@ Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
 worker count. A replicated study makes one :func:`citefit.bootstrap.run_reps`
 call however many samples it covers, so a run opens at most one process
-pool (when ``workers > 1``). Its replicate functions take a range of
+pool (when ``workers > 1``), and a study of many samples sends each of
+them to the pool as one task. Its replicate functions take a range of
 replicates and fit all of their samples with one
 :func:`~citefit.fitting.fit_many` call per family, which gives each sample
-the fit :func:`~citefit.fitting.fit` would. Every study shares its failure
+the fit :func:`~citefit.fitting.fit` would. The Vuong and scale replicates
+hold each sample as its distinct counts
+(:class:`~citefit.sample.DistinctCounts`), all that fits and the Vuong
+test read, and never build its raw counts. Every study shares its failure
 rule: a replicate that raises a citefit error or yields a non-finite value counts
 as failed. Vuong studies always orient the test as hooked (model A)
 against lognormal (model B): positive z favours the hooked power law, and
@@ -31,8 +35,8 @@ from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
     _checked_resampling,
+    _distinct_resamples,
     _replicate_value,
-    _resamples,
     run_reps,
     summarise,
 )
@@ -43,7 +47,7 @@ from citefit.exceptions import (
 )
 from citefit.fitting import FitStatus, fit, fit_many
 from citefit.gof import ks_p_value, ks_statistic, shape_classify
-from citefit.sample import CitationSample, as_sample
+from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import child_seed, spawn_rng
 from citefit.subjects import SUBJECTS
 from citefit.vuong import MODEL_A, MODEL_B, NEITHER, _favored, vuong
@@ -124,12 +128,12 @@ def _z_values(samples) -> list[float]:
 
 def _bootstrap_z_reps(sample: CitationSample, size: int, seed: int,
                       reps: range) -> list[float]:
-    return _z_values(_resamples(sample, size, seed, reps))
+    return _z_values(_distinct_resamples(sample, size, seed, reps))
 
 
 def _simulation_z_reps(generator, n: int, seed: int, reps: range) -> list[float]:
-    return _z_values([CitationSample(generator.sample_with(spawn_rng(seed, rep), n))
-                      for rep in reps])
+    draws = (generator.sample_with(spawn_rng(seed, rep), n) for rep in reps)
+    return _z_values([DistinctCounts(*np.unique(d, return_counts=True)) for d in draws])
 
 
 def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
@@ -247,7 +251,7 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
 def _sigma_reps(sample: CitationSample, size: int, seed: int, reps: range) -> list[float]:
     """:func:`fitted_lognormal_sigma` of each resample of ``reps``, NaN where
     the fit is degenerate."""
-    fits = fit_many("lognormal", _resamples(sample, size, seed, reps))
+    fits = fit_many("lognormal", _distinct_resamples(sample, size, seed, reps))
     return [result.model.sigma if result.usable else math.nan for result in fits]
 
 

@@ -16,13 +16,24 @@ from citefit import (
     DegenerateDataError,
     DiscretisedLognormal,
     EmptySampleError,
+    FitStatus,
     TooFewRepsError,
     HookedPowerLaw,
     bootstrap_study,
     bootstrap_vuong_study,
+    fit_many,
     resample,
+    scale_ci_study,
+    simulation_study,
 )
-from citefit.bootstrap import order_stat_bounds, run_reps, summarise
+from citefit.bootstrap import (
+    _distinct_resamples,
+    _resample_with,
+    order_stat_bounds,
+    run_reps,
+    summarise,
+)
+from citefit.seeding import spawn_rng
 from citefit.studies import fitted_lognormal_sigma, hooked_vs_lognormal_z
 
 
@@ -66,7 +77,8 @@ def inline_pools(monkeypatch):
 
     class InlinePool:
         def __init__(self, max_workers):
-            self.max_workers, self.chunksizes, self.cancelled = max_workers, [], False
+            # submitted: the chunks of each map call
+            self.max_workers, self.submitted, self.cancelled = max_workers, [], False
             pools.append(self)
 
         def __enter__(self):
@@ -76,7 +88,7 @@ def inline_pools(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize):
-            self.chunksizes.append(chunksize)
+            self.submitted.append(list(items))
             return map(fn, items)
 
         def shutdown(self, wait=True, cancel_futures=False):
@@ -117,6 +129,55 @@ def test_resample_deterministic():
 def test_resample_empty_source_rejected():
     with pytest.raises(EmptySampleError):
         resample(CitationSample([]), 5, 0)
+
+
+_LOGNORMAL_300 = DiscretisedLognormal(2.0, 1.0).sample(300, 4)
+
+
+@pytest.mark.parametrize("counts,size", [
+    (_LOGNORMAL_300, 50),
+    (_LOGNORMAL_300, 1000),
+    ([7], 5),
+    ([4] * 25, 25),
+    ([2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 62 + 2, 3], 40),
+])
+def test_distinct_resamples_are_unique_counts_of_the_resamples(counts, size):
+    sample = CitationSample(counts)
+    reps = range(3, 9)
+    for rep, distinct in zip(reps, _distinct_resamples(sample, size, 11, reps)):
+        values, mult = np.unique(_resample_with(sample, size, spawn_rng(11, rep)).counts,
+                                 return_counts=True)
+        assert_array_equal(distinct.values, values)
+        assert_array_equal(distinct.mult, mult)
+        assert (distinct.values.dtype, distinct.mult.dtype) == (values.dtype, mult.dtype)
+        assert len(distinct) == size
+
+
+def test_all_equal_distinct_resamples_fit_degenerate_and_fail():
+    flat = CitationSample([4] * 25)
+    for family in ("lognormal", "hooked"):
+        fits = fit_many(family, _distinct_resamples(flat, 25, 0, range(3)))
+        assert [result.status for result in fits] == [FitStatus.DEGENERATE] * 3
+    study = bootstrap_vuong_study(flat, 40, seed=0)
+    assert (study.failed, study.z_summary.n_failed) == (40, 40)
+
+
+def test_vuong_and_scale_replicates_build_no_citation_sample(monkeypatch):
+    data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(300, 1))
+    built = []
+    init = CitationSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CitationSample, "__init__", counting_init)
+    bootstrap_vuong_study(data, 40, seed=2)
+    scale_ci_study([data], reps=40, size=100)
+    simulation_study(HookedPowerLaw(3.94, 67.9), 100, reps=40)
+    assert built == []
+    resample(data, 10, 0)    # the counter sees a resample that is built
+    assert len(built) == 1
 
 
 def test_order_stat_bounds_canonical_k():
@@ -223,7 +284,7 @@ def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, work
     assert values[:2] == [list(range(40)), [r * r for r in range(40)]]
     assert [pool.max_workers for pool in inline_pools] == [pool_size]
     # chunking follows the requested workers, whatever the machine
-    chunk = max(1, 40 // (4 * workers))
+    chunk = max(1, 40 // math.ceil(4 * workers / 3))
     assert values[2] == [r - r % chunk for r in range(40)]
 
 
@@ -243,9 +304,36 @@ def test_a_raising_replicate_cancels_the_queued_work(inline_pools):
 def test_uneven_chunks_give_every_worker_count_the_same_values(workers):
     values = run_reps([partial(_power, 2), _chunk_start], 41, workers)
     assert values[0] == [r * r for r in range(41)]
-    # one range when serial; otherwise chunks of 41 // (4 * workers), the last
-    # one shorter
-    chunk = 41 if workers == 1 else 41 // (4 * workers)
+    # one range when serial; otherwise chunks of 41 // ceil(4 * workers / 2),
+    # the last one shorter
+    chunk = 41 if workers == 1 else 41 // math.ceil(4 * workers / 2)
     assert values[1] == [r - r % chunk for r in range(41)]
     with pytest.raises(RuntimeError, match="replicate 40 broke"):
         run_reps([partial(_power, 1), partial(_raises_at, 40)], 41, workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_one_function_keeps_chunks_of_reps_over_four_workers(inline_pools, workers):
+    run_reps([partial(_power, 1)], 41, workers)
+    chunk = 41 // (4 * workers)
+    assert inline_pools[0].submitted == [[range(start, min(start + chunk, 41))
+                                          for start in range(0, 41, chunk)]]
+
+
+@pytest.mark.parametrize("workers,functions", [(2, 8), (2, 23), (3, 12)])
+def test_four_functions_per_worker_get_one_task_each(inline_pools, workers, functions):
+    values = run_reps([partial(_power, k) for k in range(functions)], 50, workers)
+    assert values == [[r ** k for r in range(50)] for k in range(functions)]
+    assert inline_pools[0].submitted == [[range(50)]] * functions
+
+
+def test_scale_study_rows_equal_for_every_worker_count(inline_pools):
+    samples = [CitationSample(DiscretisedLognormal(1.0 + 0.3 * i, 0.8).sample(120, i),
+                              label=f"s{i}") for i in range(5)]
+    rows = [scale_ci_study(samples, reps=41, size=60, seed=3, workers=workers)
+            for workers in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
+    assert all(row["failed"] == 0 for row in rows[0])
+    # ceil(4 * workers / 5) chunks per sample: 41 // 2 = 20 and 41 // 3 = 13 reps
+    assert [[len(chunks) for chunks in pool.submitted] for pool in inline_pools] == [
+        [3] * 5, [4] * 5]

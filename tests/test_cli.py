@@ -362,10 +362,17 @@ def test_negative_seed_exits_2_without_traceback(counts_file, argv, env_seed):
 def test_study_sizes_given_explicitly_are_used(capsys):
     base = ["study", "vuong", "--subject", "Virology", "--reps", "40", "--seed", "1",
             "--format", "json"]
-    for extra, n in ((["--n", "60"], 60), (["--n", "60", "--size", "50"], 50)):
+    for extra, n in ((["--n", "60"], 60), (["--size", "50"], 50)):
         code, out, _ = _run(capsys, base + extra)
         assert code == 0
         assert json.loads(out)["rows"][0]["n"] == n
+
+
+def test_simulated_study_vuong_rejects_n_with_size(capsys):
+    code, out, err = _run(capsys, ["study", "vuong", "--subject", "Virology", "--n", "60",
+                                   "--size", "50", "--reps", "40", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert "--n and --size both set the simulated sample size" in err
 
 
 def test_simulate_explicit_n(capsys):

@@ -1,5 +1,6 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
+import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
@@ -97,7 +98,8 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
         return float(sample.counts.mean())
 
     monkeypatch.setattr(studies, "_z_from_fits",
-                        lambda sample, ln, hk: raises_on_large_mean(sample))
+                        lambda sample, ln, hk: raises_on_large_mean(
+                            CitationSample(np.repeat(*sample.unique_counts))))
     for study in (bootstrap_vuong_study(data, reps=40, seed=3),
                   simulation_study(HookedPowerLaw(3.94, 67.9), 50, reps=40, seed=3)):
         assert 0 < study.failed < 40
