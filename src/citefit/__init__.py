@@ -31,7 +31,6 @@ from citefit.gof import (
     ks_p_value,
     ks_statistic,
     ks_test_fixed,
-    mc_p_value,
     shape_classify,
 )
 from citefit.vuong import VuongResult, vuong
@@ -85,7 +84,6 @@ __all__ = [
     "ks_statistic",
     "ks_test_fixed",
     "log_likelihood",
-    "mc_p_value",
     "mean_table",
     "mixture_impurity_study",
     "plausibility_row",

@@ -122,30 +122,26 @@ def _power_tail(alpha: float, b: float, start: int) -> float:
 
 
 class _CdfTable:
-    """Geometrically grown cache of F(1), ..., F(m).
+    """Geometrically grown cache of F(1), ..., F(m), built by a model's
+    ``_grid``.
 
     The table for a given size is a pure function of the model, so it is
     recomputed from scratch on growth; any interleaving of concurrent
-    readers and growers observes identical values.
+    readers and growers observes identical values. The grid function is
+    passed to ``ensure`` rather than held, so that a model and its table
+    form no reference cycle and are freed as soon as the model is.
     """
 
-    def __init__(self, grid_fn):
-        self._grid_fn = grid_fn
+    def __init__(self):
         self._lock = threading.Lock()
         self._cdf: np.ndarray | None = None
         self._saturated = False
 
-    def __getstate__(self):
+    def __reduce__(self):
         # the cache is rebuilt on demand; locks do not pickle
-        return {"_grid_fn": self._grid_fn}
+        return type(self), ()
 
-    def __setstate__(self, state):
-        self._grid_fn = state["_grid_fn"]
-        self._lock = threading.Lock()
-        self._cdf = None
-        self._saturated = False
-
-    def ensure(self, length: int = 1, u_max: float = 0.0) -> np.ndarray:
+    def ensure(self, grid_fn, length: int = 1, u_max: float = 0.0) -> np.ndarray:
         """The table, first grown to the smallest doubling of its size that
         holds ``length`` entries, then doubled until F(m) >= ``u_max``, the
         cap, or a doubling that leaves F(m) where it was. Once saturated
@@ -156,19 +152,20 @@ class _CdfTable:
             while size < length:
                 size *= 2
             if cdf is None or size > len(cdf):
-                cdf = self._cdf = self._build(size)
+                cdf = self._cdf = _build(grid_fn, size)
             while not self._saturated and cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
-                grown = self._build(2 * len(cdf))
+                grown = _build(grid_fn, 2 * len(cdf))
                 # saturated in floating point: growing for a u_max is futile
                 # from now on (quantiles beyond it come from the tail formula)
                 self._saturated = grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START
                 cdf = self._cdf = grown
         return cdf
 
-    def _build(self, m: int) -> np.ndarray:
-        out = self._grid_fn(m)
-        out.flags.writeable = False
-        return out
+
+def _build(grid_fn, m: int) -> np.ndarray:
+    out = grid_fn(m)
+    out.flags.writeable = False
+    return out
 
 
 class _DiscreteModel(ABC):
@@ -183,7 +180,7 @@ class _DiscreteModel(ABC):
 
     @functools.cached_property
     def _table(self) -> _CdfTable:
-        return _CdfTable(self._grid)
+        return _CdfTable()
 
     # --- family-specific primitives -------------------------------------
 
@@ -236,7 +233,7 @@ class _DiscreteModel(ABC):
     def _cdf_at(self, x: np.ndarray) -> np.ndarray:
         """``cdf`` of a non-empty int64 array of counts in [1, 2**63), unchecked."""
         m = int(x.max())
-        table = self._table.ensure(min(m, _TABLE_CAP))
+        table = self._table.ensure(self._grid, min(m, _TABLE_CAP))
         out = table.take(x - 1, mode="clip")
         if m > len(table):
             beyond = x > len(table)
@@ -256,7 +253,7 @@ class _DiscreteModel(ABC):
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
         u_max = float(u.max())
-        table = self._table.ensure(u_max=u_max)
+        table = self._table.ensure(self._grid, u_max=u_max)
         x = np.searchsorted(table, u, side="left") + 1
         if u_max > table[-1]:
             for idx in np.flatnonzero(u > table[-1]):

@@ -10,14 +10,20 @@ samples of the same size are drawn from the fitted model and the p-value
 is (r + 1) / (n_sim + 1), where r counts simulated statistics at least as
 large as the observed one. By default the simulated samples are compared
 against the one fitted model; ``refit=True`` refits each simulated sample,
-which corrects the known conservatism of the fixed-parameter procedure.
+which corrects the known conservatism of the fixed-parameter procedure
+(Clauset, Shalizi & Newman, SIAM Review 51(4), 2009).
 
-Simulation i is a replicate run through ``bootstrap.run_reps``: it draws
-from the stream (seed, i), sorts the draws and reads the
-breakpoints and F_hat off their runs of equal values, the same points and
-floats ``cdf_breakpoints`` gives for a sample. With ``refit`` the
-simulated samples of a run are fitted together, by one
-``fitting.fit_many`` call.
+The simulations run through ``bootstrap.run_reps`` in blocks of about
+``_BLOCK_DRAWS`` draws. Simulation i takes its uniforms from the stream
+(seed, i); a block's uniforms are sorted row by row and mapped to counts
+by one quantile lookup, and one pass over the runs of equal counts gives
+every row's breakpoints and F_hat, the points and floats
+``cdf_breakpoints`` gives for a sample. Without ``refit`` one CDF read
+and one ``np.maximum.reduceat`` give every row's statistic; with it, a
+block's simulations are fitted together by one ``fitting.fit_many`` call,
+each held only as its distinct counts and breakpoints. Either way memory
+follows the block, not ``n_sim``, and every statistic is the one a
+simulation drawn, sorted and tested on its own would give.
 """
 
 from __future__ import annotations
@@ -30,12 +36,15 @@ import numpy as np
 from citefit.exceptions import DomainError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
 from citefit.bootstrap import run_reps
-from citefit.sample import CitationSample, as_sample
+from citefit.sample import DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
 PLUS = "+"
 EQUAL = "="
 MINUS = "-"
+
+# Simulations are drawn, sorted and reduced in blocks of about this many draws.
+_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,24 +79,39 @@ def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(sample.sorted_counts, grid, side="right") / len(sample)
 
 
-def _sorted_breakpoints(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints x of the empirical CDF of non-empty sorted ``counts``,
-    with F_hat(x) there.
+def _breakpoints(rows: np.ndarray):
+    """Breakpoints of the empirical CDF of each row of a 2-d array of
+    sorted counts, with F_hat there, and each row's distinct counts.
 
-    x runs over each distinct count v and v - 1 (when v > 1), that is
-    np.union1d(v[v > 1] - 1, v). F_hat is read off the runs of equal
-    counts: F_hat(v) is the index after the last v over n, F_hat(v - 1)
-    the index of the first v over n, the same floats as
-    ``empirical_cdf`` gives.
+    Returns the breakpoints x and F_hat(x), and the distinct counts v and
+    their multiplicities, each flattened row after row, with the index
+    where each row's x and each row's v begin. Per row, x is
+    np.union1d(v[v > 1] - 1, v); a row's points are never merged with
+    the previous row's. F_hat is read off the runs of equal counts:
+    F_hat(v) is the index after the last v over n, F_hat(v - 1) the index
+    of the first v over n, the same floats as ``empirical_cdf`` gives.
     """
-    first = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1])))
-    v = counts[first]
+    n = rows.shape[1]
+    flat = rows.reshape(-1)
+    new_run = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[::n] = True
+    first = np.flatnonzero(new_run)
+    v = flat[first]
+    below = first % n                   # how many counts of the row are < v
+    v_starts = np.flatnonzero(below == 0)
     x = np.empty(2 * v.size, dtype=np.int64)
     at_most = np.empty(2 * v.size, dtype=np.int64)     # how many counts are <= x
-    x[0::2], x[1::2] = v - 1, v         # non-decreasing
-    at_most[0::2], at_most[1::2] = first, np.append(first[1:], counts.size)
-    keep = np.concatenate(([x[0] > 0], x[1:] != x[:-1]))
-    return x[keep], at_most[keep] / counts.size
+    x[0::2], x[1::2] = v - 1, v
+    at_most[0::2] = below
+    at_most[1::2] = np.append(first[1:], flat.size) - (first - below)
+    keep = np.ones(x.size, dtype=bool)
+    # v - 1 is a point unless it is 0 or the row's previous v
+    keep[2::2] = x[2::2] != x[1:-1:2]
+    keep[2 * v_starts] = v[v_starts] > 1
+    x_starts = (np.cumsum(keep) - keep)[2 * v_starts]
+    return (x[keep], at_most[keep] / n, x_starts,
+            v, at_most[1::2] - below, v_starts)
 
 
 def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,7 +124,7 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     sample = as_sample(sample)
     sample.require_nonempty()
-    x, emp_cdf = _sorted_breakpoints(sample.sorted_counts)
+    x, emp_cdf, *_ = _breakpoints(sample.sorted_counts[np.newaxis])
     return x, emp_cdf, model.cdf(x)
 
 
@@ -111,43 +135,49 @@ def ks_statistic(model, sample) -> float:
     return float(np.abs(model_cdf - emp_cdf).max())
 
 
-def mc_p_value(exceed_count: int, n_sim: int) -> float:
-    """Positive-by-construction Monte-Carlo p-value (r + 1) / (n_sim + 1)."""
-    if n_sim < 1 or exceed_count < 0 or exceed_count > n_sim:
-        raise DomainError("need 0 <= exceed_count <= n_sim, n_sim >= 1")
-    return (exceed_count + 1) / (n_sim + 1)
+def _simulated_breakpoints(model, n: int, seed: int, reps: range):
+    """``_breakpoints`` of the sorted simulations of ``reps``, block by
+    block: simulation i is n draws of ``model`` from the stream (seed, i)."""
+    rows = max(1, _BLOCK_DRAWS // n)
+    for start in range(0, len(reps), rows):
+        block = reps[start:start + rows]
+        u = np.empty((len(block), n))
+        for row, i in zip(u, block):
+            spawn_rng(seed, i).random(out=row)
+        u.sort(axis=1)      # the quantile is monotone: its draws come sorted
+        yield _breakpoints(model._quantile_array(u.reshape(-1)).reshape(u.shape))
 
 
 def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
-    """KS statistic of each simulation i in ``reps``: n draws of ``model``
-    from the stream (seed, i), against ``model`` or, with ``refit`` (a batch
-    fit of one family), against their own fit when it is usable. Only a
-    refit holds the simulated samples of ``reps`` at once."""
-    draws = (np.sort(model.sample_with(spawn_rng(seed, i), n)) for i in reps)
-    if refit is None:
-        return [_sorted_ks(model, sim) for sim in draws]
-    sims = [CitationSample(sim, label="sim") for sim in draws]
-    return [_sorted_ks(sim_fit.model if sim_fit.usable else model, sim.counts)
-            for sim, sim_fit in zip(sims, refit(sims))]
-
-
-def _sorted_ks(model, counts: np.ndarray) -> float:
-    """``ks_statistic`` of ``model`` on non-empty sorted ``counts``."""
-    x, emp_cdf = _sorted_breakpoints(counts)
-    return float(np.abs(model._cdf_at(x) - emp_cdf).max())
+    """KS statistic of each simulation in ``reps`` against ``model`` or, with
+    ``refit`` (a batch fit of one family), against its own fit when that
+    is usable. The simulations of a block are refitted together, held as
+    their distinct counts and breakpoints."""
+    d_sim = []
+    for x, emp_cdf, x_starts, v, mult, v_starts in _simulated_breakpoints(model, n, seed, reps):
+        if refit is None:
+            d_sim += np.maximum.reduceat(np.abs(model._cdf_at(x) - emp_cdf), x_starts).tolist()
+            continue
+        fits = refit(list(map(DistinctCounts, np.split(v, v_starts[1:]),
+                              np.split(mult, v_starts[1:]))))
+        d_sim += [float(np.abs((sim_fit.model if sim_fit.usable else model)._cdf_at(x_i)
+                               - emp_i).max())
+                  for sim_fit, x_i, emp_i in zip(fits, np.split(x, x_starts[1:]),
+                                                 np.split(emp_cdf, x_starts[1:]))]
+    return d_sim
 
 
 def _mc_ks(model, sample, n_sim: int, seed: int, refit,
            fitted: FitResult | None = None) -> GofResult:
     """``refit``: None to test against ``model``, or a batch fit of the
-    simulated samples."""
+    simulated samples. The p-value is (r + 1) / (n_sim + 1)."""
     d_obs = ks_statistic(model, sample)
     [d_sim] = run_reps([partial(_mc_ks_reps, model, len(sample), seed, refit)],
                        n_sim, workers=1)
     exceed = sum(d >= d_obs for d in d_sim)
     return GofResult(
         ks_stat=d_obs,
-        p_value=mc_p_value(exceed, n_sim),
+        p_value=(exceed + 1) / (n_sim + 1),
         n_sim=n_sim,
         refit_mode="fixed" if refit is None else "refit",
         fit=fitted,

@@ -1,9 +1,11 @@
 """Distribution families: pmf/cdf/quantile/sampling contracts and the
 closed-form moment formulae."""
 
+import gc
 import math
 import pickle
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -299,6 +301,20 @@ def test_pickle_roundtrip_after_table_is_built():
         assert_array_equal(clone.sample(500, 4), drawn)
         xs = np.arange(1, 3001)
         assert_array_equal(clone.cdf(xs), model.cdf(xs))
+
+
+def test_model_with_a_table_is_freed_without_the_cycle_collector():
+    # the table holds no reference back to its model, so a refit model's
+    # table goes with the model, not at the next garbage collection
+    gc.disable()
+    try:
+        model = HookedPowerLaw(2.5, 12.0)
+        model.cdf([3, 5000])
+        freed = weakref.ref(model)
+        del model
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_cdf_table_built_on_first_use():

@@ -1,8 +1,13 @@
 """KS statistic, Monte-Carlo p-values and shape classification."""
 
+import pickle
+import tracemalloc
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citefit import (
@@ -14,14 +19,16 @@ from citefit import (
     FitStatus,
     HookedPowerLaw,
     Mixture,
+    fit,
+    fit_many,
     ks_p_value,
     ks_statistic,
     ks_test_fixed,
-    mc_p_value,
     shape_classify,
 )
+from citefit import gof
 from citefit.gof import EQUAL, PLUS, cdf_breakpoints, empirical_cdf
-from citefit.seeding import child_seed
+from citefit.seeding import child_seed, spawn_rng
 
 
 class _MatchingModel:
@@ -123,19 +130,95 @@ def test_mc_ks_is_pinned(run, d_hex, p_hex):
     assert (result.ks_stat.hex(), result.p_value.hex()) == (d_hex, p_hex)
 
 
+def _one_simulation_at_a_time(model, n, seed, reps, family=None):
+    """KS statistic (hex) of each simulation in ``reps``, drawn, sorted and
+    tested on its own against ``model`` or, with ``family``, against its own
+    fit when usable; on a copy of ``model`` that grows its own CDF table."""
+    model = pickle.loads(pickle.dumps(model))
+    sims = [np.sort(model.sample_with(spawn_rng(seed, i), n)) for i in reps]
+    nulls = [model] * len(sims)
+    if family is not None:
+        nulls = [f.model if f.usable else model for f in (fit(family, sim) for sim in sims)]
+    return [ks_statistic(null, sim).hex() for null, sim in zip(nulls, sims)]
+
+
+# A budget below n draws gives one simulation per block; the others split
+# ``reps`` into blocks of several simulations, the last one partial.
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(model=_MODELS, n=st.integers(1, 400), seed=st.integers(0, 2 ** 32),
+       first=st.integers(1, 40), count=st.integers(1, 25),
+       budget=st.sampled_from([1, 3, 100, 1000, 1 << 16]))
+# draws beyond the CDF table, up to the 2**62 ceiling
+@example(model=_HOOKED_WIDE, n=8, seed=4, first=1, count=5, budget=20)
+# every row is all ones
+@example(model=DiscretisedLognormal(-1.0, 0.2), n=50, seed=0, first=3, count=4, budget=120)
+# one count per row, often equal to the previous row's
+@example(model=DiscretisedLognormal(0.3, 0.4), n=1, seed=5, first=1, count=30, budget=7)
+def test_block_pass_is_one_simulation_at_a_time(model, n, seed, first, count, budget):
+    reps = range(first, first + count)
+    expected = _one_simulation_at_a_time(model, n, seed, reps)
+    with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
+        got = gof._mc_ks_reps(model, n, seed, None, reps)
+    assert [d.hex() for d in got] == expected
+
+
+@pytest.mark.parametrize("family,model,n,reps,budget", [
+    ("lognormal", _LN, 60, range(2, 9), 130),
+    ("hooked", HookedPowerLaw(2.5, 12.0), 40, range(1, 8), 90),
+    ("hooked", _MIX, 25, range(4, 10), 1 << 16),
+    # all ones: every refit is degenerate and falls back to the model
+    ("lognormal", DiscretisedLognormal(-1.0, 0.2), 20, range(1, 4), 50),
+])
+def test_refit_block_pass_is_one_simulation_at_a_time(family, model, n, reps, budget):
+    expected = _one_simulation_at_a_time(model, n, 11, reps, family)
+    with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
+        got = gof._mc_ks_reps(model, n, 11, partial(fit_many, family), reps)
+    assert [d.hex() for d in got] == expected
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Cancer Research's lognormal at its own n: 9994 counts, about 425 distinct.
+def test_refit_memory_follows_the_block_not_n_sim():
+    data = DiscretisedLognormal(2.77, 1.40).sample(9994, 3)
+    result, peak = _traced_peak(
+        lambda: ks_p_value("lognormal", data, n_sim=200, seed=3, refit=True))
+    assert result.p_value == 0.39800995024875624
+    assert peak <= 6.7e6
+
+
+def test_fixed_memory_follows_the_block_not_n_sim():
+    model = DiscretisedLognormal(2.77, 1.40)
+    data = model.sample(9994, 3)
+    grown = ks_test_fixed(model, data, n_sim=1000, seed=3)   # grows the CDF table
+    result, peak = _traced_peak(lambda: ks_test_fixed(model, data, n_sim=1000, seed=3))
+    assert result == grown
+    assert peak <= 2e6
+
+
 def test_ks_requires_data():
     with pytest.raises(EmptySampleError):
         ks_statistic(HookedPowerLaw(2, 1), CitationSample([]))
 
 
-def test_mc_p_value_formula():
-    assert mc_p_value(49, 999) == pytest.approx(0.05)
-    assert mc_p_value(0, 999) > 0.0
-    assert mc_p_value(999, 999) == 1.0
-    with pytest.raises(DomainError):
-        mc_p_value(-1, 10)
-    with pytest.raises(DomainError):
-        mc_p_value(11, 10)
+@pytest.mark.parametrize("counts,n_sim", [
+    ([10 ** 6] * 5, 19), ([5], 19), (_LN.sample(300, 7), 39), (_LN.sample(40, 2), 999),
+], ids=["far", "n1", "n300", "nsim999"])
+def test_mc_p_value_counts_the_simulations_at_least_as_far(counts, n_sim):
+    # p = (r + 1) / (n_sim + 1), with r simulated D at least the observed D
+    p = ks_test_fixed(_LN, counts, n_sim=n_sim, seed=3).p_value
+    r_plus_1 = round(p * (n_sim + 1))
+    assert p * (n_sim + 1) == pytest.approx(r_plus_1, rel=1e-12)
+    assert 1 <= r_plus_1 <= n_sim + 1
+    if counts[0] == 10 ** 6:    # no simulation comes near: the smallest p
+        assert p == 1 / (n_sim + 1)
 
 
 def test_ks_p_value_reproducible_and_in_range():
