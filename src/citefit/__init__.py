@@ -16,7 +16,6 @@ from citefit.exceptions import (
     FitFailedError,
     IdenticalModelsError,
     InvalidWeightsError,
-    MomentUndefinedError,
     OffsetError,
     ParameterError,
     ParseError,
@@ -34,10 +33,11 @@ from citefit.gof import (
     shape_classify,
 )
 from citefit.vuong import VuongResult, vuong
-from citefit.bootstrap import StudySummary, bootstrap_study, resample
+from citefit.bootstrap import StudySummary
 from citefit.subjects import SUBJECTS, SubjectParams, get_subject
 from citefit.studies import (
     VuongStudy,
+    bootstrap_study,
     bootstrap_vuong_study,
     mean_table,
     mixture_impurity_study,
@@ -63,7 +63,6 @@ __all__ = [
     "IdenticalModelsError",
     "InvalidWeightsError",
     "Mixture",
-    "MomentUndefinedError",
     "OffsetError",
     "ParameterError",
     "ParseError",
@@ -87,7 +86,6 @@ __all__ = [
     "mean_table",
     "mixture_impurity_study",
     "plausibility_row",
-    "resample",
     "scale_ci_study",
     "shape_classify",
     "shape_table",

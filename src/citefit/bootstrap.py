@@ -12,9 +12,11 @@ interval from the order statistics of each sample's values: with k =
 ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
 values, the 25th smallest / 25th largest for the canonical 1000-rep study.
 
-Replicates that only fit and compare models draw each resample straight
-into its distinct counts (``_distinct_resamples``), so a chunk's memory
-follows the distinct counts of its resamples, not their size.
+Every bootstrap resample is drawn one way, by :func:`_distinct_resamples`,
+straight into its distinct counts, and every bootstrap statistic is a
+batch function of those (:func:`_bootstrap_reps`). So a chunk's memory
+follows the distinct counts of its resamples, not their size, and a serial
+run holds all of its resamples at once.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -31,16 +33,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from citefit.exceptions import (
-    AllStatisticsFailedError,
-    CitefitError,
-    DomainError,
-    TooFewRepsError,
-)
+from citefit.exceptions import CitefitError, DomainError, TooFewRepsError
 from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
@@ -61,21 +57,6 @@ class StudySummary:
     reps: int
     n_failed: int
     raw: tuple[float, ...]
-
-
-def resample(sample, size: int, seed: int) -> CitationSample:
-    """``size`` draws with replacement from the sample's multiset."""
-    sample = as_sample(sample)
-    sample.require_nonempty()
-    if size < 1:
-        raise DomainError("resample size must be >= 1")
-    return _resample_with(sample, size, spawn_rng(seed))
-
-
-def _resample_with(sample: CitationSample, size: int,
-                   rng: np.random.Generator) -> CitationSample:
-    idx = rng.integers(0, len(sample), size=size)
-    return CitationSample(sample.counts[idx], sample.offset_applied, sample.label)
 
 
 def order_stat_bounds(raw_sorted: np.ndarray, reps: int) -> tuple[float, float]:
@@ -133,10 +114,10 @@ def _replicate_value(statistic, *args) -> float:
 
 def _distinct_resamples(sample: CitationSample, size: int, seed: int,
                         reps: range) -> list[DistinctCounts]:
-    """The resample of each ``rep`` in ``reps``, drawn from (seed, rep) as
-    :func:`resample` draws it, held as its distinct counts: bit for bit
-    ``np.unique(resample.counts, return_counts=True)``, with no sort and
-    no raw draws kept."""
+    """The bootstrap resample of each ``rep`` in ``reps``: ``size`` draws
+    with replacement from ``sample``, drawn from (seed, rep) and held as its
+    distinct counts, bit for bit ``np.unique(draws, return_counts=True)``,
+    with no sort and no raw draws kept."""
     values, inverse = np.unique(sample.counts, return_inverse=True)
     resamples = []
     for rep in reps:
@@ -149,10 +130,10 @@ def _distinct_resamples(sample: CitationSample, size: int, seed: int,
 
 def _bootstrap_reps(sample: CitationSample, size: int, seed: int, statistic,
                     reps: range) -> list[float]:
-    """``statistic`` on the resample of each ``rep`` in ``reps``, drawn from
-    (seed, rep), one resample at a time."""
-    return [_replicate_value(statistic, _resample_with(sample, size, spawn_rng(seed, rep)))
-            for rep in reps]
+    """The replicate function of every bootstrap study: ``statistic``, a
+    batch function (one value per resample, NaN where it failed), of the
+    resamples of ``reps``."""
+    return statistic(_distinct_resamples(sample, size, seed, reps))
 
 
 def summarise(values, reps: int, name: str) -> StudySummary:
@@ -179,32 +160,3 @@ def _checked_resampling(sample, reps: int, size: int | None) -> tuple[CitationSa
     if size < 1:
         raise DomainError("resample size must be >= 1")
     return sample, size
-
-
-def bootstrap_study(sample, reps: int, statistic, size: int | None = None,
-                    seed: int = 0, statistic_name: str = "statistic",
-                    workers: int = 1) -> StudySummary:
-    """Bootstrap ``statistic`` over ``reps`` resamples.
-
-    Parameters
-    ----------
-    statistic : callable
-        Maps a :class:`CitationSample` to a float. Must be a picklable
-        module-level callable when ``workers > 1``. Raising a
-        :class:`~citefit.exceptions.CitefitError` marks the replicate
-        failed.
-    size : int or None
-        Resample size; None keeps the source sample size.
-
-    Raises :class:`~citefit.exceptions.AllStatisticsFailedError` when every
-    replicate failed.
-    """
-    sample, size = _checked_resampling(sample, reps, size)
-    [values] = run_reps([partial(_bootstrap_reps, sample, size, seed, statistic)],
-                        reps, workers)
-    summary = summarise(values, reps, statistic_name)
-    if summary.n_failed == reps:
-        raise AllStatisticsFailedError(
-            f"all {reps} replicates failed for {statistic_name!r}"
-        )
-    return summary

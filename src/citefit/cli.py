@@ -13,7 +13,8 @@ to the text it outputs, and renders a report through :func:`_report`.
 printed even when the input is rejected), runs the handler and writes its
 text to ``--out``.
 
-Exit codes: 0 success, 2 parse/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 parse/usage error, 3 numerical failure (also an
+input/output error, or an array too large to allocate).
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ import math
 import os
 import secrets
 import sys
-from functools import partial
-
-import numpy as np
 
 import citefit.io
 from citefit import __version__
-from citefit.bootstrap import MIN_REPS, bootstrap_study
+from citefit.bootstrap import MIN_REPS
 from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
@@ -38,15 +36,14 @@ from citefit.io import _write, ingest_file, render_plot_data
 from citefit.sample import CitationSample
 from citefit.seeding import child_seed
 from citefit.studies import (
+    BOOTSTRAP_STATISTICS,
     MIXTURE_COLUMNS,
     PLAUSIBILITY_COLUMNS,
     SCALE_COLUMNS,
     SHAPE_COLUMNS,
     VUONG_STUDY_COLUMNS,
+    bootstrap_study,
     bootstrap_z_reps,
-    fitted_lognormal_sigma,
-    fitted_param,
-    hooked_vs_lognormal_z,
     mean_table,
     mixture_impurity_study,
     plausibility_row,
@@ -59,21 +56,6 @@ from citefit.subjects import SUBJECTS, get_subject
 from citefit.vuong import MODEL_A, MODEL_B, vuong
 
 SEED_ENV_VAR = "CITEFIT_SEED"
-
-
-def _count_statistic(sample, reduce) -> float:
-    return float(reduce(sample.counts))
-
-
-BOOTSTRAP_STATISTICS = {
-    "mean": partial(_count_statistic, reduce=np.mean),
-    "median": partial(_count_statistic, reduce=np.median),
-    "lognormal-sigma": fitted_lognormal_sigma,
-    "lognormal-mu": partial(fitted_param, family="lognormal", name="mu"),
-    "hooked-alpha": partial(fitted_param, family="hooked", name="alpha"),
-    "hooked-b": partial(fitted_param, family="hooked", name="b"),
-    "vuong-z": hooked_vs_lognormal_z,
-}
 
 
 def _resolve_seed(args) -> int:
@@ -200,11 +182,8 @@ def _cmd_vuong(args, seed: int) -> str:
 
 def _cmd_bootstrap(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    statistic = BOOTSTRAP_STATISTICS[args.statistic]
-    summary = bootstrap_study(
-        sample, args.reps, statistic, size=args.size, seed=seed,
-        statistic_name=args.statistic, workers=args.workers,
-    )
+    summary = bootstrap_study(sample, args.reps, args.statistic, size=args.size,
+                              seed=seed, workers=args.workers)
     row = {
         "statistic": summary.statistic_name, "n": len(sample),
         "size": args.size or len(sample), "median": summary.median,
@@ -319,7 +298,10 @@ def _checked(convert, accept, need: str):
 _REPS = _checked(int, lambda v: v >= MIN_REPS, f"need reps >= {MIN_REPS}")
 _MIXTURE_REPS = _checked(int, lambda v: v >= 1, "need reps >= 1")
 _NSIM = _checked(int, lambda v: v >= 1, "need at least one simulation")
-_SIZE = _checked(int, lambda v: v >= 1, "need a size >= 1")
+# From 2**60 draws on, NumPy's byte count of an 8-byte array overflows (a
+# ValueError, not a MemoryError); 2**56 leaves room for arrays of a few such
+# rows. A smaller size that does not fit in memory fails to allocate (exit 3).
+_SIZE = _checked(int, lambda v: 1 <= v < 2 ** 56, "need a size >= 1 and below 2**56")
 _WORKERS = _checked(int, lambda v: v >= 1, "need at least one worker")
 _WEIGHT = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
 _EPSILON = _checked(float, lambda v: 0.0 < v < math.inf, "epsilon must be > 0 and finite")
@@ -475,7 +457,7 @@ def main(argv=None) -> int:
     except (ParseError, OffsetError) as err:
         print(f"citefit: error: {err}", file=sys.stderr)
         return 2
-    except CitefitError as err:
+    except (CitefitError, MemoryError) as err:
         print(f"citefit: failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

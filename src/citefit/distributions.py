@@ -26,12 +26,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 from scipy.special import erfc
 
-from citefit.exceptions import (
-    DomainError,
-    InvalidWeightsError,
-    MomentUndefinedError,
-    ParameterError,
-)
+from citefit.exceptions import DomainError, InvalidWeightsError, ParameterError
 from citefit.sample import positive_ints
 from citefit.seeding import spawn_rng
 
@@ -374,10 +369,6 @@ class DiscretisedLognormal(_DiscreteModel):
     def continuous_mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma ** 2)
 
-    def continuous_sd(self) -> float:
-        s2 = self.sigma ** 2
-        return math.sqrt((math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2))
-
 
 class HookedPowerLaw(_DiscreteModel):
     """Point masses proportional to (b + x)**(-alpha) on {1, 2, ...}.
@@ -452,15 +443,6 @@ class HookedPowerLaw(_DiscreteModel):
         and scale b (an approximation to the discrete mean)."""
         return self.b / (self.alpha - 1.0)
 
-    def continuous_sd(self) -> float:
-        """Lomax sd; raises MomentUndefinedError for alpha <= 2."""
-        if self.alpha <= 2.0:
-            raise MomentUndefinedError(
-                f"sd undefined for alpha <= 2 (infinite variance), got alpha={self.alpha}"
-            )
-        a, b = self.alpha, self.b
-        return b * math.sqrt(a / (a - 2.0)) / (a - 1.0)
-
 
 class Mixture(_DiscreteModel):
     """Finite mixture of discrete models on the same support.
@@ -524,12 +506,4 @@ class Mixture(_DiscreteModel):
     def continuous_mean(self) -> float:
         return float(sum(w * c.continuous_mean()
                          for w, c in zip(self.weights, self.components)))
-
-    def continuous_sd(self) -> float:
-        mean = self.continuous_mean()
-        second = sum(
-            w * (c.continuous_sd() ** 2 + c.continuous_mean() ** 2)
-            for w, c in zip(self.weights, self.components)
-        )
-        return math.sqrt(max(second - mean ** 2, 0.0))
 

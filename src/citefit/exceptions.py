@@ -13,10 +13,6 @@ class ParameterError(CitefitError):
     """Distribution parameters violate their invariants."""
 
 
-class MomentUndefinedError(CitefitError):
-    """A requested moment does not exist for the given parameters."""
-
-
 class EmptySampleError(CitefitError):
     """An operation that needs data was given an empty sample."""
 

@@ -11,11 +11,11 @@ dimensions NumPy calls cost more than the maths.
 
 The search is written once, in ask/tell form: :func:`simplex_search` is a
 generator that yields each point it wants evaluated, is sent the value and
-returns a :class:`SimplexResult`. :func:`nelder_mead` drives one search
-with an objective; :func:`nelder_mead_lockstep` drives many, asking one
-batch objective per round for the next point of every search still
-running, so that the objective can evaluate them all in one vectorised
-call. Each search does the same arithmetic either way.
+returns a :class:`SimplexResult`. :func:`nelder_mead_lockstep` drives
+any number of searches, asking one batch objective per round for the next
+point of every search still running, so that the objective can evaluate
+them all in one vectorised call. Each search does the same arithmetic
+however many run beside it.
 """
 
 from __future__ import annotations
@@ -162,18 +162,3 @@ def nelder_mead_lockstep(fn_batch, starts, max_evals=10_000) -> list[SimplexResu
             points = [point for point in points if point is not None]
     return results
 
-
-def nelder_mead(fn, x0, max_evals=10_000) -> SimplexResult:
-    """Minimise ``fn`` from ``x0`` by :func:`simplex_search`.
-
-    ``fn`` maps a sequence of floats (one per coordinate) to a float and
-    may return ``inf`` for out-of-domain points. Raises ValueError when
-    ``fn`` is not finite at ``x0``.
-    """
-    search = simplex_search(x0, max_evals)
-    try:
-        point = next(search)
-        while True:
-            point = search.send(fn(point))
-    except StopIteration as stop:
-        return stop.value

@@ -1,7 +1,7 @@
-"""Reproducible study harness, one function per table: plausibility rows,
-bootstrap and simulation Vuong tallies, scale-parameter intervals, shape
-tables, the mixture-impurity experiment (a
-:class:`~citefit.distributions.Mixture` against a pure model) and the
+"""Reproducible study harness, one function per table: bootstrap
+statistics, plausibility rows, bootstrap and simulation Vuong tallies,
+scale-parameter intervals, shape tables, the mixture-impurity experiment
+(a :class:`~citefit.distributions.Mixture` against a pure model) and the
 closed-form mean table.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
@@ -12,19 +12,23 @@ pool (when ``workers > 1``), and a study of many samples sends each of
 them to the pool as one task. Its replicate functions take a range of
 replicates and fit all of their samples with one
 :func:`~citefit.fitting.fit_many` call per family, which gives each sample
-the fit :func:`~citefit.fitting.fit` would. The Vuong and scale replicates
-hold each sample as its distinct counts
-(:class:`~citefit.sample.DistinctCounts`), all that fits and the Vuong
-test read, and never build its raw counts. Every study shares its failure
-rule: a replicate that raises a citefit error or yields a non-finite value counts
-as failed. Vuong studies always orient the test as hooked (model A)
-against lognormal (model B): positive z favours the hooked power law, and
-each surviving z is classified by the Vuong test's own +-1.96 rule.
+the fit :func:`~citefit.fitting.fit` would. Every bootstrap study --
+:func:`bootstrap_study`, the bootstrap Vuong tallies and the scale
+intervals -- runs :func:`~citefit.bootstrap._bootstrap_reps` with a named
+batch statistic of :data:`BOOTSTRAP_STATISTICS`, on resamples held as their
+distinct counts (:class:`~citefit.sample.DistinctCounts`); the simulation
+Vuong replicates hold their samples the same way. None of them builds a
+sample's raw counts. Every study shares its failure rule: a replicate that
+raises a citefit error or yields a non-finite value counts as failed.
+Vuong studies always orient the test as hooked (model A) against
+lognormal (model B): positive z favours the hooked power law, and each
+surviving z is classified by the Vuong test's own +-1.96 rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -34,15 +38,16 @@ import numpy as np
 from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
+    _bootstrap_reps,
     _checked_resampling,
-    _distinct_resamples,
     _replicate_value,
     run_reps,
     summarise,
 )
 from citefit.exceptions import (
-    DegenerateDataError,
+    AllStatisticsFailedError,
     FitFailedError,
+    ParameterError,
     TooFewRepsError,
 )
 from citefit.fitting import FitStatus, fit, fit_many
@@ -96,22 +101,13 @@ class VuongStudy:
         }
 
 
-# --- hooked-vs-lognormal z replicates -----------------------------------
-
-def hooked_vs_lognormal_z(sample) -> float:
-    """Vuong z of the hooked fit against the lognormal fit of ``sample``.
-
-    Raises a citefit error when either fit is degenerate, when the hooked
-    fit hits the ridge guard or the budget (such replicates are excluded
-    from studies and counted as failed), or when z is undefined.
-    """
-    sample = as_sample(sample)
-    return _z_from_fits(sample, fit("lognormal", sample), fit("hooked", sample))
-
+# --- bootstrap statistics: resamples -> one value each, NaN where it fails --
 
 def _z_from_fits(sample, ln, hk) -> float:
     """Vuong z of the hooked fit ``hk`` against the lognormal fit ``ln`` of
-    ``sample``, under the failure rule of :func:`hooked_vs_lognormal_z`."""
+    ``sample``. Raises a citefit error when either fit is degenerate, when
+    the hooked fit hits the ridge guard or the budget, or when z is
+    undefined."""
     if ln.status is not FitStatus.CONVERGED:
         raise FitFailedError(f"lognormal fit unusable: {ln.status.value}")
     if hk.status is not FitStatus.CONVERGED:
@@ -120,16 +116,74 @@ def _z_from_fits(sample, ln, hk) -> float:
 
 
 def _z_values(samples) -> list[float]:
-    """:func:`hooked_vs_lognormal_z` of each sample, NaN where it raises,
-    from one :func:`~citefit.fitting.fit_many` call per family."""
+    """Vuong z of the hooked fit against the lognormal fit of each sample,
+    NaN where :func:`_z_from_fits` raises, from one
+    :func:`~citefit.fitting.fit_many` call per family."""
     fits = zip(samples, fit_many("lognormal", samples), fit_many("hooked", samples))
     return [_replicate_value(_z_from_fits, *sample_fits) for sample_fits in fits]
 
 
-def _bootstrap_z_reps(sample: CitationSample, size: int, seed: int,
-                      reps: range) -> list[float]:
-    return _z_values(_distinct_resamples(sample, size, seed, reps))
+def _means(samples) -> list[float]:
+    """The mean of each sample: its exact total, in Python ints (an int64
+    total overflows near 2**62), over its size, correctly rounded. That is
+    ``np.mean`` of its counts while the total stays below 2**53."""
+    return [sum(map(operator.mul, s.values.tolist(), s.mult.tolist())) / len(s)
+            for s in samples]
 
+
+def _medians(samples) -> list[float]:
+    """``np.median`` of each sample's counts, from the one or two middle
+    values (an odd size takes its middle value twice)."""
+    medians = []
+    for s in samples:
+        below = np.cumsum(s.mult)
+        middle = np.searchsorted(below, [(below[-1] - 1) // 2, below[-1] // 2],
+                                 side="right")
+        medians.append(float(np.median(s.values[middle])))
+    return medians
+
+
+def _fitted_params(family: str, name: str, samples) -> list[float]:
+    """Parameter ``name`` of the ``family`` fit of each sample, NaN where
+    the fit is degenerate."""
+    return [float(getattr(result.model, name)) if result.usable else math.nan
+            for result in fit_many(family, samples)]
+
+
+BOOTSTRAP_STATISTICS = {
+    "mean": _means,
+    "median": _medians,
+    "lognormal-mu": partial(_fitted_params, "lognormal", "mu"),
+    "lognormal-sigma": partial(_fitted_params, "lognormal", "sigma"),
+    "hooked-alpha": partial(_fitted_params, "hooked", "alpha"),
+    "hooked-b": partial(_fitted_params, "hooked", "b"),
+    "vuong-z": _z_values,
+}
+
+
+def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
+                    seed: int = 0, workers: int = 1) -> StudySummary:
+    """Bootstrap the statistic named ``statistic`` (a key of
+    :data:`BOOTSTRAP_STATISTICS`) over ``reps`` resamples of ``size``
+    counts (None: the sample's size).
+
+    Raises :class:`~citefit.exceptions.ParameterError` for an unknown
+    statistic and :class:`~citefit.exceptions.AllStatisticsFailedError`
+    when every replicate failed.
+    """
+    if statistic not in BOOTSTRAP_STATISTICS:
+        raise ParameterError(f"unknown statistic {statistic!r}; "
+                             f"expected one of {sorted(BOOTSTRAP_STATISTICS)}")
+    sample, size = _checked_resampling(sample, reps, size)
+    [values] = run_reps([partial(_bootstrap_reps, sample, size, seed,
+                                 BOOTSTRAP_STATISTICS[statistic])], reps, workers)
+    summary = summarise(values, reps, statistic)
+    if summary.n_failed == reps:
+        raise AllStatisticsFailedError(f"all {reps} replicates failed for {statistic!r}")
+    return summary
+
+
+# --- bootstrap and simulation Vuong studies ---------------------------------
 
 def _simulation_z_reps(generator, n: int, seed: int, reps: range) -> list[float]:
     draws = (generator.sample_with(spawn_rng(seed, rep), n) for rep in reps)
@@ -140,7 +194,7 @@ def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
     """The replicate function of a bootstrap Vuong study of ``sample``:
     replicates -> Vuong z on each resample ``rep`` drawn from ``seed``."""
     sample, size = _checked_resampling(sample, reps, size)
-    return partial(_bootstrap_z_reps, sample, size, seed)
+    return partial(_bootstrap_reps, sample, size, seed, _z_values)
 
 
 def simulation_z_reps(generator, n: int, seed: int):
@@ -208,17 +262,6 @@ def plausibility_row(sample, n_sim: int = 1000, seed: int = 0) -> dict:
 
 # --- scale-parameter intervals (one per subject) --------------------------
 
-def fitted_param(sample, family: str, name: str) -> float:
-    """Bootstrap statistic: parameter ``name`` of the ``family`` fit."""
-    result = fit(family, sample)
-    if not result.usable:
-        raise DegenerateDataError(result.message)
-    return float(getattr(result.model, name))
-
-
-fitted_lognormal_sigma = partial(fitted_param, family="lognormal", name="sigma")
-
-
 def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
                    seed: int = 0, workers: int = 1) -> list[dict]:
     """Bootstrap interval of the fitted lognormal sigma for each sample.
@@ -228,7 +271,8 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
     replicates all failed gets the note "degenerate" and no interval.
     """
     checked = [_checked_resampling(sample, reps, size) for sample in samples]
-    rep_fns = [partial(_sigma_reps, sample, n, child_seed(seed, index))
+    sigma = BOOTSTRAP_STATISTICS["lognormal-sigma"]
+    rep_fns = [partial(_bootstrap_reps, sample, n, child_seed(seed, index), sigma)
                for index, (sample, n) in enumerate(checked)]
     rows = []
     for (sample, _), values in zip(checked, run_reps(rep_fns, reps, workers)):
@@ -246,13 +290,6 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
             row["note"] = ""
         rows.append(row)
     return rows
-
-
-def _sigma_reps(sample: CitationSample, size: int, seed: int, reps: range) -> list[float]:
-    """:func:`fitted_lognormal_sigma` of each resample of ``reps``, NaN where
-    the fit is degenerate."""
-    fits = fit_many("lognormal", _distinct_resamples(sample, size, seed, reps))
-    return [result.model.sigma if result.usable else math.nan for result in fits]
 
 
 # --- shape tables ----------------------------------------------------------

@@ -157,16 +157,11 @@ def test_08_power_loss_at_small_n(lognormal_direction_study):
 
 def test_09_bootstrap_ci_mechanics():
     data = CitationSample(DiscretisedLognormal(2.0, 1.2).sample(700, 13))
-
-    def mean_statistic(sample):
-        return float(np.mean(sample.counts))
-
-    summary = bootstrap_study(data, 1000, mean_statistic,
-                              seed=child_seed(MASTER_SEED, 9))
+    summary = bootstrap_study(data, 1000, "mean", seed=child_seed(MASTER_SEED, 9))
     raw = np.sort(np.asarray(summary.raw))
     exact = summary.lo95 == raw[24] and summary.hi95 == raw[975]
 
-    flat = bootstrap_study(CitationSample([4] * 100), 1000, mean_statistic,
+    flat = bootstrap_study(CitationSample([4] * 100), 1000, "mean",
                            seed=child_seed(MASTER_SEED, 9, 1))
     zero_width = flat.lo95 == flat.median == flat.hi95 == 4.0
     ok = exact and zero_width

@@ -1,55 +1,58 @@
-"""Bootstrap engine: resampling semantics, order-statistic intervals,
-failure accounting and worker independence."""
+"""Bootstrap engine: resampling semantics, the named batch statistics,
+order-statistic intervals, failure accounting and worker independence."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import citefit.bootstrap
 from citefit import (
     AllStatisticsFailedError,
     CitationSample,
-    DegenerateDataError,
+    CitefitError,
     DiscretisedLognormal,
     EmptySampleError,
     FitStatus,
+    ParameterError,
     TooFewRepsError,
     HookedPowerLaw,
     bootstrap_study,
     bootstrap_vuong_study,
+    fit,
     fit_many,
-    resample,
     scale_ci_study,
     simulation_study,
+    vuong,
 )
 from citefit.bootstrap import (
+    _bootstrap_reps,
+    _checked_resampling,
     _distinct_resamples,
-    _resample_with,
     order_stat_bounds,
     run_reps,
     summarise,
 )
 from citefit.seeding import spawn_rng
-from citefit.studies import fitted_lognormal_sigma, hooked_vs_lognormal_z
+from citefit.studies import BOOTSTRAP_STATISTICS
 
 
-def _mean(sample):
-    return float(np.mean(sample.counts))
+def _draws(sample, size, seed, reps):
+    """The raw counts of each resample of ``reps``, drawn as
+    ``_distinct_resamples`` draws them."""
+    return [sample.counts[spawn_rng(seed, rep).integers(0, len(sample), size=size)]
+            for rep in reps]
 
 
-def _always_fails(sample):
-    raise DegenerateDataError("nope")
-
-
-def _fails_on_small_mean(sample):
-    value = float(np.mean(sample.counts))
-    if value < 2.5:
-        raise DegenerateDataError("below threshold")
-    return value
+def _one_resample(sample, size, seed, rep=0):
+    [resample] = _distinct_resamples(sample, size, seed, range(rep, rep + 1))
+    return resample
 
 
 def _power(exponent, reps):
@@ -100,35 +103,36 @@ def inline_pools(monkeypatch):
 
 def test_resample_membership_and_size():
     source = CitationSample([2, 3, 5, 8, 13], label="src")
-    boot = resample(source, 200, seed=1)
+    boot = _one_resample(source, 200, seed=1)
     assert len(boot) == 200
-    assert set(boot.counts) <= set(source.counts)
-    assert boot.label == "src"
+    assert set(boot.values) <= set(source.counts)
 
 
 def test_resample_constant_source():
-    boot = resample(CitationSample([7, 7, 7]), 50, seed=3)
-    assert np.all(boot.counts == 7)
+    boot = _one_resample(CitationSample([7, 7, 7]), 50, seed=3)
+    assert (boot.values.tolist(), boot.mult.tolist()) == ([7], [50])
 
 
 def test_resample_two_point_support():
-    outcomes = set()
-    for seed in range(40):
-        boot = resample(CitationSample([2, 3]), 2, seed=seed)
-        outcomes.add(tuple(sorted(boot.counts)))
-    assert outcomes <= {(2, 2), (2, 3), (3, 3)}
-    assert outcomes == {(2, 2), (2, 3), (3, 3)}  # all three occur
+    outcomes = {tuple(np.repeat(boot.values, boot.mult))
+                for boot in _distinct_resamples(CitationSample([2, 3]), 2, 0, range(40))}
+    assert outcomes == {(2, 2), (2, 3), (3, 3)}  # all three occur, nothing else
 
 
 def test_resample_deterministic():
+    # a resample depends on (seed, rep) alone, not on the range it came in
     source = CitationSample([1, 4, 9, 16])
-    assert_array_equal(resample(source, 100, 5).counts,
-                       resample(source, 100, 5).counts)
+    a = _one_resample(source, 100, 5, rep=2)
+    b = _distinct_resamples(source, 100, 5, range(4))[2]
+    assert_array_equal(a.values, b.values)
+    assert_array_equal(a.mult, b.mult)
 
 
 def test_resample_empty_source_rejected():
     with pytest.raises(EmptySampleError):
-        resample(CitationSample([]), 5, 0)
+        _checked_resampling(CitationSample([]), 40, 5)
+    with pytest.raises(EmptySampleError):
+        bootstrap_study(CitationSample([]), 40, "mean")
 
 
 _LOGNORMAL_300 = DiscretisedLognormal(2.0, 1.0).sample(300, 4)
@@ -144,9 +148,9 @@ _LOGNORMAL_300 = DiscretisedLognormal(2.0, 1.0).sample(300, 4)
 def test_distinct_resamples_are_unique_counts_of_the_resamples(counts, size):
     sample = CitationSample(counts)
     reps = range(3, 9)
-    for rep, distinct in zip(reps, _distinct_resamples(sample, size, 11, reps)):
-        values, mult = np.unique(_resample_with(sample, size, spawn_rng(11, rep)).counts,
-                                 return_counts=True)
+    for draws, distinct in zip(_draws(sample, size, 11, reps),
+                               _distinct_resamples(sample, size, 11, reps)):
+        values, mult = np.unique(draws, return_counts=True)
         assert_array_equal(distinct.values, values)
         assert_array_equal(distinct.mult, mult)
         assert (distinct.values.dtype, distinct.mult.dtype) == (values.dtype, mult.dtype)
@@ -175,8 +179,10 @@ def test_vuong_and_scale_replicates_build_no_citation_sample(monkeypatch):
     bootstrap_vuong_study(data, 40, seed=2)
     scale_ci_study([data], reps=40, size=100)
     simulation_study(HookedPowerLaw(3.94, 67.9), 100, reps=40)
+    for name in BOOTSTRAP_STATISTICS:
+        bootstrap_study(data, 40, name, size=100, seed=3)
     assert built == []
-    resample(data, 10, 0)    # the counter sees a resample that is built
+    CitationSample(data.counts[:10])    # the counter sees a sample that is built
     assert len(built) == 1
 
 
@@ -192,7 +198,7 @@ def test_order_stat_bounds_canonical_k():
 
 def test_bootstrap_study_reproduces_order_stats():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(800, 11))
-    summary = bootstrap_study(data, 1000, _mean, seed=42)
+    summary = bootstrap_study(data, 1000, "mean", seed=42)
     raw = np.sort(np.asarray(summary.raw))
     assert summary.lo95 == raw[24]
     assert summary.hi95 == raw[975]
@@ -201,14 +207,14 @@ def test_bootstrap_study_reproduces_order_stats():
 
 
 def test_bootstrap_study_constant_data_zero_width():
-    summary = bootstrap_study(CitationSample([4] * 25), 100, _mean, seed=0)
+    summary = bootstrap_study(CitationSample([4] * 25), 100, "mean", seed=0)
     assert summary.lo95 == summary.median == summary.hi95 == 4.0
 
 
 def test_bootstrap_study_median_even_length():
     # median of an even-length vector is the mean of the central pair
     data = CitationSample([1, 10])
-    summary = bootstrap_study(data, 40, _mean, size=1, seed=12)
+    summary = bootstrap_study(data, 40, "mean", size=1, seed=12)
     values = np.sort(np.asarray(summary.raw))
     assert summary.median == (values[19] + values[20]) / 2.0
 
@@ -216,54 +222,112 @@ def test_bootstrap_study_median_even_length():
 def test_bootstrap_study_rejects_too_few_reps():
     data = CitationSample([1, 2, 3])
     with pytest.raises(TooFewRepsError):
-        bootstrap_study(data, 39, _mean, seed=0)
-    bootstrap_study(data, 40, _mean, seed=0)  # boundary accepted
+        bootstrap_study(data, 39, "mean", seed=0)
+    bootstrap_study(data, 40, "mean", seed=0)  # boundary accepted
+
+
+def test_bootstrap_study_names_its_statistic():
+    data = CitationSample([1, 2, 3])
+    assert bootstrap_study(data, 40, "median", seed=0).statistic_name == "median"
+    with pytest.raises(ParameterError, match="unknown statistic 'mode'"):
+        bootstrap_study(data, 40, "mode", seed=0)
 
 
 def test_bootstrap_study_all_failures():
-    data = CitationSample([1, 2, 3])
-    with pytest.raises(AllStatisticsFailedError):
-        bootstrap_study(data, 40, _always_fails, seed=0)
+    # every resample of a constant sample has one distinct count: no fit
+    with pytest.raises(AllStatisticsFailedError, match="lognormal-sigma"):
+        bootstrap_study(CitationSample([4] * 25), 40, "lognormal-sigma", seed=0)
 
 
 def test_bootstrap_study_counts_partial_failures():
-    data = CitationSample([1, 2, 3, 4])
-    summary = bootstrap_study(data, 200, _fails_on_small_mean, size=4, seed=9)
-    assert summary.n_failed > 0
-    assert summary.n_failed < 200
-    good = [v for v in summary.raw if not math.isnan(v)]
-    assert len(good) + summary.n_failed == 200
-    assert all(v >= 2.5 for v in good)
+    # a size-5 resample of this sample fails exactly when it is all ones
+    data = CitationSample([1] * 30 + [2])
+    summary = bootstrap_study(data, 200, "lognormal-sigma", size=5, seed=9)
+    flat = [r.values.size == 1 for r in _distinct_resamples(data, 5, 9, range(200))]
+    assert 0 < summary.n_failed < 200
+    assert [math.isnan(v) for v in summary.raw] == flat
+    assert all(v > 0.0 and math.isfinite(v) for v in summary.raw if not math.isnan(v))
 
 
 def test_bootstrap_study_worker_independence():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(400, 2))
-    a = bootstrap_study(data, 40, _mean, seed=5, workers=1)
-    b = bootstrap_study(data, 40, _mean, seed=5, workers=3)
+    a = bootstrap_study(data, 40, "mean", seed=5, workers=1)
+    b = bootstrap_study(data, 40, "mean", seed=5, workers=3)
     assert a == b
 
 
 def test_bootstrap_study_seed_sensitivity():
     data = CitationSample(DiscretisedLognormal(2.0, 1.0).sample(400, 2))
-    a = bootstrap_study(data, 40, _mean, seed=5)
-    b = bootstrap_study(data, 40, _mean, seed=6)
+    a = bootstrap_study(data, 40, "mean", seed=5)
+    b = bootstrap_study(data, 40, "mean", seed=6)
     assert a.median != b.median
 
 
 def test_bootstrap_study_worker_independence_with_failures():
     # most size-5 resamples of this sample are all ones, which no fit identifies
     data = CitationSample([1] * 30 + [2])
-    a = bootstrap_study(data, 40, fitted_lognormal_sigma, size=5, seed=0, workers=1)
-    b = bootstrap_study(data, 40, fitted_lognormal_sigma, size=5, seed=0, workers=2)
+    a = bootstrap_study(data, 40, "lognormal-sigma", size=5, seed=0, workers=1)
+    b = bootstrap_study(data, 40, "lognormal-sigma", size=5, seed=0, workers=2)
     assert 0 < a.n_failed < 40
     assert a == b
 
 
 def test_bootstrap_study_and_vuong_study_share_one_runner():
     data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(300, 1))
-    generic = bootstrap_study(data, 40, hooked_vs_lognormal_z, seed=12)
+    generic = bootstrap_study(data, 40, "vuong-z", seed=12)
     study = bootstrap_vuong_study(data, 40, seed=12)
     assert replace(study.z_summary, statistic_name=generic.statistic_name) == generic
+
+
+def _per_resample(name, counts) -> float:
+    """Statistic ``name`` of one resample's raw counts, computed on its own."""
+    if name == "mean":
+        return float(np.mean(counts))
+    if name == "median":
+        return float(np.median(counts))
+    sample = CitationSample(counts)
+    if name == "vuong-z":
+        ln, hk = fit("lognormal", sample), fit("hooked", sample)
+        if (ln.status, hk.status) != (FitStatus.CONVERGED, FitStatus.CONVERGED):
+            return math.nan
+        try:
+            return vuong(hk.model, ln.model, sample).z
+        except CitefitError:
+            return math.nan
+    family, param = name.split("-")
+    result = fit(family, sample)
+    return float(getattr(result.model, param)) if result.usable else math.nan
+
+
+# totals stay below 2**53 (80 draws of at most 2**40), where np.mean is exact
+_COUNTS = st.lists(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 40)),
+                   min_size=1, max_size=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(counts=_COUNTS, size=st.integers(1, 80), seed=st.integers(0, 2 ** 32),
+       start=st.integers(0, 10 ** 6))
+def test_batch_statistics_equal_the_per_resample_values(counts, size, seed, start):
+    sample = CitationSample(counts)
+    reps = range(start, start + 3)
+    draws = _draws(sample, size, seed, reps)
+    for name, statistic in BOOTSTRAP_STATISTICS.items():
+        got = _bootstrap_reps(sample, size, seed, statistic, reps)
+        want = [_per_resample(name, d) for d in draws]
+        assert [v.hex() for v in got] == [v.hex() for v in want], name
+
+
+@pytest.mark.parametrize("counts,size", [
+    ([2 ** 62, 2 ** 62 + 1, 3], 40),     # the int64 total overflows
+    ([2 ** 53 - 1, 2 ** 52 + 1, 7], 40),  # totals from 2**53 to 2**59
+    ([2 ** 60, 1], 7),
+])
+def test_mean_of_a_large_total_is_the_correctly_rounded_exact_mean(counts, size):
+    sample = CitationSample(counts)
+    reps = range(100)
+    exact = [float(Fraction(sum(map(int, d)), size)) for d in _draws(sample, size, 4, reps)]
+    got = _bootstrap_reps(sample, size, 4, BOOTSTRAP_STATISTICS["mean"], reps)
+    assert [v.hex() for v in got] == [v.hex() for v in exact]
 
 
 def test_summarise_counts_non_finite_values_as_failed():

@@ -140,3 +140,31 @@ def test_worker_count_does_not_change_the_report():
         one = check_contract([*argv, "--workers", "1"], directory)
         two = check_contract([*argv, "--workers", "2"], directory)
     assert one == two and one[0] == 0
+
+
+# Sizes no array can hold. 10**20 overflows int64 and 2**60 draws overflow
+# NumPy's byte count of an int64 array: both are usage errors. 10**15 draws
+# need 7.1 PiB, more than any 47-bit address space, so the allocation fails
+# at once, without touching memory: a numerical failure.
+SIZE_ARGV = [
+    ["bootstrap", "{file}", "--reps", "40", "--size", "{n}"],
+    ["simulate", "--subject", "Virology", "-n", "{n}"],
+    ["study", "vuong", "--subject", "Virology", "--reps", "40", "--n", "{n}"],
+    ["study", "mixture", "--n", "{n}", "--reps", "1"],
+]
+
+
+@pytest.mark.parametrize("n,code,message", [
+    (10 ** 20, 2, "need a size >= 1 and below 2**56"),
+    (2 ** 60, 2, "need a size >= 1 and below 2**56"),
+    (10 ** 15, 3, "citefit: failure: Unable to allocate"),
+])
+@pytest.mark.parametrize("argv", SIZE_ARGV, ids=" ".join)
+def test_a_size_too_large_to_hold_exits_without_a_traceback(argv, n, code, message,
+                                                            tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("1\n5\n9\n")
+    argv = [a.replace("{file}", str(path)).replace("{n}", str(n)) for a in argv]
+    got, out, err = run_cli([*argv, "--seed", "1"], str(tmp_path / "report.out"))
+    assert (got, out) == (code, b"")
+    assert message in err and "Traceback" not in err

@@ -1,8 +1,9 @@
 """Import and export hygiene of the package, checked on its syntax trees.
 
-Every ``citefit.__all__`` name resolves and is listed once, and no module
+Every ``citefit.__all__`` name resolves and is listed once, no module
 under ``src/citefit`` imports a name it never uses (``__init__`` uses a
-name by exporting it).
+name by exporting it), and every module-level function, class or
+assignment is referenced somewhere in the package or exported.
 """
 
 import ast
@@ -34,13 +35,17 @@ def _imported(tree) -> dict[str, int]:
     return bound
 
 
+def _exported(tree) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def _used(tree) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):   # names listed in __all__ count as used
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+    # names listed in __all__ count as used
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -50,3 +55,36 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
     assert unused == []
+
+
+def _defined(tree) -> dict[str, int]:
+    """Name bound by each module-level def, class or assignment -> its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((name.id, node.lineno) for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name))
+    return bound
+
+
+def _referenced(tree) -> set[str]:
+    """Names a module reads, imports from another module, reads as an
+    attribute or exports."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    read.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
+    return read | _exported(tree)
+
+
+def test_every_module_level_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    orphans = sorted(f"{module}: {name} (line {line})" for module, tree in trees.items()
+                     for name, line in _defined(tree).items()
+                     if name not in referenced and not name.startswith("__"))
+    assert orphans == []

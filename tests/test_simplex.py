@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from citefit.simplex import nelder_mead, nelder_mead_lockstep
+from citefit.simplex import nelder_mead_lockstep, simplex_search
+
+
+def nelder_mead(fn, x0, max_evals=10_000):
+    """Minimise ``fn`` from ``x0`` by one :func:`simplex_search` on its own;
+    raises ValueError when ``fn`` is not finite at ``x0``."""
+    search = simplex_search(x0, max_evals)
+    try:
+        point = next(search)
+        while True:
+            point = search.send(fn(point))
+    except StopIteration as stop:
+        return stop.value
 
 
 def quadratic(x):
