@@ -153,6 +153,8 @@ def summarise(values, reps: int, name: str) -> StudySummary:
 def _checked_resampling(sample, reps: int, size: int | None) -> tuple[CitationSample, int]:
     """The validated source sample and resample size of a bootstrap study."""
     sample = as_sample(sample)
+    if isinstance(sample, DistinctCounts):
+        raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
     sample.require_nonempty()
     if reps < MIN_REPS:
         raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")

@@ -10,21 +10,19 @@ Two families are provided, plus finite mixtures of them:
   Lomax (Pareto type II) law; it needs alpha > 1 to be summable. The
   normaliser is a Hurwitz zeta value, evaluated in closed form.
 
-All models are immutable after construction and safe for concurrent use;
-the lazily grown cumulative table behind ``cdf``, ``quantile`` and
-``sample`` is extended under a lock and readers only ever see complete
-arrays.
+Each family evaluates its CDF pointwise at the counts asked for, and
+quantiles and draws search from a closed-form start, so work and memory
+follow the number of points, not the largest count. All models are
+immutable after construction and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from citefit.exceptions import DomainError, InvalidWeightsError, ParameterError
 from citefit.sample import positive_ints
@@ -43,10 +41,6 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
 _EM_COEFFS = tuple(bn / math.factorial(2 * j) for j, bn in enumerate(_BERNOULLI, 1))
 _NEGLIGIBLE = 1e-17
 
-# Quantile tables start small and double; beyond the cap (64 MiB of
-# float64) quantiles fall back to bisection on the tail formula.
-_TABLE_START = 1 << 10
-_TABLE_CAP = 1 << 23
 MAX_COUNT = 2 ** 62     # draws saturate here; larger counts are not ingested
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -62,120 +56,73 @@ def _normal_interval_masses(z: np.ndarray) -> np.ndarray:
     deep in both tails (needed for tail pmf values feeding KS statistics
     and log-likelihoods). Both edges go through one erfc call; mirroring
     the scaled edges is exact, since (-z) * k == -(z * k) in IEEE
-    arithmetic.
+    arithmetic. z is scaled in place; the result is a view into one buffer.
     """
     right = (z[0] + z[1]) > 0.0
-    w = z * _INV_SQRT2
-    e = np.where(right, w, -w[::-1])
+    z *= _INV_SQRT2
+    e = np.negative(z[::-1])
+    np.copyto(e, z, where=right)
     erfc(e, out=e)
-    out = 0.5 * (e[0] - e[1])
+    out = np.subtract(e[0], e[1], out=e[0])
+    out *= 0.5
     return np.maximum(out, 0.0, out=out)
 
 
-def _power_tail(alpha: float, b: float, start: int) -> float:
-    """Sum of ((b + x) / (b + 1))**(-alpha) over the integers x >= start.
-
-    This is (b + 1)**alpha * zeta(alpha, b + start), with the scaling
-    that keeps every term in floating range for any alpha > 1, b > 0
-    (the x = 1 term is exactly 1) where the bare Hurwitz zeta value
-    underflows. Terms are summed one by one, each exponent formed as
-    -alpha * log1p((x - 1) / (b + 1)) so that it keeps full relative
-    accuracy when b is large against x. The sum stops as soon as the
-    integral bound on what is left falls below 1e-17 of the total, or
-    otherwise, once b + x reaches max(12, 1.5 alpha), adds the
-    Euler-Maclaurin tail from there (F. Johansson, "Rigorous
-    high-precision computation of the Hurwitz zeta function and its
-    derivatives", Numer. Algorithms 69, 2015).
-    """
-    c = b + 1.0
+def _power_head(alpha: float, b: float) -> tuple[tuple[float, ...], float, float]:
+    """Running totals of f(x) = ((b + x) / (b + 1))**(-alpha), x = 1, 2, ...,
+    then the first term not summed and its edge b + x (the term is 0 when
+    the rest is negligible). The scaling keeps every term in floating range
+    (f(1) = 1) where the bare Hurwitz zeta value underflows; each exponent
+    is -alpha * log1p((x - 1) / (b + 1)), accurate when b is large against
+    x. Terms are added until b + x reaches max(12, 1.5 alpha) or the
+    integral bound on the rest falls below 1e-17 of the total."""
+    c, slope, neg_alpha = b + 1.0, alpha - 1.0, -alpha
     reach = max(_EM_FLOOR, _EM_RATIO * alpha)
+    totals = []
     total = 0.0
-    x = start
+    x = 1
     while True:
-        term = math.exp(-alpha * math.log1p((x - 1) / c))
+        term = math.exp(neg_alpha * math.log1p((x - 1) / c))
         edge = b + x
         if edge >= reach:
-            break
-        if term * (1.0 + edge / (alpha - 1.0)) <= _NEGLIGIBLE * total:
-            return total
+            return tuple(totals), term, edge
+        if term * (1.0 + edge / slope) <= _NEGLIGIBLE * total:
+            return tuple(totals), 0.0, edge
         total += term
+        totals.append(total)
         x += 1
-    if term == 0.0:
-        return total
-    # sum over k >= 0 of ((edge + k) / edge)**(-alpha): the integral, half
-    # the first term, then B_2j / (2j)! * alpha (alpha + 1) ... (alpha + 2j - 2)
-    # / edge**(2j - 1) until the next correction is negligible
-    tail = edge / (alpha - 1.0) + 0.5
+
+
+def _em_sum(alpha: float, edge, acc):
+    """``acc`` (a float) plus the Euler-Maclaurin corrections B_2j / (2j)!
+    * alpha (alpha + 1) ... (alpha + 2j - 2) / edge**(2j - 1) of the sum over
+    k >= 0 of ((edge + k) / edge)**(-alpha), added in turn (F. Johansson,
+    Numer. Algorithms 69, 2015), at a float or an array of edges >=
+    max(12, 1.5 alpha). The series ends after the first correction below
+    1e-17 of max(1, acc) at the smallest edge, where they are largest: a
+    sum they complete is at least 1, in units of its first tail term."""
+    scalar = isinstance(edge, float)
+    low = edge if scalar else float(edge.min())
+    enough = _NEGLIGIBLE * max(1.0, acc)
+    square = edge * edge
     rising = alpha / edge
+    top = rising if scalar else alpha / low     # the rising product at low
     for j, coeff in enumerate(_EM_COEFFS, 1):
-        step = coeff * rising
-        tail += step
-        if abs(step) <= _NEGLIGIBLE * tail:
+        acc = acc + coeff * rising
+        if abs(coeff * top) <= enough:
             break
-        rising *= (alpha + 2 * j - 1) * (alpha + 2 * j) / (edge * edge)
-    return total + term * tail
-
-
-class _CdfTable:
-    """Geometrically grown cache of F(1), ..., F(m), built by a model's
-    ``_grid``.
-
-    The table for a given size is a pure function of the model, so it is
-    recomputed from scratch on growth; any interleaving of concurrent
-    readers and growers observes identical values. The grid function is
-    passed to ``ensure`` rather than held, so that a model and its table
-    form no reference cycle and are freed as soon as the model is.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cdf: np.ndarray | None = None
-        self._saturated = False
-
-    def __reduce__(self):
-        # the cache is rebuilt on demand; locks do not pickle
-        return type(self), ()
-
-    def ensure(self, grid_fn, length: int = 1, u_max: float = 0.0) -> np.ndarray:
-        """The table, first grown to the smallest doubling of its size that
-        holds ``length`` entries, then doubled until F(m) >= ``u_max``, the
-        cap, or a doubling that leaves F(m) where it was. Once saturated
-        that way, the table no longer grows for any ``u_max``."""
-        with self._lock:
-            cdf = self._cdf
-            size = _TABLE_START if cdf is None else len(cdf)
-            while size < length:
-                size *= 2
-            if cdf is None or size > len(cdf):
-                cdf = self._cdf = _build(grid_fn, size)
-            while not self._saturated and cdf[-1] < u_max and len(cdf) < _TABLE_CAP:
-                grown = _build(grid_fn, 2 * len(cdf))
-                # saturated in floating point: growing for a u_max is futile
-                # from now on (quantiles beyond it come from the tail formula)
-                self._saturated = grown[-1] <= cdf[-1] and len(grown) > 4 * _TABLE_START
-                cdf = self._cdf = grown
-        return cdf
-
-
-def _build(grid_fn, m: int) -> np.ndarray:
-    out = grid_fn(m)
-    out.flags.writeable = False
-    return out
+        factor = (alpha + 2 * j - 1) * (alpha + 2 * j)
+        rising = rising * (factor / square)
+        top = rising if scalar else top * (factor / (low * low))
+    return acc
 
 
 class _DiscreteModel(ABC):
-    """Shared quantile/sampling machinery for all model families.
-
-    The CDF table is built on first use: models built only to evaluate a
-    likelihood never allocate one. Threads that race to build it each get
-    an equal table, since it is a pure function of the model.
-    """
+    """Shared quantile/sampling machinery for all model families: a family
+    gives F at an array of counts (``_cdf_at``) and a closed-form quantile
+    estimate (``_start``). Models hold only parameters and normalisers."""
 
     family: str
-
-    @functools.cached_property
-    def _table(self) -> _CdfTable:
-        return _CdfTable()
 
     # --- family-specific primitives -------------------------------------
 
@@ -192,12 +139,12 @@ class _DiscreteModel(ABC):
             return self._log_pmf_at(self._features(x), *self._kernel_args)
 
     @abstractmethod
-    def _grid(self, m: int) -> np.ndarray:
-        """F(1), ..., F(m) as a monotone float64 array."""
+    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
+        """``cdf`` of a non-empty int64 array of counts in [1, 2**63), unchecked."""
 
     @abstractmethod
-    def _cdf_beyond(self, x: int) -> float:
-        """F(x) for x beyond the table cap (tail formula)."""
+    def _start(self, u: np.ndarray) -> np.ndarray:
+        """A float64 estimate of the quantile at each u (may overflow to inf)."""
 
     @property
     @abstractmethod
@@ -217,7 +164,7 @@ class _DiscreteModel(ABC):
         return float(out[0]) if scalar else out
 
     def cdf(self, x):
-        """F(x): the table up to the cap, the tail formula beyond it."""
+        """F(x) = P(X <= x), evaluated at each count given."""
         scalar = np.ndim(x) == 0
         arr = positive_ints(x, "x")
         if arr.size == 0:
@@ -225,18 +172,9 @@ class _DiscreteModel(ABC):
         out = self._cdf_at(arr)
         return float(out[0]) if scalar else out
 
-    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
-        """``cdf`` of a non-empty int64 array of counts in [1, 2**63), unchecked."""
-        m = int(x.max())
-        table = self._table.ensure(self._grid, min(m, _TABLE_CAP))
-        out = table.take(x - 1, mode="clip")
-        if m > len(table):
-            beyond = x > len(table)
-            out[beyond] = [self._cdf_beyond(int(v)) for v in x[beyond]]
-        return out
-
     def quantile(self, u):
-        """Smallest x >= 1 with F(x) >= u, for u in [0, 1)."""
+        """Smallest x >= 1 with F(x) >= u, for u in [0, 1); 2**62 when F
+        stays below u up to there."""
         scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.asarray(u, dtype=np.float64).reshape(-1)
         if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0 or not np.all(np.isfinite(arr))):
@@ -245,37 +183,44 @@ class _DiscreteModel(ABC):
         return int(out[0]) if scalar else out
 
     def _quantile_array(self, u: np.ndarray) -> np.ndarray:
+        """``quantile`` of a float64 array of u in [0, 1), unchecked: F is read
+        at the closed-form start x and at x - 1 once per run of equal starts
+        (a Monte-Carlo block's draws come sorted), and ``_search`` mends the
+        starts that miss. The result depends on the model and u alone."""
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
-        u_max = float(u.max())
-        table = self._table.ensure(self._grid, u_max=u_max)
-        x = np.searchsorted(table, u, side="left") + 1
-        if u_max > table[-1]:
-            for idx in np.flatnonzero(u > table[-1]):
-                x[idx] = self._quantile_beyond(float(u[idx]))
+        with np.errstate(over="ignore", divide="ignore"):
+            start = np.clip(np.ceil(self._start(u)), 1, MAX_COUNT)
+        first = np.flatnonzero(np.append(True, start[1:] != start[:-1]))
+        v = start[first].astype(np.int64)
+        del start           # freed before the per-draw arrays below are made
+        runs = np.diff(first, append=u.size)
+        f = self._cdf_at(np.concatenate([v, np.maximum(v - 1, 1)]))
+        # F(2**62) counts as above every u, F(0) as below
+        up = np.repeat(np.where(v < MAX_COUNT, f[:v.size], np.inf), runs) < u
+        down = np.repeat(np.where(v > 1, f[v.size:], -np.inf), runs) >= u
+        x = np.repeat(v, runs)
+        miss = np.flatnonzero(up | down)
+        if miss.size:
+            x[miss] = self._search(u[miss], x[miss], up[miss])
         return x
 
-    def _quantile_beyond(self, u: float) -> int:
-        """Smallest x with ``_cdf_beyond(x) >= u``, for u beyond the table.
-
-        An exponential bracket from 1, then bisection, so the result depends
-        on the model and u alone, not on how far the table has grown (a
-        table saturated in floating point can end below u at any length).
-        Saturates at 2**62 for quantiles beyond any representable count.
-        """
-        lo, hi = 0, 1
-        while self._cdf_beyond(hi) < u:
-            lo = hi
-            hi *= 2
-            if hi >= MAX_COUNT:
-                return MAX_COUNT
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._cdf_beyond(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def _search(self, u: np.ndarray, x: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Quantiles from starts x that missed: F(x) < u where ``up``, else
+        F(x - 1) >= u. Steps of 1, 2, 4, ... away from x find each bracket's
+        open end, then it is bisected; F(0) < u <= F(2**62) by convention."""
+        lo, hi = np.where(up, x, 0), np.where(up, MAX_COUNT, x - 1)  # F(lo) < u <= F(hi)
+        out, index, step = hi.copy(), np.arange(x.size), 1
+        while (wide := hi - lo > 1).any():
+            index, u, up, lo, hi = (a[wide] for a in (index, u, up, lo, hi))
+            probe = np.where(np.where(up, hi == MAX_COUNT, lo == 0),
+                             np.where(up, lo + step, hi - step), lo + (hi - lo) // 2)
+            np.clip(probe, lo + 1, hi - 1, out=probe)
+            above = self._cdf_at(probe) >= u
+            hi, lo = np.where(above, probe, hi), np.where(above, lo, probe)
+            out[index] = hi
+            step = min(2 * step, MAX_COUNT)
+        return out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse transform; identical seed, identical output."""
@@ -349,22 +294,28 @@ class DiscretisedLognormal(_DiscreteModel):
         """Needs ``np.errstate(divide="ignore")``: a mass that underflows is -inf."""
         z = features - mu
         z /= sigma
-        out = np.log(_normal_interval_masses(z))
+        out = _normal_interval_masses(z)
+        np.log(out, out=out)
         out -= log_norm
         return out
 
-    def _grid(self, m: int) -> np.ndarray:
-        z = np.empty((2, m))
-        z[0] = self._z_half
-        z[1] = (np.log(np.arange(1, m + 1, dtype=np.float64) + 0.5) - self.mu) / self.sigma
-        out = _normal_interval_masses(z) / self._norm
-        # the per-element tail branch can wiggle by an ulp; force monotone
-        return np.minimum(np.maximum.accumulate(out), 1.0)
+    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
+        """The normal mass of (z(0.5), z(x + 0.5)] over that of (z(0.5), inf),
+        as ``_normal_interval_masses`` forms it, with the erfc values at the
+        fixed edge z(0.5) read once."""
+        w = (np.log(x + 0.5) - self.mu) / self.sigma
+        right = w > -self._z_half           # z(0.5) + z(x + 0.5) > 0
+        w *= _INV_SQRT2
+        erfc(np.negative(w, out=w, where=~right), out=w)
+        edge = self._z_half * _INV_SQRT2
+        out = np.where(right, erfc(edge) - w, w - erfc(-edge))
+        out *= 0.5
+        return np.minimum(np.maximum(out, 0.0, out=out) / self._norm, 1.0)
 
-    def _cdf_beyond(self, x: int) -> float:
-        z_hi = (math.log(x + 0.5) - self.mu) / self.sigma
-        mass = 0.5 * (math.erfc(self._z_half * _INV_SQRT2) - math.erfc(z_hi * _INV_SQRT2))
-        return min(mass / self._norm, 1.0)
+    def _start(self, u: np.ndarray) -> np.ndarray:
+        """The continuous quantile less 0.5: F(x) is the lognormal probability
+        of (0.5, x + 0.5] over that of (0.5, inf)."""
+        return np.exp(self.mu - self.sigma * ndtri((1.0 - u) * self._norm)) - 0.5
 
     def continuous_mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma ** 2)
@@ -376,10 +327,9 @@ class HookedPowerLaw(_DiscreteModel):
     The normalising constant is the Hurwitz zeta value zeta(alpha, b + 1),
     computed as a few explicit terms plus an Euler-Maclaurin tail to
     about 1e-16 relative accuracy over the whole parameter range the
-    fitter can visit (see ``_power_tail``). It is carried with a
-    (b + 1)**alpha scaling, so the pmf, the CDF table and the tail
-    formula behind ``cdf`` and ``quantile`` stay finite for any
-    alpha > 1, b > 0.
+    fitter can visit (see ``_power_head`` and ``_em_sum``). It is carried
+    with a (b + 1)**alpha scaling, so the pmf and the CDF stay finite for
+    any alpha > 1, b > 0.
 
     Parameters
     ----------
@@ -400,8 +350,12 @@ class HookedPowerLaw(_DiscreteModel):
             raise ParameterError(f"b must be > 0 and finite, got {b}")
         self.alpha = alpha
         self.b = b
-        # sum of ((b + x) / (b + 1))**(-alpha) over the support
-        self._scaled_norm = _power_tail(alpha, b, 1)
+        # S, the sum of ((b + x) / (b + 1))**(-alpha) over the support
+        totals, term, edge = self._head = _power_head(alpha, b)
+        total = totals[-1] if totals else 0.0
+        if term:
+            total += term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
+        self._scaled_norm = total
         self._log_scaled_norm = math.log(self._scaled_norm)
 
     @property
@@ -429,14 +383,49 @@ class HookedPowerLaw(_DiscreteModel):
         out -= log_scaled_norm
         return out
 
-    def _grid(self, m: int) -> np.ndarray:
-        steps = np.arange(m, dtype=np.float64)
-        terms = np.exp(-self.alpha * np.log1p(steps / (self.b + 1.0)))
-        out = np.cumsum(terms) / self._scaled_norm
-        return np.minimum(out, 1.0)
+    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
+        """H(x) / S, H(x) the sum of the terms up to x: the head's running
+        totals, then S - T(x + 1) for T the Euler-Maclaurin tail after x, or
+        where F < 1/2 the head's total plus T(e0) - T(x + 1) (e0 = b + h + 1)
+        arranged without cancellation: a few ulp of relative accuracy."""
+        totals, term, edge = self._head
+        alpha, norm, h = self.alpha, self._scaled_norm, len(totals)
+        k = (x - h).astype(np.float64)                  # terms past the head
+        past = k > 0.0
+        if h:
+            k = k[past]
+        if not (term and k.size):   # past a negligible rest F is total / S = 1
+            return np.array((0.0,) + totals)[np.minimum(x, h)] / norm
+        e = edge + k                                    # b + x + 1
+        log_ratio = np.log1p(k / edge)                  # log(e / e0)
+        decay = np.exp(-alpha * log_ratio)              # f(x + 1) / f(e0)
+        corr = _em_sum(alpha, e, 0.0)
+        tail = decay * (e / (alpha - 1.0) + 0.5 + corr)
+        tail *= term                                    # T(x + 1)
+        lower = np.flatnonzero(tail > 0.5 * norm)         # F below 1/2
+        summed = norm - tail
+        if lower.size:
+            ratio, decay, corr = log_ratio[lower], decay[lower], corr[lower]
+            # T(e0) - T(x + 1), over f(e0)
+            gained = (np.expm1((1.0 - alpha) * ratio) * (-edge / (alpha - 1.0))
+                      + 0.5 * (1.0 - decay) + _em_sum(alpha, edge, 0.0) - decay * corr)
+            summed[lower] = (totals[-1] if h else 0.0) + term * gained
+        out = summed
+        if h:
+            out = np.array((0.0,) + totals)[np.minimum(x, h)]
+            out[past] = summed
+        out /= norm
+        return np.minimum(out, 1.0, out=out)
 
-    def _cdf_beyond(self, x: int) -> float:
-        return min(1.0 - _power_tail(self.alpha, self.b, x + 1) / self._scaled_norm, 1.0)
+    def _start(self, u: np.ndarray) -> np.ndarray:
+        """x solving T(x + 1) = (1 - u) S, with T(x + 1) taken as the integral
+        I of ((b + t) / (b + 1))**(-alpha) over t > E = b + x + 1/2 less the
+        midpoint rule's error I alpha (alpha - 1) / (24 E**2): E from I
+        alone, less alpha / (24 E)."""
+        c = self.b + 1.0
+        level = np.log((1.0 - u) * (self._scaled_norm * (self.alpha - 1.0) / c))
+        edge = c * np.exp(level / (1.0 - self.alpha))
+        return edge - (self.alpha / 24.0) / edge - (self.b + 0.5)
 
     def continuous_mean(self) -> float:
         """Mean of the continuous analogue: the Lomax law with shape alpha
@@ -493,15 +482,14 @@ class Mixture(_DiscreteModel):
             out = top + np.log(np.exp(stacked - top).sum(axis=0))
         return np.where(np.isfinite(top), out, top)
 
-    def _grid(self, m: int) -> np.ndarray:
-        out = sum(w * c._grid(m) for w, c in zip(self.weights, self.components))
-        return np.minimum(np.maximum.accumulate(out), 1.0)
+    def _cdf_at(self, x: np.ndarray) -> np.ndarray:
+        out = sum(w * c._cdf_at(x) for w, c in zip(self.weights, self.components))
+        return np.minimum(out, 1.0, out=out)
 
-    def _cdf_beyond(self, x: int) -> float:
-        return min(
-            sum(w * c._cdf_beyond(x) for w, c in zip(self.weights, self.components)),
-            1.0,
-        )
+    def _start(self, u: np.ndarray) -> np.ndarray:
+        """The smallest component start: below every component's quantile,
+        F of the mixture is below u."""
+        return np.minimum.reduce([c._start(u) for c in self.components])
 
     def continuous_mean(self) -> float:
         return float(sum(w * c.continuous_mean()

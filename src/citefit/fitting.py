@@ -28,7 +28,7 @@ import numpy as np
 
 from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, FAMILIES
 from citefit.exceptions import ParameterError
-from citefit.sample import as_sample
+from citefit.sample import as_sample, count_total
 from citefit.simplex import nelder_mead_lockstep
 
 MAX_EVALS = 10_000
@@ -124,7 +124,7 @@ def _lognormal_start(values, mult, n) -> list[float]:
 
 
 def _hooked_start(values, mult, n) -> list[float]:
-    mean = float(np.dot(mult, values)) / n
+    mean = count_total(values, mult) / int(n)
     return [math.log(_INIT_ALPHA - 1.0), math.log(mean)]
 
 

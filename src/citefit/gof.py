@@ -16,10 +16,12 @@ which corrects the known conservatism of the fixed-parameter procedure
 The simulations run through ``bootstrap.run_reps`` in blocks of about
 ``_BLOCK_DRAWS`` draws. Simulation i takes its uniforms from the stream
 (seed, i); a block's uniforms are sorted row by row and mapped to counts
-by one quantile lookup, and one pass over the runs of equal counts gives
-every row's breakpoints and F_hat, the points and floats
-``cdf_breakpoints`` gives for a sample. Without ``refit`` one CDF read
-and one ``np.maximum.reduceat`` give every row's statistic; with it, a
+by one quantile search, which reads the model CDF pointwise once per run
+of equal closed-form starts, and one pass over the runs of equal counts
+gives every row's breakpoints and F_hat, the points and floats
+``cdf_breakpoints`` gives for a sample. Without ``refit`` one pointwise
+CDF read at those breakpoints and one ``np.maximum.reduceat`` give every
+row's statistic; with it, a
 block's simulations are fitted together by one ``fitting.fit_many`` call,
 each held only as its distinct counts and breakpoints. Either way memory
 follows the block, not ``n_sim``, and every statistic is the one a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,6 +107,14 @@ class DistinctCounts:
     def require_nonempty(self) -> None:
         if self.values.size == 0:
             raise EmptySampleError("operation requires a non-empty sample")
+
+
+def count_total(values: np.ndarray, mult: np.ndarray) -> int:
+    """The exact total of counts given as distinct values and multiplicities:
+    in int64 while no partial sum can reach 2**63, else in Python ints."""
+    if values.size == 0 or int(values.max()) * int(mult.sum()) < 2 ** 63:
+        return int(np.dot(mult, values))
+    return sum(map(operator.mul, values.tolist(), mult.tolist()))
 
 
 def as_sample(data, label: str = "",

@@ -28,7 +28,6 @@ surviving z is classified by the Vuong test's own +-1.96 rule.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -52,7 +51,7 @@ from citefit.exceptions import (
 )
 from citefit.fitting import FitStatus, fit, fit_many
 from citefit.gof import ks_p_value, ks_statistic, shape_classify
-from citefit.sample import CitationSample, DistinctCounts, as_sample
+from citefit.sample import CitationSample, DistinctCounts, as_sample, count_total
 from citefit.seeding import child_seed, spawn_rng
 from citefit.subjects import SUBJECTS
 from citefit.vuong import MODEL_A, MODEL_B, NEITHER, _favored, vuong
@@ -124,11 +123,10 @@ def _z_values(samples) -> list[float]:
 
 
 def _means(samples) -> list[float]:
-    """The mean of each sample: its exact total, in Python ints (an int64
-    total overflows near 2**62), over its size, correctly rounded. That is
-    ``np.mean`` of its counts while the total stays below 2**53."""
-    return [sum(map(operator.mul, s.values.tolist(), s.mult.tolist())) / len(s)
-            for s in samples]
+    """The mean of each sample: its exact total over its size, correctly
+    rounded. That is ``np.mean`` of its counts while the total stays below
+    2**53."""
+    return [count_total(*s.unique_counts) / len(s) for s in samples]
 
 
 def _medians(samples) -> list[float]:

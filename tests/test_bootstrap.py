@@ -18,6 +18,7 @@ from citefit import (
     CitationSample,
     CitefitError,
     DiscretisedLognormal,
+    DomainError,
     EmptySampleError,
     FitStatus,
     ParameterError,
@@ -39,6 +40,7 @@ from citefit.bootstrap import (
     run_reps,
     summarise,
 )
+from citefit.sample import DistinctCounts, count_total
 from citefit.seeding import spawn_rng
 from citefit.studies import BOOTSTRAP_STATISTICS
 
@@ -328,6 +330,21 @@ def test_mean_of_a_large_total_is_the_correctly_rounded_exact_mean(counts, size)
     exact = [float(Fraction(sum(map(int, d)), size)) for d in _draws(sample, size, 4, reps)]
     got = _bootstrap_reps(sample, size, 4, BOOTSTRAP_STATISTICS["mean"], reps)
     assert [v.hex() for v in got] == [v.hex() for v in exact]
+
+
+def test_count_total_is_exact_past_int64():
+    values, mult = np.array([3, 2 ** 62, 2 ** 62 + 1]), np.array([4, 4, 4])
+    assert count_total(values, mult) == 4 * (3 + 2 ** 62 + 2 ** 62 + 1)
+    assert count_total(np.array([5, 9]), np.array([2, 3])) == 37
+
+
+@pytest.mark.parametrize("study", [partial(bootstrap_study, statistic="mean"),
+                                   bootstrap_vuong_study], ids=["bootstrap", "vuong"])
+def test_bootstrap_studies_reject_distinct_counts(study):
+    # a resample draws from the raw counts, which DistinctCounts does not keep
+    counts = DistinctCounts(np.array([1, 2, 5]), np.array([3, 4, 2]))
+    with pytest.raises(DomainError, match="CitationSample"):
+        study(counts, 40)
 
 
 def test_summarise_counts_non_finite_values_as_failed():

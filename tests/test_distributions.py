@@ -1,11 +1,10 @@
 """Distribution families: pmf/cdf/quantile/sampling contracts and the
 closed-form moment formulae."""
 
-import gc
 import math
 import pickle
-import sys
-import weakref
+import timeit
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -23,6 +22,8 @@ from citefit import (
     Mixture,
     ParameterError,
 )
+from citefit.distributions import MAX_COUNT
+from citefit.gof import ks_statistic
 from citefit.subjects import SUBJECTS
 
 mp.mp.dps = 50
@@ -169,12 +170,12 @@ def test_cdf_monotone_and_bounded(model):
 
 
 def test_normalization_with_tail_correction_over_fixture():
-    # truncated pmf sum plus the family tail term must reach 1 to 1e-9
+    # truncated pmf sum plus the mass beyond it must reach 1 to 1e-9
     for subject in SUBJECTS:
         for model in (subject.lognormal(), subject.hooked()):
             xmax = 100_000
             total = float(np.exp(model._log_pmf(np.arange(1, xmax + 1))).sum())
-            total += 1.0 - model._cdf_beyond(xmax)
+            total += 1.0 - model.cdf(xmax)
             assert abs(total - 1.0) <= 1e-9, (subject.name, model.family)
 
 
@@ -202,7 +203,7 @@ def test_quantile_cdf_adjoint(model):
 
 
 def test_quantile_deep_tail_bisection():
-    # far enough into the tail that the cached table alone cannot reach
+    # far into the tail: the start is a continuous approximation there
     model = HookedPowerLaw(1.8, 2.0)
     u = 1.0 - 1e-6
     x = model.quantile(u)
@@ -211,16 +212,57 @@ def test_quantile_deep_tail_bisection():
     assert x > 10_000_000
 
 
-def test_quantile_beyond_a_saturated_table_is_history_free():
-    # the table's cumulative sum saturates below u, and each call doubles it
-    u = float(np.nextafter(1.0, 0.0))
-    model = HookedPowerLaw(8.0, 1.0)
-    first = model.quantile(u)
-    assert [model.quantile(u) for _ in range(3)] == [first] * 3
-    grown = HookedPowerLaw(8.0, 1.0)
-    grown.cdf(10 ** 6)
-    assert grown.quantile([u, 0.5, u]).tolist() == [first, 1, first]
-    assert model._cdf_beyond(first - 1) < u <= model._cdf_beyond(first)
+_TOP = float(np.nextafter(1.0, 0.0))
+_CONTRACT_MODELS = [
+    DiscretisedLognormal(2.08, 1.11),
+    DiscretisedLognormal(-0.38, 1.73),
+    DiscretisedLognormal(1.0, 0.05),
+    HookedPowerLaw(2.0, 1.0),
+    HookedPowerLaw(8.0, 1.0),
+    HookedPowerLaw(1.05, 0.5),
+    HookedPowerLaw(1.0 + 1e-9, 3e5),
+    HookedPowerLaw(1e6, 1e7),
+    Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4, 0.6)),
+]
+
+
+@pytest.mark.parametrize("model", _CONTRACT_MODELS, ids=repr)
+def test_quantile_is_the_smallest_count_reaching_u(model):
+    # u = 0, the largest u below 1, random u, and u at and just above F(x),
+    # where the answer moves from x to x + 1
+    xs = np.array([1, 2, 3, 7, 12, 13, 40, 1000, 10 ** 6, 10 ** 12])
+    at = model.cdf(xs)
+    us = np.concatenate([[0.0, _TOP], np.random.default_rng(8).random(500),
+                         at, np.nextafter(at, 1.0)])
+    us = us[us < 1.0]
+    q = model.quantile(us)
+    assert np.all((q >= 1) & (q <= MAX_COUNT))
+    reached = model.cdf(q) >= us
+    assert np.all(reached | (q == MAX_COUNT))
+    below = np.where(q > 1, model.cdf(np.maximum(q - 1, 1)), -1.0)
+    assert np.all(below < us)
+
+
+def test_quantile_at_the_top_is_history_free():
+    # the largest u that rng.random() returns: every call gives the same
+    # count, and F reaches u there, or F never does and draws saturate
+    for model in _CONTRACT_MODELS:
+        first = model.quantile(_TOP)
+        assert [model.quantile(_TOP) for _ in range(3)] == [first] * 3
+        assert model.quantile([_TOP, 0.5, _TOP]).tolist()[::2] == [first] * 2
+        assert model.cdf(first - 1) < _TOP
+        assert model.cdf(first) >= _TOP or first == MAX_COUNT
+
+
+def test_lognormal_whose_cdf_stops_below_the_top_u_saturates():
+    # F divides masses from scipy's erfc by a normaliser from math.erfc;
+    # for these parameters it tops out one ulp short of the largest u below
+    # 1, which rng.random() returns once in 2**53 draws. The quantile keeps
+    # its contract and saturates rather than mixing in a second CDF formula.
+    model = DiscretisedLognormal(-0.38, 1.73)
+    assert model.cdf(MAX_COUNT) == 1.0 - 2.0 ** -52
+    assert model.quantile(_TOP) == MAX_COUNT
+    assert model.quantile(1.0 - 2.0 ** -52) < 10 ** 7
 
 
 # --- sampling ----------------------------------------------------------------
@@ -266,23 +308,6 @@ def test_concurrent_quantiles_match_sequential():
     assert_array_equal(threaded, reference)
 
 
-def test_racing_first_use_of_cdf_table():
-    # threads may each build the lazy table; every reader must see equal values
-    us = np.random.default_rng(6).random(4000) * 0.9999
-    reference = HookedPowerLaw(2.5, 12.0).quantile(us)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            shared = HookedPowerLaw(2.5, 12.0)
-            with ThreadPoolExecutor(8) as pool:
-                results = list(pool.map(shared.quantile, [us] * 8))
-            for got in results:
-                assert_array_equal(got, reference)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_models_pickle_roundtrip():
     for model in (HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)):
         clone = pickle.loads(pickle.dumps(model))
@@ -290,95 +315,36 @@ def test_models_pickle_roundtrip():
         assert_array_equal(clone.sample(100, 3), model.sample(100, 3))
 
 
-def test_pickle_roundtrip_after_table_is_built():
+def test_pickle_roundtrip_after_sampling():
     hooked, lognormal = HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)
     for model in (hooked, lognormal, Mixture([hooked, lognormal], [0.3, 0.7])):
-        drawn = model.sample(500, 4)        # builds the CDF table
+        drawn = model.sample(500, 4)
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
-        assert clone._table._cdf is None    # the cached table is not pickled
+        assert vars(clone).keys() == vars(model).keys()
         assert_array_equal(clone.sample(500, 4), drawn)
         xs = np.arange(1, 3001)
         assert_array_equal(clone.cdf(xs), model.cdf(xs))
 
 
-def test_model_with_a_table_is_freed_without_the_cycle_collector():
-    # the table holds no reference back to its model, so a refit model's
-    # table goes with the model, not at the next garbage collection
-    gc.disable()
+def test_draw_at_the_count_ceiling_is_fast():
+    # F(2**62) is about 0.04: the closed-form start lands on the ceiling
+    model = HookedPowerLaw(1.001, 1.0)
+    assert model.sample(1, 3).tolist() == [MAX_COUNT]
+    assert min(timeit.repeat(lambda: model.sample(1, 3), number=1, repeat=5)) < 5e-3
+
+
+@pytest.mark.parametrize("model", [HookedPowerLaw(2.0, 1.0), HookedPowerLaw(1.05, 0.5),
+                                   DiscretisedLognormal(2.08, 1.11)], ids=repr)
+def test_ks_memory_follows_the_distinct_counts_not_the_largest(model):
+    data = CitationSample(np.append(model.sample(299, 5), 10 ** 9))
+    tracemalloc.start()
     try:
-        model = HookedPowerLaw(2.5, 12.0)
-        model.cdf([3, 5000])
-        freed = weakref.ref(model)
-        del model
-        assert freed() is None
+        ks_statistic(model, data)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        gc.enable()
-
-
-def test_cdf_table_built_on_first_use():
-    model = HookedPowerLaw(3.94, 67.9)
-    model.log_pmf([1, 5, 40])
-    assert "_table" not in vars(model)      # likelihoods never allocate it
-    table = model._table
-    model.cdf(7)
-    assert model._table is table
-
-
-# Interleaved quantile/cdf/sample calls with each call's output and the CDF
-# table length after it, as recorded before the two table-growth loops were
-# folded into one. A table that a doubling left saturated grows no further
-# for a quantile (the mixture's repeated top quantile); quantiles beyond it
-# come from the tail formula alone, so the repeated call returns the same
-# value.
-_TOP = float(np.nextafter(1.0, 0.0))
-_GROWTH_PINS = [
-    (HookedPowerLaw(1.05, 0.5), [
-        ("cdf", [1, 5, 3000], [0.03272674218155836, 0.08400148030003747,
-                               0.3286248027980934], 4096),
-        ("quantile", 0.3, 1302, 4096),
-        ("quantile", [0.5, 0.1], [1089360, 8], 2097152),
-        ("cdf", 2000, 0.31488064278472166, 2097152),
-        ("cdf", [7, 2 ** 40], [0.09705917139303397, 0.7495225683258917], 8388608),
-        ("sample", (5, 1), [1757928, 2 ** 62, 23, 2 ** 62, 1830], 8388608),
-        ("quantile", 0.9, 2 ** 62, 8388608),
-    ]),
-    (DiscretisedLognormal(1.0, 0.8), [
-        ("quantile", 0.5, 3, 1024),
-        ("quantile", _TOP, 1860, 2048),
-        ("quantile", _TOP, 1860, 2048),
-        ("cdf", 5000, 1.0, 8192),
-        ("sample", (6, 3), [1, 2, 5, 3, 1, 2], 8192),
-        ("quantile", _TOP, 1860, 8192),
-        ("cdf", [2, 40000], [0.44887817121209544, 1.0], 65536),
-    ]),
-    (Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4, 0.6)), [
-        ("sample", (4, 4), [4, 1, 5, 1], 1024),
-        ("cdf", 1500, 0.9999999999999901, 2048),
-        ("quantile", _TOP, 3344, 8192),
-        ("quantile", _TOP, 3344, 8192),
-        ("cdf", [3, 70000], [0.9276186944502771, 0.9999999999999901], 131072),
-        ("quantile", [0.2, 0.999999], [1, 43], 131072),
-        ("sample", (3, 5), [2, 2, 1], 131072),
-    ]),
-]
-
-
-@pytest.mark.parametrize("model,steps", _GROWTH_PINS, ids=["hooked", "lognormal", "mixture"])
-def test_cdf_table_growth_is_pinned(model, steps):
-    for method, arg, expected, length in steps:
-        got = model.sample(*arg) if method == "sample" else getattr(model, method)(arg)
-        assert np.asarray(got).tolist() == expected, (method, arg)
-        assert len(model._table._cdf) == length, (method, arg)
-
-
-def test_saturated_table_stops_growing():
-    # the table saturates below _TOP at 8192 entries; the quantile comes
-    # from the tail formula, and repeating it leaves the table alone
-    model = HookedPowerLaw(8.0, 1.0)
-    for _ in range(12):
-        assert model.quantile(_TOP) == 297
-        assert len(model._table._cdf) == 8192
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # --- continuous moments ------------------------------------------------------

@@ -69,6 +69,8 @@ def test_constant_sample_is_degenerate(family):
     ("lognormal", [1, 2 ** 62]),           # the pmf at 2**62 underflows at the start
     ("lognormal", [2 ** 62 - 1, 2 ** 62]),  # equal as floats: zero log spread
     ("hooked", [1, 10 ** 13]),             # the start b = mean lies beyond the box
+    ("hooked", [2 ** 61, 2 ** 61 + 5, 3, 3]),
+    ("hooked", [2 ** 62, 2 ** 62 + 1, 3] * 4),  # an int64 total would wrap to 16
 ])
 def test_non_finite_start_is_degenerate(family, counts):
     result = fit(family, CitationSample(counts))

@@ -94,7 +94,7 @@ def test_ks_at_breakpoints_equals_dense_maximum(model, counts):
 
 
 def test_ks_on_draws_at_the_count_ceiling():
-    # about half of these draws lie beyond the CDF table; the largest is 2**62
+    # many of these draws are far beyond 2**23; the largest is 2**62
     model = HookedPowerLaw(1.05, 0.5)
     draws = model.sample(2000, 3)
     assert draws.max() == 2 ** 62
@@ -107,12 +107,12 @@ _MIX = Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4,
 
 
 # D and p as recorded before the simulations were read off sorted draws.
-# The hooked draws reach beyond the CDF table, up to the 2**62 ceiling.
+# The hooked draws reach the 2**62 ceiling.
 @pytest.mark.parametrize("run,d_hex,p_hex", [
     (lambda: ks_test_fixed(_LN, _LN.sample(300, 7), n_sim=39, seed=3),
      "0x1.200e5ec3ae580p-5", "0x1.6666666666666p-1"),
     (lambda: ks_test_fixed(_HOOKED_WIDE, _HOOKED_WIDE.sample(8, 2), n_sim=19, seed=4),
-     "0x1.4e51dc74f16aep-2", "0x1.3333333333333p-2"),
+     "0x1.4e51dc74f16b0p-2", "0x1.3333333333333p-2"),
     (lambda: ks_test_fixed(_MIX, _MIX.sample(150, 5), n_sim=29, seed=6),
      "0x1.16955f51f0e80p-5", "0x1.bbbbbbbbbbbbcp-2"),
     (lambda: ks_test_fixed(_LN, [5], n_sim=19, seed=8),
@@ -123,7 +123,7 @@ _MIX = Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4,
      "0x1.56ddf08c33350p-5", "0x1.3333333333333p-1"),
     (lambda: ks_p_value("lognormal", _LN.sample(300, 7)[:120], n_sim=9, seed=11, refit=True),
      "0x1.09a8321382490p-5", "0x1.ccccccccccccdp-1"),
-], ids=["lognormal", "hooked-beyond-table", "mixture", "n1", "fitted", "refit-hooked",
+], ids=["lognormal", "hooked-to-the-ceiling", "mixture", "n1", "fitted", "refit-hooked",
         "refit-lognormal"])
 def test_mc_ks_is_pinned(run, d_hex, p_hex):
     result = run()
@@ -133,7 +133,7 @@ def test_mc_ks_is_pinned(run, d_hex, p_hex):
 def _one_simulation_at_a_time(model, n, seed, reps, family=None):
     """KS statistic (hex) of each simulation in ``reps``, drawn, sorted and
     tested on its own against ``model`` or, with ``family``, against its own
-    fit when usable; on a copy of ``model`` that grows its own CDF table."""
+    fit when usable; on an unpickled copy of ``model``."""
     model = pickle.loads(pickle.dumps(model))
     sims = [np.sort(model.sample_with(spawn_rng(seed, i), n)) for i in reps]
     nulls = [model] * len(sims)
@@ -148,7 +148,7 @@ def _one_simulation_at_a_time(model, n, seed, reps, family=None):
 @given(model=_MODELS, n=st.integers(1, 400), seed=st.integers(0, 2 ** 32),
        first=st.integers(1, 40), count=st.integers(1, 25),
        budget=st.sampled_from([1, 3, 100, 1000, 1 << 16]))
-# draws beyond the CDF table, up to the 2**62 ceiling
+# draws up to the 2**62 ceiling
 @example(model=_HOOKED_WIDE, n=8, seed=4, first=1, count=5, budget=20)
 # every row is all ones
 @example(model=DiscretisedLognormal(-1.0, 0.2), n=50, seed=0, first=3, count=4, budget=120)
@@ -197,9 +197,9 @@ def test_refit_memory_follows_the_block_not_n_sim():
 def test_fixed_memory_follows_the_block_not_n_sim():
     model = DiscretisedLognormal(2.77, 1.40)
     data = model.sample(9994, 3)
-    grown = ks_test_fixed(model, data, n_sim=1000, seed=3)   # grows the CDF table
+    first = ks_test_fixed(model, data, n_sim=1000, seed=3)
     result, peak = _traced_peak(lambda: ks_test_fixed(model, data, n_sim=1000, seed=3))
-    assert result == grown
+    assert result == first
     assert peak <= 2e6
 
 

@@ -1,6 +1,7 @@
-"""Numerical kernels: the hooked power sum and the normal interval masses,
-against high-precision mpmath references, and the lognormal pmf and CDF
-table against a frozen copy of their earlier two-erfc form."""
+"""Numerical kernels: the hooked power sum, the CDFs of both families and
+the normal interval masses, against high-precision mpmath references, and
+the lognormal pmf and CDF against a frozen copy of their earlier two-erfc
+form."""
 
 import math
 
@@ -16,7 +17,7 @@ from citefit.distributions import (
     DiscretisedLognormal,
     HookedPowerLaw,
     _normal_interval_masses,
-    _power_tail,
+    _power_head,
 )
 
 mp.mp.dps = 50
@@ -46,12 +47,36 @@ def _oracle_norm(alpha, b):
         return mp.zeta(a, c) * c ** a
 
 
-def _oracle_tail(alpha, b, start):
-    # the same sum over x >= start, rescaled so that its first term is 1
-    # (nsum's stopping rule is absolute)
-    with mp.workdps(50):
-        first = (1 + (mp.mpf(start) - 1) / (mp.mpf(b) + 1)) ** -mp.mpf(alpha)
-        return first * _oracle_norm(alpha, b + start - 1)
+def _oracle_hooked_cdf(alpha, b, x):
+    """F(x) of ``HookedPowerLaw(alpha, b)`` in mpmath: the sum of the terms up
+    to x over their sum to infinity.
+
+    Up to alpha = 30 each sum is a difference of Hurwitz zeta values at 120
+    digits. Above it, where ``mp.zeta`` loses accuracy, each sum adds its
+    first 100 terms one by one and the rest by ``mp.sumem``
+    (Euler-Maclaurin with numerical derivatives) around the closed-form
+    integral.
+    """
+    a, c = mp.mpf(alpha), mp.mpf(b) + 1
+    if alpha <= 30:
+        with mp.workdps(120):
+            whole = mp.zeta(a, c)
+            return (whole - mp.zeta(a, c + x)) / whole
+    with mp.workdps(60):
+
+        def term(k):
+            return mp.exp(-a * mp.log1p((k - 1) / c))
+
+        def partial(end):
+            head = mp.fsum(term(k) for k in range(1, int(min(end, 100)) + 1))
+            if end <= 100:
+                return head
+            # the integral of term(t) over [101, end]; 0 at end = inf
+            ahead = c / (a - 1) * ((c + 100) / c) ** (1 - a)
+            beyond = 0 if end == mp.inf else c / (a - 1) * ((c + end - 1) / c) ** (1 - a)
+            return head + mp.sumem(term, [101, end], integral=ahead - beyond)
+
+        return partial(mp.mpf(x)) / partial(mp.inf)
 
 
 @pytest.mark.parametrize("alpha", BOX_ALPHAS)
@@ -62,25 +87,25 @@ def test_hooked_normaliser_matches_mpmath_over_fit_box(alpha):
         assert abs(got - exact) <= 1e-14 * exact, (alpha, b, got, float(exact))
 
 
-@pytest.mark.parametrize("alpha,b,start", [
-    (3.0, 0.5, 5),          # explicit terms, then the Euler-Maclaurin tail
-    (1.5, 1.0, 100_001),
-    (2.06, 7.1, (1 << 23) + 1),
-    (30.17, 713.6, 50),
-    (1e6, 1e7, 1_000),
+@pytest.mark.parametrize("alpha,b,x", [
+    (3.0, 0.5, 4),          # explicit terms, then the Euler-Maclaurin tail
+    (1.5, 1.0, 100_000),
+    (2.06, 7.1, 1 << 23),
+    (30.17, 713.6, 49),
+    (1e6, 1e7, 999),
 ])
-def test_power_tail_matches_mpmath(alpha, b, start):
-    # exp(-alpha * log1p(...)) of the first term is only as accurate as
-    # its exponent, about 100 * 1.1e-16 at (1e6, 1e7, 1000)
-    exact = _oracle_tail(alpha, b, start)
-    got = _power_tail(alpha, b, start)
-    assert abs(got - exact) <= 1e-12 * exact
+def test_hooked_cdf_matches_mpmath_past_the_explicit_terms(alpha, b, x):
+    exact = _oracle_hooked_cdf(alpha, b, x)
+    got = HookedPowerLaw(alpha, b).cdf(x)
+    assert abs(got - exact) <= 1e-14 * exact
 
 
-def test_power_tail_underflows_to_zero():
-    # alpha * log1p((x - 1) / (b + 1)) is far beyond exp's range
-    assert _power_tail(1e10, 1.0, 3) == 0.0
-    assert _power_tail(300.0, 1e-12, 1 << 40) == 0.0
+def test_hooked_cdf_is_one_where_the_rest_underflows():
+    # alpha * log1p((x - 1) / (b + 1)) is far beyond exp's range: the
+    # explicit terms stop, and F is 1 from there
+    assert _power_head(1e10, 1.0) == ((1.0,), 0.0, 3.0)
+    assert HookedPowerLaw(1e10, 1.0).cdf([2, 3, 1 << 40]).tolist() == [1.0] * 3
+    assert HookedPowerLaw(300.0, 1e-12).cdf(1 << 40) == 1.0
 
 
 def _exact_mass(z_lo, z_hi):
@@ -135,7 +160,7 @@ def _two_erfc_log_pmf(model, x):
         return np.log(_two_erfc_masses(z_lo, z_hi)) - model._log_norm
 
 
-def _two_erfc_grid(model, m):
+def _two_erfc_cdf(model, m):
     xf = np.arange(1, m + 1, dtype=np.float64)
     z_hi = (np.log(xf + 0.5) - model.mu) / model.sigma
     z_lo = np.full(m, model._z_half)
@@ -161,5 +186,43 @@ def test_lognormal_kernel_is_bit_identical_to_two_erfc_form(model, counts, m):
     x = np.array(counts, dtype=np.int64)
     got, ref = model.log_pmf(x), _two_erfc_log_pmf(model, x)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
-    got, ref = model._grid(m), _two_erfc_grid(model, m)
+    got, ref = model._cdf_at(np.arange(1, m + 1)), _two_erfc_cdf(model, m)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+
+
+def _oracle_lognormal_cdf(model, x):
+    """F(x) of ``model`` in mpmath, the normal mass of (z(0.5), z(x + 0.5)]
+    over that of (z(0.5), inf) differenced on the thin-tail side, and the
+    larger |z|."""
+    with mp.workdps(60):
+        z = [(mp.log(mp.mpf(edge)) - model.mu) / model.sigma for edge in (0.5, x + 0.5)]
+        upper = [mp.erfc(v / mp.sqrt(2)) for v in z]
+        if z[0] + z[1] > 0:
+            return (upper[0] - upper[1]) / upper[0], max(map(abs, z))
+        lower = [mp.erfc(-v / mp.sqrt(2)) for v in z]
+        return (lower[1] - lower[0]) / upper[0], max(map(abs, z))
+
+
+_COUNTS_TO_1E12 = st.one_of(st.integers(1, 100), st.integers(1, 10 ** 12))
+
+
+# log(alpha - 1) up to the fitter's 300, most draws where F is not 1 at once
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(theta0=st.one_of(st.floats(-30.0, 5.0), st.floats(5.0, 300.0)),
+       theta1=st.floats(-27.0, 27.0), x=_COUNTS_TO_1E12)
+def test_hooked_cdf_matches_mpmath_over_fit_box(theta0, theta1, x):
+    alpha, b = 1.0 + math.exp(theta0), math.exp(theta1)
+    exact = _oracle_hooked_cdf(alpha, b, x)
+    got = HookedPowerLaw(alpha, b).cdf(x)
+    assert abs(got - exact) <= 1e-14 * exact, (alpha, b, x, got, float(exact))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(model=_lognormals(), x=_COUNTS_TO_1E12)
+def test_lognormal_cdf_matches_mpmath_over_fit_box(model, x):
+    # z is formed in floating point, to about 1.1e-16 |z|; deep in a tail
+    # that moves a normal mass by about z**2 times as much. Below 1e-300
+    # the masses lose digits to underflow.
+    exact, z = _oracle_lognormal_cdf(model, x)
+    got = model.cdf(x)
+    assert abs(got - exact) <= 1e-14 * (1 + z ** 2) * exact + 1e-300, (model, x, got)
