@@ -13,17 +13,17 @@ against the one fitted model; ``refit=True`` refits each simulated sample,
 which corrects the known conservatism of the fixed-parameter procedure
 (Clauset, Shalizi & Newman, SIAM Review 51(4), 2009).
 
-The simulations run through ``bootstrap.run_reps`` in blocks of about
-``_BLOCK_DRAWS`` draws. Simulation i takes its uniforms from the stream
-(seed, i); a block's uniforms are sorted row by row and mapped to counts
-by one quantile search, which reads the model CDF pointwise once per run
-of equal closed-form starts, and one pass over the runs of equal counts
-gives every row's breakpoints and F_hat, the points and floats
-``cdf_breakpoints`` gives for a sample. Without ``refit`` one pointwise
-CDF read at those breakpoints and one ``np.maximum.reduceat`` give every
-row's statistic; with it, a
-block's simulations are fitted together by one ``fitting.fit_many`` call,
-each held only as its distinct counts and breakpoints. Either way memory
+A sample is read as its distinct counts and multiplicities
+(``unique_counts``): breakpoints, F_hat, the ECDF and the shape atoms come
+from them. ``_simulated_counts``, the one way a study draws from a model,
+draws blocks of about ``_BLOCK_DRAWS`` draws: simulation i takes its
+uniforms from the stream (seed, i, *path), a block's uniforms are sorted
+row by row and mapped to counts by one quantile search, which reads the
+model CDF once per run of equal closed-form starts, and one pass over the
+runs of equal counts gives every row's distinct counts. Without ``refit``
+one pointwise CDF read at the block's breakpoints and one
+``np.maximum.reduceat`` give every row's statistic; with it, a block's
+simulations are fitted together by one ``fitting.fit_many`` call. Memory
 follows the block, not ``n_sim``, and every statistic is the one a
 simulation drawn, sorted and tested on its own would give.
 """
@@ -35,9 +35,8 @@ from functools import partial
 
 import numpy as np
 
-from citefit.exceptions import DomainError, FitFailedError
+from citefit.exceptions import DomainError, EmptySampleError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
-from citefit.bootstrap import run_reps
 from citefit.sample import DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
@@ -78,42 +77,29 @@ def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     """Proportion of counts <= g for each g in ``grid``."""
     sample = as_sample(sample)
     sample.require_nonempty()
-    return np.searchsorted(sample.sorted_counts, grid, side="right") / len(sample)
+    v, mult = sample.unique_counts
+    at_most = np.append(0, np.cumsum(mult))
+    return at_most[np.searchsorted(v, grid, side="right")] / len(sample)
 
 
-def _breakpoints(rows: np.ndarray):
-    """Breakpoints of the empirical CDF of each row of a 2-d array of
-    sorted counts, with F_hat there, and each row's distinct counts.
-
-    Returns the breakpoints x and F_hat(x), and the distinct counts v and
-    their multiplicities, each flattened row after row, with the index
-    where each row's x and each row's v begin. Per row, x is
-    np.union1d(v[v > 1] - 1, v); a row's points are never merged with
-    the previous row's. F_hat is read off the runs of equal counts:
-    F_hat(v) is the index after the last v over n, F_hat(v - 1) the index
-    of the first v over n, the same floats as ``empirical_cdf`` gives.
-    """
-    n = rows.shape[1]
-    flat = rows.reshape(-1)
-    new_run = np.empty(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
-    new_run[::n] = True
-    first = np.flatnonzero(new_run)
-    v = flat[first]
-    below = first % n                   # how many counts of the row are < v
+def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int):
+    """Breakpoints x of the empirical CDF of samples of n counts each, given
+    as their distinct counts v and multiplicities flattened sample after
+    sample, with F_hat(x) and the index where each sample's x begin. Per
+    sample, x is np.union1d(v[v > 1] - 1, v), never merged with the previous
+    sample's, and F_hat(x) is (counts <= x) / n, as ``empirical_cdf`` gives."""
+    below = (np.cumsum(mult) - mult) % n    # how many counts of its sample are < v
     v_starts = np.flatnonzero(below == 0)
     x = np.empty(2 * v.size, dtype=np.int64)
     at_most = np.empty(2 * v.size, dtype=np.int64)     # how many counts are <= x
     x[0::2], x[1::2] = v - 1, v
-    at_most[0::2] = below
-    at_most[1::2] = np.append(first[1:], flat.size) - (first - below)
+    at_most[0::2], at_most[1::2] = below, below + mult
     keep = np.ones(x.size, dtype=bool)
-    # v - 1 is a point unless it is 0 or the row's previous v
+    # v - 1 is a point unless it is 0 or the sample's previous v
     keep[2::2] = x[2::2] != x[1:-1:2]
     keep[2 * v_starts] = v[v_starts] > 1
     x_starts = (np.cumsum(keep) - keep)[2 * v_starts]
-    return (x[keep], at_most[keep] / n, x_starts,
-            v, at_most[1::2] - below, v_starts)
+    return x[keep], at_most[keep] / n, x_starts
 
 
 def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +112,7 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     sample = as_sample(sample)
     sample.require_nonempty()
-    x, emp_cdf, *_ = _breakpoints(sample.sorted_counts[np.newaxis])
+    x, emp_cdf, _ = _breakpoints(*sample.unique_counts, len(sample))
     return x, emp_cdf, model.cdf(x)
 
 
@@ -137,31 +123,53 @@ def ks_statistic(model, sample) -> float:
     return float(np.abs(model_cdf - emp_cdf).max())
 
 
-def _simulated_breakpoints(model, n: int, seed: int, reps: range):
-    """``_breakpoints`` of the sorted simulations of ``reps``, block by
-    block: simulation i is n draws of ``model`` from the stream (seed, i)."""
+def _simulated_counts(model, n: int, seed: int, reps: range, *path):
+    """The simulations of ``reps``, block by block: simulation i is n draws
+    of ``model`` from the stream (seed, i, *path). Yields each block's
+    distinct counts and their multiplicities, flattened simulation after
+    simulation."""
+    if n < 1:
+        raise EmptySampleError("operation requires a non-empty sample")
     rows = max(1, _BLOCK_DRAWS // n)
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
         u = np.empty((len(block), n))
         for row, i in zip(u, block):
-            spawn_rng(seed, i).random(out=row)
+            spawn_rng(seed, i, *path).random(out=row)
         u.sort(axis=1)      # the quantile is monotone: its draws come sorted
-        yield _breakpoints(model._quantile_array(u.reshape(-1)).reshape(u.shape))
+        flat = model._quantile_array(u.reshape(-1))
+        new_run = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+        new_run[::n] = True     # a row's counts are never merged with the previous row's
+        first = np.flatnonzero(new_run)
+        distinct = flat[first], np.diff(first, append=flat.size)
+        del u, flat, new_run    # only the distinct counts outlive the block
+        yield distinct
+
+
+def _split(v: np.ndarray, mult: np.ndarray, n: int) -> list[DistinctCounts]:
+    """A block of ``_simulated_counts`` as one DistinctCounts per simulation."""
+    starts = np.flatnonzero((np.cumsum(mult) - mult) % n == 0)[1:]    # no count below v
+    return list(map(DistinctCounts, np.split(v, starts), np.split(mult, starts)))
+
+
+def _simulated_samples(model, n: int, seed: int, reps: range, *path) -> list[DistinctCounts]:
+    """Every simulation of ``reps`` held as its distinct counts."""
+    return [sample for block in _simulated_counts(model, n, seed, reps, *path)
+            for sample in _split(*block, n)]
 
 
 def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
     """KS statistic of each simulation in ``reps`` against ``model`` or, with
     ``refit`` (a batch fit of one family), against its own fit when that
-    is usable. The simulations of a block are refitted together, held as
-    their distinct counts and breakpoints."""
+    is usable; the simulations of a block are refitted together."""
     d_sim = []
-    for x, emp_cdf, x_starts, v, mult, v_starts in _simulated_breakpoints(model, n, seed, reps):
+    for v, mult in _simulated_counts(model, n, seed, reps):
+        x, emp_cdf, x_starts = _breakpoints(v, mult, n)
         if refit is None:
             d_sim += np.maximum.reduceat(np.abs(model._cdf_at(x) - emp_cdf), x_starts).tolist()
             continue
-        fits = refit(list(map(DistinctCounts, np.split(v, v_starts[1:]),
-                              np.split(mult, v_starts[1:]))))
+        fits = refit(_split(v, mult, n))
         d_sim += [float(np.abs((sim_fit.model if sim_fit.usable else model)._cdf_at(x_i)
                                - emp_i).max())
                   for sim_fit, x_i, emp_i in zip(fits, np.split(x, x_starts[1:]),
@@ -174,8 +182,7 @@ def _mc_ks(model, sample, n_sim: int, seed: int, refit,
     """``refit``: None to test against ``model``, or a batch fit of the
     simulated samples. The p-value is (r + 1) / (n_sim + 1)."""
     d_obs = ks_statistic(model, sample)
-    [d_sim] = run_reps([partial(_mc_ks_reps, model, len(sample), seed, refit)],
-                       n_sim, workers=1)
+    d_sim = _mc_ks_reps(model, len(sample), seed, refit, range(n_sim))
     exceed = sum(d >= d_obs for d in d_sim)
     return GofResult(
         ks_stat=d_obs,
@@ -248,12 +255,11 @@ def shape_classify(model, sample, epsilon: float = 0.01) -> ShapeReport:
     sample.require_nonempty()
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
-    sorted_counts = sample.sorted_counts
+    v, mult = sample.unique_counts
     n = len(sample)
-    x_bottom = 1
-    x_middle = int(sorted_counts[int(np.ceil(0.5 * n)) - 1])
-    x_top = int(sorted_counts[int(np.ceil(0.99 * n)) - 1])
-    points = np.array([x_bottom, x_middle, x_top])
+    # the k-th smallest count is the first v with at least k counts <= v
+    middle, top = np.searchsorted(np.cumsum(mult), [np.ceil(0.5 * n), np.ceil(0.99 * n)])
+    points = np.array([1, v[middle], v[top]])
     deltas = empirical_cdf(sample, points) - np.asarray(model.cdf(points))
     return ShapeReport(
         bottom=_classify(float(deltas[0]), epsilon),

@@ -64,12 +64,6 @@ class CitationSample:
         return int(self.counts.size)
 
     @cached_property
-    def sorted_counts(self) -> np.ndarray:
-        out = np.sort(self.counts)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def unique_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct values and their multiplicities (both read-only)."""
         values, mult = np.unique(self.counts, return_counts=True)
@@ -86,16 +80,17 @@ class CitationSample:
 class DistinctCounts:
     """A count multiset held only as its distinct values and multiplicities.
 
-    This is all that fits and the Vuong test read of a sample
-    (:attr:`CitationSample.unique_counts`), so a study replicate that only
-    fits and compares models keeps one of these instead of its raw counts.
-    ``values`` is strictly increasing and ``mult`` positive, as
-    :func:`numpy.unique` returns them; nothing is checked, because they
-    come from counts that were.
+    These are all that any reader of a sample reads
+    (:attr:`CitationSample.unique_counts`): fits, the Vuong test, KS, the
+    ECDF and the shape table. Bootstrap resamples and simulated samples are
+    held as one of these. ``values`` is strictly increasing and ``mult``
+    positive, as :func:`numpy.unique` returns them; nothing is checked,
+    because they come from counts that were. ``label`` tags report rows.
     """
 
     values: np.ndarray
     mult: np.ndarray
+    label: str = ""
 
     def __len__(self) -> int:
         return int(self.mult.sum())

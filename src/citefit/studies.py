@@ -17,8 +17,9 @@ the fit :func:`~citefit.fitting.fit` would. Every bootstrap study --
 intervals -- runs :func:`~citefit.bootstrap._bootstrap_reps` with a named
 batch statistic of :data:`BOOTSTRAP_STATISTICS`, on resamples held as their
 distinct counts (:class:`~citefit.sample.DistinctCounts`); the simulation
-Vuong replicates hold their samples the same way. None of them builds a
-sample's raw counts. Every study shares its failure rule: a replicate that
+Vuong and mixture studies draw theirs by the Monte-Carlo KS block draw
+(:func:`~citefit.gof._simulated_samples`). None of them builds a sample's
+raw counts. Every study shares its failure rule: a replicate that
 raises a citefit error or yields a non-finite value counts as failed.
 Vuong studies always orient the test as hooked (model A) against
 lognormal (model B): positive z favours the hooked power law, and each
@@ -50,9 +51,9 @@ from citefit.exceptions import (
     TooFewRepsError,
 )
 from citefit.fitting import FitStatus, fit, fit_many
-from citefit.gof import ks_p_value, ks_statistic, shape_classify
-from citefit.sample import CitationSample, DistinctCounts, as_sample, count_total
-from citefit.seeding import child_seed, spawn_rng
+from citefit.gof import _simulated_samples, ks_p_value, ks_statistic, shape_classify
+from citefit.sample import as_sample, count_total
+from citefit.seeding import child_seed
 from citefit.subjects import SUBJECTS
 from citefit.vuong import MODEL_A, MODEL_B, NEITHER, _favored, vuong
 
@@ -184,8 +185,7 @@ def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
 # --- bootstrap and simulation Vuong studies ---------------------------------
 
 def _simulation_z_reps(generator, n: int, seed: int, reps: range) -> list[float]:
-    draws = (generator.sample_with(spawn_rng(seed, rep), n) for rep in reps)
-    return _z_values([DistinctCounts(*np.unique(d, return_counts=True)) for d in draws])
+    return _z_values(_simulated_samples(generator, n, seed, reps))
 
 
 def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
@@ -346,10 +346,8 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
 
 
 def _mixture_reps(mixture, pure_model, n: int, seed: int, reps: range) -> list[dict]:
-    mix_data = [CitationSample(mixture.sample_with(spawn_rng(seed, rep, 0), n))
-                for rep in reps]
-    pure_data = [CitationSample(pure_model.sample_with(spawn_rng(seed, rep, 1), n))
-                 for rep in reps]
+    mix_data = _simulated_samples(mixture, n, seed, reps, 0)
+    pure_data = _simulated_samples(pure_model, n, seed, reps, 1)
     fits = fit_many("lognormal", mix_data + pure_data)
     rows = []
     for rep, mix, pure, mix_fit, pure_fit in zip(reps, mix_data, pure_data, fits,

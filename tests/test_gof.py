@@ -1,5 +1,6 @@
 """KS statistic, Monte-Carlo p-values and shape classification."""
 
+import dataclasses
 import pickle
 import tracemalloc
 from functools import partial
@@ -24,10 +25,14 @@ from citefit import (
     ks_p_value,
     ks_statistic,
     ks_test_fixed,
+    plausibility_row,
     shape_classify,
+    shape_table,
 )
 from citefit import gof
 from citefit.gof import EQUAL, PLUS, cdf_breakpoints, empirical_cdf
+from citefit.io import render_plot_data, render_report
+from citefit.sample import DistinctCounts
 from citefit.seeding import child_seed, spawn_rng
 
 
@@ -174,6 +179,67 @@ def test_refit_block_pass_is_one_simulation_at_a_time(family, model, n, reps, bu
     with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
         got = gof._mc_ks_reps(model, n, 11, partial(fit_many, family), reps)
     assert [d.hex() for d in got] == expected
+
+
+# Every block budget, path and family draws each simulation as np.unique of
+# its own draws; a budget below n gives one simulation per block.
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(model=_MODELS, n=st.integers(1, 400), seed=st.integers(0, 2 ** 32),
+       first=st.integers(0, 40), count=st.integers(1, 25),
+       path=st.sampled_from([(), (0,), (1,)]),
+       budget=st.sampled_from([1, 3, 100, 1000, 1 << 16]))
+# draws up to the 2**62 ceiling on every path
+@example(model=_HOOKED_WIDE, n=8, seed=4, first=1, count=5, path=(0,), budget=20)
+def test_block_draw_is_np_unique_of_each_simulation(model, n, seed, first, count, path,
+                                                    budget):
+    reps = range(first, first + count)
+    with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
+        got = gof._simulated_samples(model, n, seed, reps, *path)
+    assert len(got) == len(reps)
+    for sample, i in zip(got, reps):
+        values, mult = np.unique(model.sample_with(spawn_rng(seed, i, *path), n),
+                                 return_counts=True)
+        assert (sample.values.dtype, sample.mult.dtype) == (values.dtype, mult.dtype)
+        np.testing.assert_array_equal(sample.values, values)
+        np.testing.assert_array_equal(sample.mult, mult)
+
+
+def _hexed(value):
+    """``value`` with every float (also in arrays, dicts, dataclasses and
+    model parameters) as its hex string, so that == compares bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return [float(v).hex() for v in value]
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _hexed(vars(value))
+    if hasattr(value, "params"):
+        return type(value).__name__, _hexed(value.params)
+    return value
+
+
+# Each reader of a sample, its result as floats in hex or a report as bytes.
+_READERS = {
+    "ks_statistic": lambda s: _hexed(ks_statistic(_LN, s)),
+    "ks_test_fixed": lambda s: _hexed(ks_test_fixed(_LN, s, n_sim=19, seed=2)),
+    "ks_p_value": lambda s: _hexed(ks_p_value("lognormal", s, n_sim=9, seed=2, refit=True)),
+    "shape_classify": lambda s: _hexed(shape_classify(_LN, s)),
+    "empirical_cdf": lambda s: _hexed(empirical_cdf(s, np.arange(0, 70))),
+    "render_plot_data": lambda s: render_plot_data(_LN, s).encode(),
+    "plausibility_row": lambda s: render_report([plausibility_row(s, n_sim=9, seed=4)],
+                                                "json").encode(),
+    "shape_table": lambda s: render_report(sum(shape_table([s]), []), "json").encode(),
+}
+
+
+@pytest.mark.parametrize("counts", [_LN.sample(300, 7), _MIX.sample(150, 5)],
+                         ids=["lognormal", "mixture"])
+@pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
+def test_readers_give_equal_results_on_distinct_counts(reader, counts):
+    distinct = DistinctCounts(*np.unique(counts, return_counts=True))
+    assert reader(distinct) == reader(CitationSample(counts))
 
 
 def _traced_peak(run):

@@ -3,7 +3,9 @@
 Every ``citefit.__all__`` name resolves and is listed once, no module
 under ``src/citefit`` imports a name it never uses (``__init__`` uses a
 name by exporting it), and every module-level function, class or
-assignment is referenced somewhere in the package or exported.
+assignment is referenced somewhere in the package or exported. Only
+``distributions`` calls ``sample_with`` and only ``sample`` and
+``bootstrap`` call ``np.unique``, so samples are drawn and read one way.
 """
 
 import ast
@@ -88,3 +90,21 @@ def test_every_module_level_name_is_referenced():
                      for name, line in _defined(tree).items()
                      if name not in referenced and not name.startswith("__"))
     assert orphans == []
+
+
+def _calls(tree, attr: str) -> list[int]:
+    """Line of each call of a function read as attribute ``attr``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+
+# A study draws from a model only through the Monte-Carlo KS block draw,
+# and only a sample's own counts and the bootstrap resampler sort raw counts.
+@pytest.mark.parametrize("attr,owners", [
+    ("sample_with", {"distributions.py"}),
+    ("unique", {"sample.py", "bootstrap.py"}),
+])
+def test_one_draw_path(attr, owners):
+    callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
+                     for line in _calls(ast.parse(path.read_text(encoding="utf-8")), attr))
+    assert callers == []

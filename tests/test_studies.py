@@ -1,5 +1,7 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -7,6 +9,7 @@ from numpy.testing import assert_array_equal
 from citefit import (
     CitationSample,
     DiscretisedLognormal,
+    EmptySampleError,
     HookedPowerLaw,
     Mixture,
     ParameterError,
@@ -203,6 +206,37 @@ def test_mixture_impurity_study_worker_independence():
     a = mixture_impurity_study(mixture, pure, n=1000, reps=8, seed=3, workers=1)
     b = mixture_impurity_study(mixture, pure, n=1000, reps=8, seed=3, workers=2)
     assert a == b
+
+
+# The `citefit study mixture` defaults. Each sample is held as its few
+# hundred distinct counts, not its 10000 raw counts, so the peak follows
+# one block of draws instead of reps x n.
+def test_mixture_study_memory_follows_the_block_not_the_reps():
+    mixture = Mixture((DiscretisedLognormal(1.0, 1.0), DiscretisedLognormal(3.5, 1.0)),
+                      (0.5, 0.5))
+    tracemalloc.start()
+    try:
+        rows, summary = mixture_impurity_study(mixture, DiscretisedLognormal(2.25, 1.0),
+                                               n=10_000, reps=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(rows[i]["mixture_ks"].hex(), rows[i]["pure_ks"].hex()) for i in (0, -1)] == [
+        ("0x1.5162a2878f9a0p-5", "0x1.0ecfa3c994000p-8"),
+        ("0x1.5766ea8d21dc0p-5", "0x1.360f17e1c1100p-8")]
+    assert summary["mixture_worse_count"] == 100
+    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("study", [
+    lambda n: mixture_impurity_study(Mixture((DiscretisedLognormal(1.0, 1.0),), (1.0,)),
+                                     DiscretisedLognormal(2.0, 1.0), n=n, reps=2),
+    lambda n: simulation_study(DiscretisedLognormal(2.0, 1.0), n=n, reps=40),
+], ids=["mixture", "simulation-vuong"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_simulated_studies_reject_empty_samples(study, n):
+    with pytest.raises(EmptySampleError):
+        study(n)
 
 
 @pytest.mark.parametrize("reps", [0, -2])
