@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from citefit.exceptions import (
     AllStatisticsFailedError,
     CitefitError,
-    DegenerateDataError,
     DomainError,
     EmptySampleError,
     FitFailedError,
@@ -44,14 +43,12 @@ from citefit.studies import (
     plausibility_row,
     scale_ci_study,
     shape_table,
-    simulation_study,
 )
 
 __all__ = [
     "AllStatisticsFailedError",
     "CitefitError",
     "CitationSample",
-    "DegenerateDataError",
     "DiscretisedLognormal",
     "DomainError",
     "EmptySampleError",
@@ -89,6 +86,5 @@ __all__ = [
     "scale_ci_study",
     "shape_classify",
     "shape_table",
-    "simulation_study",
     "vuong",
 ]

@@ -12,11 +12,13 @@ interval from the order statistics of each sample's values: with k =
 ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
 values, the 25th smallest / 25th largest for the canonical 1000-rep study.
 
-Every bootstrap resample is drawn one way, by :func:`_distinct_resamples`,
-straight into its distinct counts, and every bootstrap statistic is a
-batch function of those (:func:`_bootstrap_reps`). So a chunk's memory
-follows the distinct counts of its resamples, not their size, and a serial
-run holds all of its resamples at once.
+Every replicate function is :func:`_statistic_reps`: a batch statistic of
+the samples a draw makes for a range of replicates. A draw holds each
+sample as its distinct counts. A bootstrap draw (:func:`resample_draw`)
+resamples a source sample by :func:`_distinct_resamples`, and a
+simulation draw is :func:`citefit.gof._simulated_samples` of a model. So a
+chunk's memory follows the distinct counts of its samples, not their size,
+and a serial run holds all of its samples at once.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -33,10 +35,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from citefit.exceptions import CitefitError, DomainError, TooFewRepsError
+from citefit.exceptions import CitefitError, DomainError
 from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
@@ -50,7 +53,6 @@ class StudySummary:
     ``raw`` holds every replicate's value in order, NaN where it failed.
     """
 
-    statistic_name: str
     median: float
     lo95: float
     hi95: float
@@ -128,15 +130,28 @@ def _distinct_resamples(sample: CitationSample, size: int, seed: int,
     return resamples
 
 
-def _bootstrap_reps(sample: CitationSample, size: int, seed: int, statistic,
-                    reps: range) -> list[float]:
-    """The replicate function of every bootstrap study: ``statistic``, a
-    batch function (one value per resample, NaN where it failed), of the
-    resamples of ``reps``."""
-    return statistic(_distinct_resamples(sample, size, seed, reps))
+def resample_draw(sample, size: int | None, seed: int):
+    """The draw of a bootstrap study: replicates -> resamples of ``size``
+    counts (None: the sample's size) of ``sample`` from ``seed``, checked
+    before any replicate runs."""
+    sample = as_sample(sample)
+    if isinstance(sample, DistinctCounts):
+        raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
+    sample.require_nonempty()
+    size = len(sample) if size is None else int(size)
+    if size < 1:
+        raise DomainError("resample size must be >= 1")
+    return partial(_distinct_resamples, sample, size, seed)
 
 
-def summarise(values, reps: int, name: str) -> StudySummary:
+def _statistic_reps(draw, statistic, reps: range) -> list[float]:
+    """The replicate function of every study: ``statistic``, a batch
+    function (one value per sample, NaN where it failed), of the samples
+    ``draw`` makes for ``reps``."""
+    return statistic(draw(reps))
+
+
+def summarise(values, reps: int) -> StudySummary:
     """Median and order-statistic interval of the finite replicate values.
 
     Never raises: non-finite values count as failed and are stored as NaN,
@@ -146,19 +161,6 @@ def summarise(values, reps: int, name: str) -> StudySummary:
     good = np.sort([v for v in raw if not math.isnan(v)])
     lo, hi = order_stat_bounds(good, reps)
     median = float(np.median(good)) if good.size else math.nan
-    return StudySummary(statistic_name=name, median=median, lo95=lo, hi95=hi,
-                        reps=reps, n_failed=len(raw) - good.size, raw=raw)
+    return StudySummary(median=median, lo95=lo, hi95=hi, reps=reps,
+                        n_failed=len(raw) - good.size, raw=raw)
 
-
-def _checked_resampling(sample, reps: int, size: int | None) -> tuple[CitationSample, int]:
-    """The validated source sample and resample size of a bootstrap study."""
-    sample = as_sample(sample)
-    if isinstance(sample, DistinctCounts):
-        raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
-    sample.require_nonempty()
-    if reps < MIN_REPS:
-        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    size = len(sample) if size is None else int(size)
-    if size < 1:
-        raise DomainError("resample size must be >= 1")
-    return sample, size

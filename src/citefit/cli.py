@@ -24,14 +24,15 @@ import math
 import os
 import secrets
 import sys
+from functools import partial
 
 import citefit.io
 from citefit import __version__
-from citefit.bootstrap import MIN_REPS
+from citefit.bootstrap import MIN_REPS, resample_draw
 from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
-from citefit.gof import ks_p_value
+from citefit.gof import _simulated_samples, ks_p_value
 from citefit.io import _write, ingest_file, render_plot_data
 from citefit.sample import CitationSample
 from citefit.seeding import child_seed
@@ -43,13 +44,11 @@ from citefit.studies import (
     SHAPE_COLUMNS,
     VUONG_STUDY_COLUMNS,
     bootstrap_study,
-    bootstrap_z_reps,
     mean_table,
     mixture_impurity_study,
     plausibility_row,
     scale_ci_study,
     shape_table,
-    simulation_z_reps,
     vuong_studies,
 )
 from citefit.subjects import SUBJECTS, get_subject
@@ -185,7 +184,7 @@ def _cmd_bootstrap(args, seed: int) -> str:
     summary = bootstrap_study(sample, args.reps, args.statistic, size=args.size,
                               seed=seed, workers=args.workers)
     row = {
-        "statistic": summary.statistic_name, "n": len(sample),
+        "statistic": args.statistic, "n": len(sample),
         "size": args.size or len(sample), "median": summary.median,
         "lo95": summary.lo95, "hi95": summary.hi95,
         "reps": summary.reps, "failed": summary.n_failed,
@@ -194,6 +193,12 @@ def _cmd_bootstrap(args, seed: int) -> str:
 
 
 def _cmd_simulate(args, seed: int) -> str:
+    own = ("mu", "sigma") if args.dist == "lognormal" else ("alpha", "b")
+    ignored = [f"--{name}" for name in ("mu", "sigma", "alpha", "b")
+               if getattr(args, name) is not None and (args.subject or name not in own)]
+    if ignored:
+        chosen = "--subject" if args.subject else f"--dist {args.dist}"
+        raise ParseError(f"{chosen} takes no {', '.join(ignored)}")
     n = args.n
     if args.subject:
         subject = _subject(args.subject)
@@ -236,7 +241,7 @@ def _cmd_study_vuong(args, seed: int) -> str:
         mode = "bootstrap resamples of the input data"
         samples, extra = _study_samples(args, seed)
         studied = [(sample.label, len(sample),
-                    bootstrap_z_reps(sample, args.reps, args.size, child_seed(seed, i)))
+                    resample_draw(sample, args.size, child_seed(seed, i)))
                    for i, sample in enumerate(samples)]
     else:
         if args.n is not None and args.size is not None:
@@ -246,8 +251,9 @@ def _cmd_study_vuong(args, seed: int) -> str:
         studied = []
         for i, (subject, model, n) in enumerate(_subject_generators(args)):
             n = n if args.size is None else args.size
-            studied.append((subject.name, n, simulation_z_reps(model, n, child_seed(seed, i))))
-    studies = vuong_studies([rep_fn for _, _, rep_fn in studied], args.reps, args.workers)
+            studied.append((subject.name, n,
+                            partial(_simulated_samples, model, n, child_seed(seed, i))))
+    studies = vuong_studies([draw for _, _, draw in studied], args.reps, args.workers)
     rows = [study.row(label, n) for (label, n, _), study in zip(studied, studies)]
     return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,
                    **extra)

@@ -17,10 +17,6 @@ class EmptySampleError(CitefitError):
     """An operation that needs data was given an empty sample."""
 
 
-class DegenerateDataError(CitefitError):
-    """Zero-variance data that cannot identify a two-parameter family."""
-
-
 class FitFailedError(CitefitError):
     """A fit required by a downstream procedure was unusable."""
 

@@ -165,12 +165,10 @@ def render_plot_data(model, sample) -> str:
     return out.getvalue()
 
 
-def _write(text: str, destination) -> None:
-    """Write ``text`` to a path, a file object or ("-" or None) stdout."""
-    if destination is None or destination == "-":
+def _write(text: str, path: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is "-"."""
+    if path == "-":
         sys.stdout.write(text)
-    elif hasattr(destination, "write"):
-        destination.write(text)
     else:
-        with open(destination, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -112,10 +112,9 @@ def count_total(values: np.ndarray, mult: np.ndarray) -> int:
     return sum(map(operator.mul, values.tolist(), mult.tolist()))
 
 
-def as_sample(data, label: str = "",
-              offset_applied: int = 1) -> CitationSample | DistinctCounts:
+def as_sample(data) -> CitationSample | DistinctCounts:
     """Coerce an array of counts to a CitationSample (or pass through a
     CitationSample or DistinctCounts)."""
     if isinstance(data, (CitationSample, DistinctCounts)):
         return data
-    return CitationSample(np.asarray(data), offset_applied=offset_applied, label=label)
+    return CitationSample(np.asarray(data))

@@ -6,24 +6,22 @@ closed-form mean table.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
-worker count. A replicated study makes one :func:`citefit.bootstrap.run_reps`
-call however many samples it covers, so a run opens at most one process
-pool (when ``workers > 1``), and a study of many samples sends each of
-them to the pool as one task. Its replicate functions take a range of
-replicates and fit all of their samples with one
+worker count. Every bootstrap and simulation study is a named batch
+statistic of :data:`BOOTSTRAP_STATISTICS` on one draw per sample, run and
+summarised by :func:`_summaries` in one :func:`citefit.bootstrap.run_reps`
+call, so a run opens at most one process pool (when ``workers > 1``) and a
+study of many samples sends each of them to the pool as one task. A draw
+maps a range of replicates to their samples, held as their distinct
+counts (:class:`~citefit.sample.DistinctCounts`): bootstrap resamples
+(:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
+(:func:`~citefit.gof._simulated_samples`, which the mixture study draws
+from too). The statistics fit a range's samples with one
 :func:`~citefit.fitting.fit_many` call per family, which gives each sample
-the fit :func:`~citefit.fitting.fit` would. Every bootstrap study --
-:func:`bootstrap_study`, the bootstrap Vuong tallies and the scale
-intervals -- runs :func:`~citefit.bootstrap._bootstrap_reps` with a named
-batch statistic of :data:`BOOTSTRAP_STATISTICS`, on resamples held as their
-distinct counts (:class:`~citefit.sample.DistinctCounts`); the simulation
-Vuong and mixture studies draw theirs by the Monte-Carlo KS block draw
-(:func:`~citefit.gof._simulated_samples`). None of them builds a sample's
-raw counts. Every study shares its failure rule: a replicate that
-raises a citefit error or yields a non-finite value counts as failed.
-Vuong studies always orient the test as hooked (model A) against
-lognormal (model B): positive z favours the hooked power law, and each
-surviving z is classified by the Vuong test's own +-1.96 rule.
+the fit :func:`~citefit.fitting.fit` would. Every study shares its failure
+rule: a replicate that raises a citefit error or yields a non-finite value
+counts as failed. Vuong studies always orient the test as hooked (model A)
+against lognormal (model B): positive z favours the hooked power law, and
+each surviving z is classified by the Vuong test's own +-1.96 rule.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ import numpy as np
 from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
-    _bootstrap_reps,
-    _checked_resampling,
     _replicate_value,
+    _statistic_reps,
+    resample_draw,
     run_reps,
     summarise,
 )
@@ -87,8 +85,20 @@ class VuongStudy:
     hooked_wins: int
     lognormal_wins: int
     neither: int
-    failed: int
-    reps: int
+
+    @classmethod
+    def from_summary(cls, z_summary: StudySummary) -> VuongStudy:
+        """Tally each surviving z of ``z_summary`` by the +-1.96 rule."""
+        tally = Counter(_favored(z) for z in z_summary.raw if not math.isnan(z))
+        return cls(z_summary, tally[MODEL_A], tally[MODEL_B], tally[NEITHER])
+
+    @property
+    def failed(self) -> int:
+        return self.z_summary.n_failed
+
+    @property
+    def reps(self) -> int:
+        return self.z_summary.reps
 
     def row(self, label: str, n: int) -> dict:
         s = self.z_summary
@@ -160,6 +170,25 @@ BOOTSTRAP_STATISTICS = {
 }
 
 
+def _summaries(draws, statistic: str, reps: int, workers: int) -> list[StudySummary]:
+    """The summary of the statistic named ``statistic`` (a key of
+    :data:`BOOTSTRAP_STATISTICS`) over ``reps`` replicates of each draw,
+    all run through one :func:`~citefit.bootstrap.run_reps` call.
+
+    Raises :class:`~citefit.exceptions.ParameterError` for an unknown
+    statistic and :class:`~citefit.exceptions.TooFewRepsError` below
+    :data:`~citefit.bootstrap.MIN_REPS` replicates.
+    """
+    if statistic not in BOOTSTRAP_STATISTICS:
+        raise ParameterError(f"unknown statistic {statistic!r}; "
+                             f"expected one of {sorted(BOOTSTRAP_STATISTICS)}")
+    if reps < MIN_REPS:
+        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
+    rep_fns = [partial(_statistic_reps, draw, BOOTSTRAP_STATISTICS[statistic])
+               for draw in draws]
+    return [summarise(values, reps) for values in run_reps(rep_fns, reps, workers)]
+
+
 def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
                     seed: int = 0, workers: int = 1) -> StudySummary:
     """Bootstrap the statistic named ``statistic`` (a key of
@@ -170,13 +199,7 @@ def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
     statistic and :class:`~citefit.exceptions.AllStatisticsFailedError`
     when every replicate failed.
     """
-    if statistic not in BOOTSTRAP_STATISTICS:
-        raise ParameterError(f"unknown statistic {statistic!r}; "
-                             f"expected one of {sorted(BOOTSTRAP_STATISTICS)}")
-    sample, size = _checked_resampling(sample, reps, size)
-    [values] = run_reps([partial(_bootstrap_reps, sample, size, seed,
-                                 BOOTSTRAP_STATISTICS[statistic])], reps, workers)
-    summary = summarise(values, reps, statistic)
+    [summary] = _summaries([resample_draw(sample, size, seed)], statistic, reps, workers)
     if summary.n_failed == reps:
         raise AllStatisticsFailedError(f"all {reps} replicates failed for {statistic!r}")
     return summary
@@ -184,51 +207,18 @@ def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
 
 # --- bootstrap and simulation Vuong studies ---------------------------------
 
-def _simulation_z_reps(generator, n: int, seed: int, reps: range) -> list[float]:
-    return _z_values(_simulated_samples(generator, n, seed, reps))
-
-
-def bootstrap_z_reps(sample, reps: int, size: int | None, seed: int):
-    """The replicate function of a bootstrap Vuong study of ``sample``:
-    replicates -> Vuong z on each resample ``rep`` drawn from ``seed``."""
-    sample, size = _checked_resampling(sample, reps, size)
-    return partial(_bootstrap_reps, sample, size, seed, _z_values)
-
-
-def simulation_z_reps(generator, n: int, seed: int):
-    """The replicate function of a simulation Vuong study: replicates ->
-    Vuong z on each fresh sample of size ``n`` from ``generator`` drawn from
-    (``seed``, rep)."""
-    return partial(_simulation_z_reps, generator, n, seed)
-
-
-def vuong_studies(rep_fns, reps: int, workers: int = 1) -> list[VuongStudy]:
-    """One :class:`VuongStudy` per replicate function (from
-    :func:`bootstrap_z_reps` or :func:`simulation_z_reps`), all run through
-    one :func:`~citefit.bootstrap.run_reps` call."""
-    if reps < MIN_REPS:
-        raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    studies = []
-    for values in run_reps(rep_fns, reps, workers):
-        summary = summarise(values, reps, "vuong_z")
-        tally = Counter(_favored(z) for z in summary.raw if not math.isnan(z))
-        studies.append(VuongStudy(z_summary=summary, hooked_wins=tally[MODEL_A],
-                                  lognormal_wins=tally[MODEL_B], neither=tally[NEITHER],
-                                  failed=summary.n_failed, reps=reps))
-    return studies
+def vuong_studies(draws, reps: int, workers: int = 1) -> list[VuongStudy]:
+    """One :class:`VuongStudy` per draw: a bootstrap draw
+    (:func:`~citefit.bootstrap.resample_draw`) or a simulation draw
+    (``partial(_simulated_samples, model, n, seed)``)."""
+    return [VuongStudy.from_summary(summary)
+            for summary in _summaries(draws, "vuong-z", reps, workers)]
 
 
 def bootstrap_vuong_study(sample, reps: int, size: int | None = None,
                           seed: int = 0, workers: int = 1) -> VuongStudy:
     """Vuong z over ``reps`` bootstrap resamples of ``sample``."""
-    [study] = vuong_studies([bootstrap_z_reps(sample, reps, size, seed)], reps, workers)
-    return study
-
-
-def simulation_study(generator, n: int, reps: int, seed: int = 0,
-                     workers: int = 1) -> VuongStudy:
-    """Vuong z over ``reps`` fresh samples of size ``n`` from ``generator``."""
-    [study] = vuong_studies([simulation_z_reps(generator, n, seed)], reps, workers)
+    [study] = vuong_studies([resample_draw(sample, size, seed)], reps, workers)
     return study
 
 
@@ -268,15 +258,12 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
     through one :func:`~citefit.bootstrap.run_reps` call. A sample whose
     replicates all failed gets the note "degenerate" and no interval.
     """
-    checked = [_checked_resampling(sample, reps, size) for sample in samples]
-    sigma = BOOTSTRAP_STATISTICS["lognormal-sigma"]
-    rep_fns = [partial(_bootstrap_reps, sample, n, child_seed(seed, index), sigma)
-               for index, (sample, n) in enumerate(checked)]
+    draws = [resample_draw(sample, size, child_seed(seed, index))
+             for index, sample in enumerate(samples)]
     rows = []
-    for (sample, _), values in zip(checked, run_reps(rep_fns, reps, workers)):
-        summary = summarise(values, reps, "lognormal_sigma")
+    for draw, summary in zip(draws, _summaries(draws, "lognormal-sigma", reps, workers)):
         row = dict.fromkeys(SCALE_COLUMNS)
-        row["subject"] = sample.label
+        row["subject"] = draw.args[0].label    # the checked source sample
         row["reps"] = reps
         row["failed"] = summary.n_failed
         if summary.n_failed == reps:

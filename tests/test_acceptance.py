@@ -8,6 +8,7 @@ a fixed master seed, so the whole suite is reproducible bit for bit.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from citefit import (
     log_likelihood,
     mean_table,
     mixture_impurity_study,
-    simulation_study,
 )
 from citefit.cli import main
+from citefit.gof import _simulated_samples
 from citefit.seeding import child_seed
+from citefit.studies import vuong_studies
 from citefit.subjects import SUBJECTS
 
 MASTER_SEED = 20260811
@@ -114,10 +116,16 @@ def test_05_ks_calibration():
             f"fraction(p<0.05)={fraction:.3f} over 200 trials, elapsed={elapsed:.0f}s")
 
 
+def _simulation_study(model, n, seed):
+    """The Vuong study of 50 fresh samples of size ``n`` from ``model``."""
+    [study] = vuong_studies([partial(_simulated_samples, model, n, seed)], 50)
+    return study
+
+
 @pytest.fixture(scope="module")
 def lognormal_direction_study():
-    return simulation_study(DiscretisedLognormal(2.81, 1.05), 6534, reps=50,
-                            seed=child_seed(MASTER_SEED, 6))
+    return _simulation_study(DiscretisedLognormal(2.81, 1.05), 6534,
+                             child_seed(MASTER_SEED, 6))
 
 
 def test_06_vuong_discrimination_lognormal(lognormal_direction_study):
@@ -133,8 +141,7 @@ def test_06_vuong_discrimination_lognormal(lognormal_direction_study):
 
 def test_07_vuong_discrimination_hooked():
     start = time.perf_counter()
-    study = simulation_study(HookedPowerLaw(3.94, 67.9), 9994, reps=50,
-                             seed=child_seed(MASTER_SEED, 7))
+    study = _simulation_study(HookedPowerLaw(3.94, 67.9), 9994, child_seed(MASTER_SEED, 7))
     elapsed = time.perf_counter() - start
     ok = (study.hooked_wins >= 45 and study.lognormal_wins == 0
           and elapsed < 600.0)
@@ -146,8 +153,8 @@ def test_07_vuong_discrimination_hooked():
 
 def test_08_power_loss_at_small_n(lognormal_direction_study):
     big = lognormal_direction_study
-    small = simulation_study(DiscretisedLognormal(2.81, 1.05), 500, reps=50,
-                             seed=child_seed(MASTER_SEED, 6))
+    small = _simulation_study(DiscretisedLognormal(2.81, 1.05), 500,
+                              child_seed(MASTER_SEED, 6))
     big_sig = big.lognormal_wins + big.hooked_wins
     small_sig = small.lognormal_wins + small.hooked_wins
     ok = small_sig < big_sig

@@ -2,7 +2,6 @@
 order-statistic intervals, failure accounting and worker independence."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -29,20 +28,20 @@ from citefit import (
     fit,
     fit_many,
     scale_ci_study,
-    simulation_study,
     vuong,
 )
 from citefit.bootstrap import (
-    _bootstrap_reps,
-    _checked_resampling,
     _distinct_resamples,
+    _statistic_reps,
     order_stat_bounds,
+    resample_draw,
     run_reps,
     summarise,
 )
+from citefit.gof import _simulated_samples
 from citefit.sample import DistinctCounts, count_total
 from citefit.seeding import spawn_rng
-from citefit.studies import BOOTSTRAP_STATISTICS
+from citefit.studies import BOOTSTRAP_STATISTICS, vuong_studies
 
 
 def _draws(sample, size, seed, reps):
@@ -132,7 +131,7 @@ def test_resample_deterministic():
 
 def test_resample_empty_source_rejected():
     with pytest.raises(EmptySampleError):
-        _checked_resampling(CitationSample([]), 40, 5)
+        resample_draw(CitationSample([]), 5, 0)
     with pytest.raises(EmptySampleError):
         bootstrap_study(CitationSample([]), 40, "mean")
 
@@ -180,7 +179,7 @@ def test_vuong_and_scale_replicates_build_no_citation_sample(monkeypatch):
     monkeypatch.setattr(CitationSample, "__init__", counting_init)
     bootstrap_vuong_study(data, 40, seed=2)
     scale_ci_study([data], reps=40, size=100)
-    simulation_study(HookedPowerLaw(3.94, 67.9), 100, reps=40)
+    vuong_studies([partial(_simulated_samples, HookedPowerLaw(3.94, 67.9), 100, 0)], 40)
     for name in BOOTSTRAP_STATISTICS:
         bootstrap_study(data, 40, name, size=100, seed=3)
     assert built == []
@@ -228,9 +227,8 @@ def test_bootstrap_study_rejects_too_few_reps():
     bootstrap_study(data, 40, "mean", seed=0)  # boundary accepted
 
 
-def test_bootstrap_study_names_its_statistic():
+def test_bootstrap_study_rejects_an_unknown_statistic():
     data = CitationSample([1, 2, 3])
-    assert bootstrap_study(data, 40, "median", seed=0).statistic_name == "median"
     with pytest.raises(ParameterError, match="unknown statistic 'mode'"):
         bootstrap_study(data, 40, "mode", seed=0)
 
@@ -278,7 +276,7 @@ def test_bootstrap_study_and_vuong_study_share_one_runner():
     data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(300, 1))
     generic = bootstrap_study(data, 40, "vuong-z", seed=12)
     study = bootstrap_vuong_study(data, 40, seed=12)
-    assert replace(study.z_summary, statistic_name=generic.statistic_name) == generic
+    assert study.z_summary == generic
 
 
 def _per_resample(name, counts) -> float:
@@ -314,7 +312,7 @@ def test_batch_statistics_equal_the_per_resample_values(counts, size, seed, star
     reps = range(start, start + 3)
     draws = _draws(sample, size, seed, reps)
     for name, statistic in BOOTSTRAP_STATISTICS.items():
-        got = _bootstrap_reps(sample, size, seed, statistic, reps)
+        got = _statistic_reps(resample_draw(sample, size, seed), statistic, reps)
         want = [_per_resample(name, d) for d in draws]
         assert [v.hex() for v in got] == [v.hex() for v in want], name
 
@@ -328,7 +326,8 @@ def test_mean_of_a_large_total_is_the_correctly_rounded_exact_mean(counts, size)
     sample = CitationSample(counts)
     reps = range(100)
     exact = [float(Fraction(sum(map(int, d)), size)) for d in _draws(sample, size, 4, reps)]
-    got = _bootstrap_reps(sample, size, 4, BOOTSTRAP_STATISTICS["mean"], reps)
+    got = _statistic_reps(resample_draw(sample, size, 4), BOOTSTRAP_STATISTICS["mean"],
+                          reps)
     assert [v.hex() for v in got] == [v.hex() for v in exact]
 
 
@@ -348,12 +347,12 @@ def test_bootstrap_studies_reject_distinct_counts(study):
 
 
 def test_summarise_counts_non_finite_values_as_failed():
-    summary = summarise([math.nan, math.inf, -math.inf], 40, "z")
+    summary = summarise([math.nan, math.inf, -math.inf], 40)
     assert summary.n_failed == 3
     assert math.isnan(summary.median)
     assert math.isnan(summary.lo95) and math.isnan(summary.hi95)
     assert all(math.isnan(v) for v in summary.raw) and len(summary.raw) == 3
-    mixed = summarise([2.0, math.inf, 1.0], 40, "z")
+    mixed = summarise([2.0, math.inf, 1.0], 40)
     assert (mixed.median, mixed.n_failed) == (1.5, 1)
 
 

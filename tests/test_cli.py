@@ -281,6 +281,21 @@ def test_simulation_options_with_count_files_exit_2(capsys, tmp_path, argv, name
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["--subject", "Virology", "--mu", "40", "--sigma", "0.1"],
+     "--subject takes no --mu, --sigma"),
+    (["--subject", "Virology", "--dist", "hooked", "--b", "3"], "--subject takes no --b"),
+    (["--dist", "lognormal", "--mu", "2", "--sigma", "1", "--alpha", "3"],
+     "--dist lognormal takes no --alpha"),
+    (["--dist", "hooked", "--alpha", "3", "--b", "2", "--mu", "1"],
+     "--dist hooked takes no --mu"),
+])
+def test_simulate_rejects_model_options_it_would_ignore(capsys, argv, message):
+    code, out, err = _run(capsys, ["simulate", *argv, "-n", "3", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert f"citefit: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
     (["study", "vuong", "--subject", "Virology", "--reps", "39"], "need reps >= 40"),
     (["study", "scale", "--subject", "Virology", "--reps", "10"], "need reps >= 40"),
     (["bootstrap", "counts.txt", "--reps", "0"], "need reps >= 40"),

@@ -5,7 +5,9 @@ under ``src/citefit`` imports a name it never uses (``__init__`` uses a
 name by exporting it), and every module-level function, class or
 assignment is referenced somewhere in the package or exported. Only
 ``distributions`` calls ``sample_with`` and only ``sample`` and
-``bootstrap`` call ``np.unique``, so samples are drawn and read one way.
+``bootstrap`` call ``np.unique``, so samples are drawn and read one way;
+only the study driver and the mixture study call ``run_reps``. Every
+``CitefitError`` subclass is raised somewhere in the package.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import citefit
+from citefit import exceptions
 
 MODULES = sorted(Path(citefit.__file__).parent.glob("*.py"))
 
@@ -92,10 +95,11 @@ def test_every_module_level_name_is_referenced():
     assert orphans == []
 
 
-def _calls(tree, attr: str) -> list[int]:
-    """Line of each call of a function read as attribute ``attr``."""
+def _calls(tree, name: str) -> list[int]:
+    """Line of each call of a function read as ``name`` or as attribute ``name``."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+            and (isinstance(node.func, ast.Attribute) and node.func.attr == name
+                 or isinstance(node.func, ast.Name) and node.func.id == name)]
 
 
 # A study draws from a model only through the Monte-Carlo KS block draw,
@@ -108,3 +112,34 @@ def test_one_draw_path(attr, owners):
     callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
                      for line in _calls(ast.parse(path.read_text(encoding="utf-8")), attr))
     assert callers == []
+
+
+
+def test_one_replicate_driver():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES]
+    callers = sorted(f"{module}.{node.name}" for module, tree in trees for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     for _ in _calls(node, "run_reps"))
+    calls = sum(len(_calls(tree, "run_reps")) for _, tree in trees)
+    assert (callers, calls) == (["studies._summaries", "studies.mixture_impurity_study"], 2)
+
+
+def _raised(tree) -> set[str]:
+    """Names a module raises, as ``raise E`` or ``raise E(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+# __all__ counts as a use in the orphan check, so an exported error class
+# that nothing raises would pass it
+def test_every_citefit_error_is_raised():
+    raised = set().union(*(_raised(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in MODULES))
+    errors = {name for name, value in vars(exceptions).items()
+              if isinstance(value, type) and issubclass(value, exceptions.CitefitError)}
+    assert sorted(errors - raised) == []

@@ -1,6 +1,7 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,15 +21,21 @@ from citefit import (
     plausibility_row,
     scale_ci_study,
     shape_table,
-    simulation_study,
 )
+from citefit.gof import _simulated_samples
 from citefit.studies import (
     MIXTURE_COLUMNS,
     PLAUSIBILITY_COLUMNS,
     SCALE_COLUMNS,
     SHAPE_COLUMNS,
+    vuong_studies,
 )
 from citefit.subjects import SUBJECTS, get_subject
+
+
+def _simulations(model, n, seed=0):
+    """The draw of a simulation study: fresh samples of size ``n`` from ``model``."""
+    return partial(_simulated_samples, model, n, seed)
 
 
 def test_subject_fixture_shape():
@@ -103,8 +110,8 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
     monkeypatch.setattr(studies, "_z_from_fits",
                         lambda sample, ln, hk: raises_on_large_mean(
                             CitationSample(np.repeat(*sample.unique_counts))))
-    for study in (bootstrap_vuong_study(data, reps=40, seed=3),
-                  simulation_study(HookedPowerLaw(3.94, 67.9), 50, reps=40, seed=3)):
+    [simulated] = vuong_studies([_simulations(HookedPowerLaw(3.94, 67.9), 50, seed=3)], 40)
+    for study in (bootstrap_vuong_study(data, reps=40, seed=3), simulated):
         assert 0 < study.failed < 40
         assert study.failed == study.z_summary.n_failed
         assert study.hooked_wins + study.lognormal_wins + study.neither == 40 - study.failed
@@ -112,7 +119,7 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
 
 def test_simulation_study_sign_convention():
     # positive z favours hooked, so a lognormal generator pushes z down
-    study = simulation_study(DiscretisedLognormal(2.81, 1.05), 500, reps=40, seed=4)
+    [study] = vuong_studies([_simulations(DiscretisedLognormal(2.81, 1.05), 500, seed=4)], 40)
     assert study.z_summary.median <= 0.0
     assert study.hooked_wins == 0
     assert (study.hooked_wins + study.lognormal_wins + study.neither
@@ -120,9 +127,9 @@ def test_simulation_study_sign_convention():
 
 
 def test_simulation_study_worker_independence():
-    gen = HookedPowerLaw(5.0, 40.0)
-    a = simulation_study(gen, 400, reps=40, seed=3, workers=1)
-    b = simulation_study(gen, 400, reps=40, seed=3, workers=3)
+    draws = [_simulations(HookedPowerLaw(5.0, 40.0), 400, seed=3)]
+    a = vuong_studies(draws, 40, workers=1)
+    b = vuong_studies(draws, 40, workers=3)
     assert a == b
 
 
@@ -231,7 +238,7 @@ def test_mixture_study_memory_follows_the_block_not_the_reps():
 @pytest.mark.parametrize("study", [
     lambda n: mixture_impurity_study(Mixture((DiscretisedLognormal(1.0, 1.0),), (1.0,)),
                                      DiscretisedLognormal(2.0, 1.0), n=n, reps=2),
-    lambda n: simulation_study(DiscretisedLognormal(2.0, 1.0), n=n, reps=40),
+    lambda n: vuong_studies([_simulations(DiscretisedLognormal(2.0, 1.0), n)], 40),
 ], ids=["mixture", "simulation-vuong"])
 @pytest.mark.parametrize("n", [0, -3])
 def test_simulated_studies_reject_empty_samples(study, n):

@@ -10,9 +10,10 @@ from citefit import (
     DiscretisedLognormal,
     HookedPowerLaw,
     IdenticalModelsError,
+    VuongStudy,
     vuong,
 )
-from citefit.studies import vuong_studies
+from citefit.bootstrap import summarise
 from citefit.vuong import MODEL_A, MODEL_B, NEITHER, vuong_from_diffs
 
 
@@ -76,6 +77,6 @@ def test_threshold_boundaries():
 def test_study_tally_at_the_threshold():
     # z = +-1.96 itself favours neither model, and a NaN z is a failed rep
     zs = (2.5, -2.5, 0.0, 1.96, -1.96, math.nan)
-    [study] = vuong_studies([lambda reps: [zs[rep % 6] for rep in reps]], 42)
+    study = VuongStudy.from_summary(summarise([zs[rep % 6] for rep in range(42)], 42))
     assert (study.hooked_wins, study.lognormal_wins, study.neither, study.failed) \
         == (7, 7, 21, 7)
