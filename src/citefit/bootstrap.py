@@ -18,7 +18,7 @@ sample as its distinct counts. A bootstrap draw (:func:`resample_draw`)
 resamples a source sample by :func:`_distinct_resamples`, and a
 simulation draw is :func:`citefit.gof._simulated_samples` of a model. So a
 chunk's memory follows the distinct counts of its samples, not their size,
-and a serial run holds all of its samples at once.
+and a serial run holds at most ``SERIAL_BLOCK`` samples at once.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -44,6 +44,7 @@ from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
 MIN_REPS = 40   # keeps k = ceil(0.025 * reps) >= 1
+SERIAL_BLOCK = 256  # replicates per call of a serial run, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,10 @@ def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
 
     Each ``fn`` maps a ``range`` of replicate indices to the list of their
     values, in order, and a replicate's value must depend on its index
-    alone, not on the range it came in. With ``workers > 1`` one process
-    pool of at most ``os.cpu_count()`` workers runs them all, in about
-    ``4 * workers`` tasks shared among the F functions: each function's
+    alone, not on the range it came in. A serial run calls each ``fn`` on
+    blocks of ``SERIAL_BLOCK`` consecutive replicates. With ``workers > 1``
+    one process pool of at most ``os.cpu_count()`` workers runs them all, in
+    about ``4 * workers`` tasks shared among the F functions: each function's
     replicates go in ``ceil(4 * workers / F)`` chunks of consecutive
     replicates. That is chunks of ``reps // (4 * workers)`` for one
     function, and one task per function, its sample pickled once, when
@@ -92,11 +94,12 @@ def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
     module-level function). A replicate that raises cancels the work still
     queued, and the exception propagates.
     """
-    if workers <= 1 or not rep_fns:
-        return [fn(range(reps)) for fn in rep_fns]
-    chunksize = max(1, reps // math.ceil(4 * workers / len(rep_fns)))
+    serial = workers <= 1 or not rep_fns
+    chunksize = SERIAL_BLOCK if serial else max(1, reps // math.ceil(4 * workers / len(rep_fns)))
     chunks = [range(start, min(start + chunksize, reps))
               for start in range(0, reps, chunksize)]
+    if serial:
+        return [[value for values in map(fn, chunks) for value in values] for fn in rep_fns]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         try:
             pending = [pool.map(fn, chunks, chunksize=1) for fn in rep_fns]

@@ -74,13 +74,14 @@ def _power_head(alpha: float, b: float) -> tuple[tuple[float, ...], float, float
     the rest is negligible). The scaling keeps every term in floating range
     (f(1) = 1) where the bare Hurwitz zeta value underflows; each exponent
     is -alpha * log1p((x - 1) / (b + 1)), accurate when b is large against
-    x. Terms are added until b + x reaches max(12, 1.5 alpha) or the
-    integral bound on the rest falls below 1e-17 of the total."""
+    x. Terms are added until b + x reaches max(12, 1.5 alpha), which b + 1
+    must not, or the integral bound on the rest falls below 1e-17 of the
+    total."""
     c, slope, neg_alpha = b + 1.0, alpha - 1.0, -alpha
     reach = max(_EM_FLOOR, _EM_RATIO * alpha)
-    totals = []
-    total = 0.0
-    x = 1
+    totals = [1.0]
+    total = 1.0
+    x = 2
     while True:
         term = math.exp(neg_alpha * math.log1p((x - 1) / c))
         edge = b + x
@@ -115,6 +116,41 @@ def _em_sum(alpha: float, edge, acc):
         rising = rising * (factor / square)
         top = rising if scalar else top * (factor / (low * low))
     return acc
+
+
+# The normalisers of the model constructors and of the fit objective, which
+# forms kernel arguments without a model. They take Python floats.
+def _lognormal_terms(mu: float, sigma: float):
+    """The kernel arguments (mu, sigma, log M), z(0.5) = (log 0.5 - mu) /
+    sigma and M, the mass of (0.5, inf) under the continuous density."""
+    if not math.isfinite(mu):
+        raise ParameterError(f"mu must be finite, got {mu}")
+    if not (sigma > 0.0) or not math.isfinite(sigma):
+        raise ParameterError(f"sigma must be > 0 and finite, got {sigma}")
+    z_half = (math.log(0.5) - mu) / sigma
+    norm = 0.5 * math.erfc(z_half * _INV_SQRT2)
+    if norm <= 0.0:
+        raise ParameterError("support mass underflows for these parameters")
+    return (mu, sigma, math.log(norm)), z_half, norm
+
+
+def _hooked_terms(alpha: float, b: float):
+    """The kernel arguments (b + 1, -alpha, log S), the head of S (see
+    ``_power_head``) and S, the sum of ((b + x) / (b + 1))**(-alpha) over
+    the support."""
+    if not (alpha > 1.0) or not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be > 1 and finite, got {alpha}")
+    if not (b > 0.0) or not math.isfinite(b):
+        raise ParameterError(f"b must be > 0 and finite, got {b}")
+    c = b + 1.0
+    if c >= max(_EM_FLOOR, _EM_RATIO * alpha):     # no head: the tail from b + 1 is S
+        head, total = ((), 1.0, c), _em_sum(alpha, c, c / (alpha - 1.0) + 0.5)
+    else:
+        totals, term, edge = head = _power_head(alpha, b)
+        total = totals[-1]
+        if term:
+            total += term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
+    return (c, -alpha, math.log(total)), head, total
 
 
 class _DiscreteModel(ABC):
@@ -260,20 +296,9 @@ class DiscretisedLognormal(_DiscreteModel):
     family = "lognormal"
 
     def __init__(self, mu: float, sigma: float):
-        mu = float(mu)
-        sigma = float(sigma)
-        if not math.isfinite(mu):
-            raise ParameterError(f"mu must be finite, got {mu}")
-        if not (sigma > 0.0) or not math.isfinite(sigma):
-            raise ParameterError(f"sigma must be > 0 and finite, got {sigma}")
-        self.mu = mu
-        self.sigma = sigma
-        self._z_half = (math.log(0.5) - mu) / sigma
-        # mass of (0.5, inf) under the continuous density
-        self._norm = 0.5 * math.erfc(self._z_half * _INV_SQRT2)
-        if self._norm <= 0.0:
-            raise ParameterError("support mass underflows for these parameters")
-        self._log_norm = math.log(self._norm)
+        self.mu = mu = float(mu)
+        self.sigma = sigma = float(sigma)
+        self._kernel_args, self._z_half, self._norm = _lognormal_terms(mu, sigma)
 
     @property
     def params(self) -> dict[str, float]:
@@ -284,10 +309,6 @@ class DiscretisedLognormal(_DiscreteModel):
         """log(x - 0.5) and log(x + 0.5), the parameter-free interval edges,
         as the rows of one (2, m) array."""
         return np.log(x.astype(np.float64) + _HALF_WIDTHS)
-
-    @property
-    def _kernel_args(self) -> tuple[float, float, float]:
-        return self.mu, self.sigma, self._log_norm
 
     @staticmethod
     def _log_pmf_at(features, mu, sigma, log_norm) -> np.ndarray:
@@ -342,21 +363,9 @@ class HookedPowerLaw(_DiscreteModel):
     family = "hooked"
 
     def __init__(self, alpha: float, b: float):
-        alpha = float(alpha)
-        b = float(b)
-        if not (alpha > 1.0) or not math.isfinite(alpha):
-            raise ParameterError(f"alpha must be > 1 and finite, got {alpha}")
-        if not (b > 0.0) or not math.isfinite(b):
-            raise ParameterError(f"b must be > 0 and finite, got {b}")
-        self.alpha = alpha
-        self.b = b
-        # S, the sum of ((b + x) / (b + 1))**(-alpha) over the support
-        totals, term, edge = self._head = _power_head(alpha, b)
-        total = totals[-1] if totals else 0.0
-        if term:
-            total += term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
-        self._scaled_norm = total
-        self._log_scaled_norm = math.log(self._scaled_norm)
+        self.alpha = alpha = float(alpha)
+        self.b = b = float(b)
+        self._kernel_args, self._head, self._scaled_norm = _hooked_terms(alpha, b)
 
     @property
     def params(self) -> dict[str, float]:
@@ -364,16 +373,12 @@ class HookedPowerLaw(_DiscreteModel):
 
     @property
     def log_normalizer(self) -> float:
-        return self._log_scaled_norm - self.alpha * math.log1p(self.b)
+        return self._kernel_args[2] - self.alpha * math.log1p(self.b)
 
     @staticmethod
     def _features(x: np.ndarray) -> np.ndarray:
         """x - 1 as float64, the parameter-free distance from the support's start."""
         return (x - 1).astype(np.float64)
-
-    @property
-    def _kernel_args(self) -> tuple[float, float, float]:
-        return self.b + 1.0, -self.alpha, self._log_scaled_norm
 
     @staticmethod
     def _log_pmf_at(features, b_plus_1, neg_alpha, log_scaled_norm) -> np.ndarray:

@@ -12,9 +12,10 @@ the best point found rather than discarded.
 :func:`fit_many` fits one family to many samples at once: each sample keeps
 its own simplex search, and each round the searches' next points are
 evaluated together, with one call of the family's likelihood kernel over
-the concatenated support features of every sample that needs one. Each
-fit does the same floating-point operations as on its own, so
-:func:`fit`, a batch of one, gives the same bits.
+the concatenated support features of every running search, its arguments
+formed by the normaliser the model constructors use: a model is built per
+result, not per point. Each fit does the same floating-point operations as
+on its own, so :func:`fit`, a batch of one, gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, FAMILIES
+from citefit.distributions import (FAMILIES, DiscretisedLognormal, HookedPowerLaw,
+                                   _hooked_terms, _lognormal_terms)
 from citefit.exceptions import ParameterError
 from citefit.sample import as_sample, count_total
 from citefit.simplex import nelder_mead_lockstep
@@ -128,15 +130,32 @@ def _hooked_start(values, mult, n) -> list[float]:
     return [math.log(_INIT_ALPHA - 1.0), math.log(mean)]
 
 
-# Per family: the model class, the start point, the test for a search point
-# outside the box, and the model parameters at a search point.
+# The kernel arguments at a search point; None outside the box (the hooked
+# one bounds alpha and keeps b in (1e-12, 5e11)) or the family's domain.
+def _lognormal_args(theta):
+    if abs(theta[1]) > 30.0:
+        return None
+    try:
+        return _lognormal_terms(theta[0], math.exp(theta[1]))[0]
+    except ParameterError:
+        return None
+
+
+def _hooked_args(theta):
+    if theta[0] > 300.0 or abs(theta[1]) > 27.0:
+        return None
+    try:
+        return _hooked_terms(1.0 + math.exp(theta[0]), math.exp(theta[1]))[0]
+    except ParameterError:
+        return None
+
+
+# Per family: the model class, the start point, the kernel arguments at a
+# search point, and the model parameters at a search point.
 _SEARCH = {
-    "lognormal": (DiscretisedLognormal, _lognormal_start,
-                  lambda t: abs(t[1]) > 30.0,
+    "lognormal": (DiscretisedLognormal, _lognormal_start, _lognormal_args,
                   lambda t: (t[0], math.exp(t[1]))),
-    "hooked": (HookedPowerLaw, _hooked_start,
-               # alpha astronomically large or b outside (1e-12, 5e11)
-               lambda t: t[0] > 300.0 or abs(t[1]) > 27.0,
+    "hooked": (HookedPowerLaw, _hooked_start, _hooked_args,
                lambda t: (1.0 + math.exp(t[0]), math.exp(t[1]))),
 }
 
@@ -144,44 +163,35 @@ _SEARCH = {
 def _objective(family: str, searched):
     """The batch objective of :func:`~citefit.simplex.nelder_mead_lockstep`
     over the (distinct counts, multiplicities) of each searched sample:
-    minus the log-likelihood, inf outside the box or the family's domain."""
-    cls, _, outside, params = _SEARCH[family]
+    minus the log-likelihood, inf outside the box or the family's domain
+    (where a round of several searches evaluates a fixed in-domain point)."""
+    cls, _, args_at, _ = _SEARCH[family]
     features = [cls._features(values) for values, _ in searched]
     weights = [mult.astype(np.float64) for _, mult in searched]  # what np.dot would cast to
-    sizes = [values.size for values, _ in searched]
+    placeholder = args_at([0.0, 0.0])
+    group = (0,)    # per live set, which only shrinks: size, features, counts, slices
 
     def objective(live, points):
-        if len(live) == 1:      # scalar parameters, no concatenation
-            i, theta = live[0], points[0]
-            if outside(theta):
-                return [math.inf]
-            try:
-                model = cls(*params(theta))
-            except ParameterError:
-                return [math.inf]
-            ll = float(np.dot(weights[i], cls._log_pmf_at(features[i], *model._kernel_args)))
+        nonlocal group
+        if group[0] != len(live):
+            sizes = [features[i].shape[-1] for i in live]
+            group = (len(live), np.concatenate([features[i] for i in live], axis=-1), sizes,
+                     [(weights[i], end - size, end)
+                      for i, size, end in zip(live, sizes, accumulate(sizes))])
+        _, feats, sizes, slices = group
+        if len(points) == 1:    # a lone search: its Python-float arguments
+            args = args_at(points[0])
+            ll = float(np.dot(slices[0][0], cls._log_pmf_at(feats, *args))) if args else math.nan
             return [-ll if math.isfinite(ll) else math.inf]
-        out = [math.inf] * len(live)
-        fitted, fits, args = [], [], []     # position in live, fit index, kernel args
-        for pos, theta in enumerate(points):
-            if outside(theta):
-                continue
-            try:
-                model = cls(*params(theta))
-            except ParameterError:
-                continue
-            fitted.append(pos)
-            fits.append(live[pos])
-            args.append(model._kernel_args)
-        if fitted:
-            counts = [sizes[i] for i in fits]
-            # each parameter repeated over its fit's elements, as C-contiguous rows
-            batch = cls._log_pmf_at(np.concatenate([features[i] for i in fits], axis=-1),
-                                    *np.repeat(np.array(list(zip(*args))), counts, axis=1))
-            for pos, i, end, size in zip(fitted, fits, accumulate(counts), counts):
-                # one dot per fit: its own summation order
-                ll = float(np.dot(weights[i], batch[end - size:end]))
-                out[pos] = -ll if math.isfinite(ll) else math.inf
+        args = list(map(args_at, points))
+        # each search's arguments over its elements, as C-contiguous rows
+        rows = np.repeat(np.array([a or placeholder for a in args]).T, sizes, axis=1)
+        batch = cls._log_pmf_at(feats, *rows)
+        out = []
+        for a, (w, lo, hi) in zip(args, slices):
+            # one dot per fit: its own summation order
+            ll = float(np.dot(w, batch[lo:hi])) if a else math.nan
+            out.append(-ll if math.isfinite(ll) else math.inf)
         return out
 
     return objective

@@ -7,7 +7,9 @@ stopping rule and the evaluation budget. Only the budget is set per call;
 the coefficients, ``_STEP``, ``_REL_F_TOL`` and ``_X_TOL`` are fixed (J. A.
 Nelder and R. Mead, "A simplex method for function minimization", Comput.
 J. 7(4), 1965). Points are lists of plain floats: in the fits' two
-dimensions NumPy calls cost more than the maths.
+dimensions NumPy calls cost more than the maths, in lockstep too: a
+prototype stepping all running searches as arrays took 0.82 s against 0.70
+s per ``vuong-boot`` benchmark round (2-core x86-64, about 35 searches).
 
 The search is written once, in ask/tell form: :func:`simplex_search` is a
 generator that yields each point it wants evaluated, is sent the value and

@@ -2,6 +2,7 @@
 order-statistic intervals, failure accounting and worker independence."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -390,6 +391,30 @@ def test_uneven_chunks_give_every_worker_count_the_same_values(workers):
     assert values[1] == [r - r % chunk for r in range(41)]
     with pytest.raises(RuntimeError, match="replicate 40 broke"):
         run_reps([partial(_power, 1), partial(_raises_at, 40)], 41, workers)
+
+
+def test_a_serial_run_goes_in_blocks_of_replicates():
+    values = run_reps([partial(_power, 1), _chunk_start], 600, 1)
+    assert values[0] == list(range(600))
+    block = citefit.bootstrap.SERIAL_BLOCK
+    assert values[1] == [r - r % block for r in range(600)]
+
+
+def _bootstrap_peak(sample, reps):
+    tracemalloc.start()
+    try:
+        bootstrap_study(sample, reps, "mean", seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_serial_study_memory_follows_the_block_not_the_reps():
+    # about 2,500 distinct counts per resample: one block of 256 resamples
+    # holds about 10 MB; all 1024 at once held 40 MiB
+    sample = CitationSample(3 * np.arange(1, 4001))
+    assert _bootstrap_peak(sample, 1024) < 1.5 * _bootstrap_peak(sample, 256)
 
 
 @pytest.mark.parametrize("workers", [2, 3])

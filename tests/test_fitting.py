@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citefit import (
     CitationSample,
@@ -16,7 +18,8 @@ from citefit import (
     log_likelihood,
 )
 import citefit.fitting
-from citefit.fitting import MAX_EVALS, fit_many
+from citefit.distributions import _em_sum
+from citefit.fitting import _SEARCH, MAX_EVALS, fit_many
 from citefit.seeding import child_seed
 
 ZETA2_MINUS_1 = math.pi ** 2 / 6.0 - 1.0
@@ -244,3 +247,79 @@ def test_fit_many_equals_one_fit_per_sample(monkeypatch, family, max_evals):
         assert "" in messages       # converged
         if family == "hooked":
             assert "scale parameter ridge guard tripped (b > 100)" in messages
+
+
+# --- kernel arguments at a search point ---------------------------------------
+
+def _in_box(family, theta):
+    """The box each family's search stays in, as the fitter states it."""
+    if family == "lognormal":
+        return abs(theta[1]) <= 30.0
+    return theta[0] <= 300.0 and abs(theta[1]) <= 27.0
+
+
+def _reference_scaled_norm(alpha, b):
+    """S summed as the constructor summed it before the head was skipped:
+    terms from x = 1 until b + x reaches max(12, 1.5 alpha), then the
+    Euler-Maclaurin tail."""
+    c, reach, total, x = b + 1.0, max(12.0, 1.5 * alpha), 0.0, 1
+    while True:
+        term = math.exp(-alpha * math.log1p((x - 1) / c))
+        edge = b + x
+        if edge >= reach:
+            return total + term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
+        if term * (1.0 + edge / (alpha - 1.0)) <= 1e-17 * total:
+            return total
+        total += term
+        x += 1
+
+
+def _hex(args):
+    return None if args is None else [float(v).hex() for v in args]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(family=st.sampled_from(["lognormal", "hooked"]),
+       t0=st.floats(-45.0, 310.0), t1=st.floats(-31.0, 31.0))
+@example(family="hooked", t0=0.4, t1=0.3)        # b + 1 < 12: head terms
+@example(family="hooked", t0=0.4, t1=3.3)        # b + 1 >= 12: no head
+@example(family="hooked", t0=5.0, t1=3.3)        # b + 1 < 1.5 alpha: head terms
+@example(family="hooked", t0=-37.0, t1=0.0)      # 1 + exp(t0) rounds to 1
+@example(family="hooked", t0=300.0, t1=-27.0)    # the box's far corner
+@example(family="hooked", t0=300.5, t1=0.0)
+@example(family="hooked", t0=0.0, t1=27.5)
+@example(family="lognormal", t0=-40.0, t1=0.0)   # the support mass underflows
+@example(family="lognormal", t0=1.0, t1=-30.5)
+@example(family="lognormal", t0=1.0, t1=30.0)
+def test_search_point_arguments_are_the_models(family, t0, t1):
+    cls, _, args_at, params = _SEARCH[family]
+    theta = [t0, t1]
+    try:
+        model = cls(*params(theta)) if _in_box(family, theta) else None
+    except ParameterError:
+        model = None
+    got = args_at(theta)
+    assert _hex(got) == _hex(None if model is None else model._kernel_args)
+    if family == "hooked" and model is not None:
+        reference = _reference_scaled_norm(model.alpha, model.b)
+        assert model._scaled_norm.hex() == reference.hex()
+        assert got[2].hex() == math.log(reference).hex()
+
+
+@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("family", ["lognormal", "hooked"])
+def test_one_model_per_usable_result(monkeypatch, family, size):
+    built = []
+    for cls in (DiscretisedLognormal, HookedPowerLaw):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    pool = [
+        CitationSample([5, 5, 5, 5]),                                   # all equal
+        CitationSample([1, 2 ** 62] if family == "lognormal" else [1, 10 ** 13]),  # no start
+    ] + [CitationSample(draw) for draw in
+         (np.random.default_rng(seed).geometric(0.1, size=300) for seed in range(6))]
+    batch = pool[-1:] if size == 1 else pool
+    results = fit_many(family, batch)
+    assert len(built) == sum(result.usable for result in results) == size - 2 * (size > 1)

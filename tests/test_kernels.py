@@ -157,7 +157,7 @@ def _two_erfc_log_pmf(model, x):
     z_lo = (np.log(xf - 0.5) - model.mu) / model.sigma
     z_hi = (np.log(xf + 0.5) - model.mu) / model.sigma
     with np.errstate(divide="ignore"):
-        return np.log(_two_erfc_masses(z_lo, z_hi)) - model._log_norm
+        return np.log(_two_erfc_masses(z_lo, z_hi)) - math.log(model._norm)
 
 
 def _two_erfc_cdf(model, m):
