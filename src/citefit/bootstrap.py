@@ -13,12 +13,13 @@ ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
 values, the 25th smallest / 25th largest for the canonical 1000-rep study.
 
 Every replicate function is :func:`_statistic_reps`: a batch statistic of
-the samples a draw makes for a range of replicates. A draw holds each
-sample as its distinct counts. A bootstrap draw (:func:`resample_draw`)
-resamples a source sample by :func:`_distinct_resamples`, and a
-simulation draw is :func:`citefit.gof._simulated_samples` of a model. So a
-chunk's memory follows the distinct counts of its samples, not their size,
-and a serial run holds at most ``SERIAL_BLOCK`` samples at once.
+the samples a draw makes for a range of replicates. A draw, checked when
+it is built, holds each sample as its distinct counts. A bootstrap draw
+(:func:`resample_draw`) resamples a source sample by
+:func:`_distinct_resamples`; a simulation draw
+(:func:`citefit.gof.simulation_draw`) draws from a model. So a chunk's
+memory follows the distinct counts of its samples, not their size, and a
+serial run holds at most ``SERIAL_BLOCK`` samples at once.
 
 One failure rule holds for every study: a replicate whose statistic raises
 a citefit error or yields a non-finite value is recorded as NaN, excluded
@@ -43,7 +44,7 @@ from citefit.exceptions import CitefitError, DomainError
 from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
-MIN_REPS = 40   # keeps k = ceil(0.025 * reps) >= 1
+MIN_REPS = 40   # the smallest reps with k = ceil(0.025 * reps) equal to 0.025 * reps
 SERIAL_BLOCK = 256  # replicates per call of a serial run, which bounds its memory
 
 

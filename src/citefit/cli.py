@@ -24,7 +24,6 @@ import math
 import os
 import secrets
 import sys
-from functools import partial
 
 import citefit.io
 from citefit import __version__
@@ -32,7 +31,7 @@ from citefit.bootstrap import MIN_REPS, resample_draw
 from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
-from citefit.gof import _simulated_samples, ks_p_value
+from citefit.gof import ks_p_value, simulation_draw
 from citefit.io import _write, ingest_file, render_plot_data
 from citefit.sample import CitationSample
 from citefit.seeding import child_seed
@@ -251,8 +250,7 @@ def _cmd_study_vuong(args, seed: int) -> str:
         studied = []
         for i, (subject, model, n) in enumerate(_subject_generators(args)):
             n = n if args.size is None else args.size
-            studied.append((subject.name, n,
-                            partial(_simulated_samples, model, n, child_seed(seed, i))))
+            studied.append((subject.name, n, simulation_draw(model, n, child_seed(seed, i))))
     studies = vuong_studies([draw for _, _, draw in studied], args.reps, args.workers)
     rows = [study.row(label, n) for (label, n, _), study in zip(studied, studies)]
     return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,

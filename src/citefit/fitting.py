@@ -94,12 +94,7 @@ def fit_many(family: str, samples, max_evals: int = MAX_EVALS) -> list[FitResult
             results[index] = _degenerate("all counts equal; two-parameter family "
                                          "not identifiable")
             continue
-        try:
-            # counts near 2**62 that are equal as floats give a zero log spread
-            starts.append(start(values, mult, mult.sum()))
-        except ValueError:
-            results[index] = _degenerate(_NO_START)
-            continue
+        starts.append(start(values, mult, mult.sum()))
         indices.append(index)
         searched.append((values, mult))
 
@@ -107,8 +102,8 @@ def fit_many(family: str, samples, max_evals: int = MAX_EVALS) -> list[FitResult
     with np.errstate(divide="ignore"):
         found = nelder_mead_lockstep(_objective(family, searched), starts, max_evals)
     for index, res in zip(indices, found):
-        # no finite start: the pmf of a count underflows there, or the hooked
-        # start b = mean leaves the search box
+        # no finite start: the pmf of a count underflows there, the hooked
+        # start b = mean leaves the search box, or the log spread is 0
         results[index] = _degenerate(_NO_START) if res is None else _result(family, res)
     return results
 
@@ -122,7 +117,8 @@ def _lognormal_start(values, mult, n) -> list[float]:
     logs = np.log(values.astype(np.float64))
     mu0 = float(np.dot(mult, logs) / n)
     var0 = float(np.dot(mult, (logs - mu0) ** 2) / (n - 1))
-    return [mu0, math.log(math.sqrt(var0))]
+    # counts near 2**62 that are equal as floats give a zero log spread
+    return [mu0, math.log(math.sqrt(var0)) if var0 > 0.0 else -math.inf]
 
 
 def _hooked_start(values, mult, n) -> list[float]:

@@ -124,12 +124,10 @@ def ks_statistic(model, sample) -> float:
 
 
 def _simulated_counts(model, n: int, seed: int, reps: range, *path):
-    """The simulations of ``reps``, block by block: simulation i is n draws
-    of ``model`` from the stream (seed, i, *path). Yields each block's
+    """The simulations of ``reps``, block by block: simulation i is n >= 1
+    draws of ``model`` from the stream (seed, i, *path). Yields each block's
     distinct counts and their multiplicities, flattened simulation after
     simulation."""
-    if n < 1:
-        raise EmptySampleError("operation requires a non-empty sample")
     rows = max(1, _BLOCK_DRAWS // n)
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
@@ -153,10 +151,18 @@ def _split(v: np.ndarray, mult: np.ndarray, n: int) -> list[DistinctCounts]:
     return list(map(DistinctCounts, np.split(v, starts), np.split(mult, starts)))
 
 
-def _simulated_samples(model, n: int, seed: int, reps: range, *path) -> list[DistinctCounts]:
+def _simulated_samples(model, n: int, seed: int, path, reps: range) -> list[DistinctCounts]:
     """Every simulation of ``reps`` held as its distinct counts."""
     return [sample for block in _simulated_counts(model, n, seed, reps, *path)
             for sample in _split(*block, n)]
+
+
+def simulation_draw(model, n: int, seed: int, *path: int):
+    """The draw of a simulation study: replicates -> samples of ``n`` counts of
+    ``model`` from the streams (seed, rep, *path), checked before any rep runs."""
+    if n < 1:
+        raise EmptySampleError("operation requires a non-empty sample")
+    return partial(_simulated_samples, model, n, seed, path)
 
 
 def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:

@@ -6,22 +6,23 @@ closed-form mean table.
 
 Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
-worker count. Every bootstrap and simulation study is a named batch
-statistic of :data:`BOOTSTRAP_STATISTICS` on one draw per sample, run and
-summarised by :func:`_summaries` in one :func:`citefit.bootstrap.run_reps`
-call, so a run opens at most one process pool (when ``workers > 1``) and a
-study of many samples sends each of them to the pool as one task. A draw
-maps a range of replicates to their samples, held as their distinct
-counts (:class:`~citefit.sample.DistinctCounts`): bootstrap resamples
-(:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
-(:func:`~citefit.gof._simulated_samples`, which the mixture study draws
-from too). The statistics fit a range's samples with one
-:func:`~citefit.fitting.fit_many` call per family, which gives each sample
-the fit :func:`~citefit.fitting.fit` would. Every study shares its failure
-rule: a replicate that raises a citefit error or yields a non-finite value
-counts as failed. Vuong studies always orient the test as hooked (model A)
-against lognormal (model B): positive z favours the hooked power law, and
-each surviving z is classified by the Vuong test's own +-1.96 rule.
+worker count. Every replicated study is ``statistic(draw(reps))``: a batch
+statistic (one value per sample, NaN where it failed) of one draw per
+sample, run in one :func:`citefit.bootstrap.run_reps` call, so a run opens
+at most one process pool (when ``workers > 1``) and a study of many
+samples sends each of them to the pool as one task. A draw, checked when
+it is built, maps a range of replicates to their samples, held as their
+distinct counts (:class:`~citefit.sample.DistinctCounts`): bootstrap
+resamples (:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
+(:func:`~citefit.gof.simulation_draw`). The statistics fit a range's
+samples with one :func:`~citefit.fitting.fit_many` call per family, which
+gives each sample the fit :func:`~citefit.fitting.fit` would.
+:func:`_summaries` summarises every study but the mixture study, with one
+failure rule: a replicate that raises a citefit error or yields a
+non-finite value counts as failed. Vuong studies always orient the test as
+hooked (model A) against lognormal (model B): positive z favours the
+hooked power law, and each surviving z is classified by the Vuong test's
+own +-1.96 rule.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from citefit.exceptions import (
     TooFewRepsError,
 )
 from citefit.fitting import FitStatus, fit, fit_many
-from citefit.gof import _simulated_samples, ks_p_value, ks_statistic, shape_classify
+from citefit.gof import ks_p_value, ks_statistic, shape_classify, simulation_draw
 from citefit.sample import as_sample, count_total
 from citefit.seeding import child_seed
 from citefit.subjects import SUBJECTS
@@ -170,23 +171,15 @@ BOOTSTRAP_STATISTICS = {
 }
 
 
-def _summaries(draws, statistic: str, reps: int, workers: int) -> list[StudySummary]:
-    """The summary of the statistic named ``statistic`` (a key of
-    :data:`BOOTSTRAP_STATISTICS`) over ``reps`` replicates of each draw,
-    all run through one :func:`~citefit.bootstrap.run_reps` call.
-
-    Raises :class:`~citefit.exceptions.ParameterError` for an unknown
-    statistic and :class:`~citefit.exceptions.TooFewRepsError` below
-    :data:`~citefit.bootstrap.MIN_REPS` replicates.
-    """
-    if statistic not in BOOTSTRAP_STATISTICS:
-        raise ParameterError(f"unknown statistic {statistic!r}; "
-                             f"expected one of {sorted(BOOTSTRAP_STATISTICS)}")
+def _summaries(draws, statistic, reps: int, workers: int) -> list[StudySummary]:
+    """The summary of the batch function ``statistic`` over ``reps``
+    replicates of each draw, all run through one
+    :func:`~citefit.bootstrap.run_reps` call. Raises
+    :class:`~citefit.exceptions.TooFewRepsError` below ``MIN_REPS``."""
     if reps < MIN_REPS:
         raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    rep_fns = [partial(_statistic_reps, draw, BOOTSTRAP_STATISTICS[statistic])
-               for draw in draws]
-    return [summarise(values, reps) for values in run_reps(rep_fns, reps, workers)]
+    return [summarise(values, reps) for values in run_reps(
+        [partial(_statistic_reps, draw, statistic) for draw in draws], reps, workers)]
 
 
 def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
@@ -199,7 +192,11 @@ def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
     statistic and :class:`~citefit.exceptions.AllStatisticsFailedError`
     when every replicate failed.
     """
-    [summary] = _summaries([resample_draw(sample, size, seed)], statistic, reps, workers)
+    draw = resample_draw(sample, size, seed)
+    if statistic not in BOOTSTRAP_STATISTICS:
+        raise ParameterError(f"unknown statistic {statistic!r}; "
+                             f"expected one of {sorted(BOOTSTRAP_STATISTICS)}")
+    [summary] = _summaries([draw], BOOTSTRAP_STATISTICS[statistic], reps, workers)
     if summary.n_failed == reps:
         raise AllStatisticsFailedError(f"all {reps} replicates failed for {statistic!r}")
     return summary
@@ -210,9 +207,9 @@ def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
 def vuong_studies(draws, reps: int, workers: int = 1) -> list[VuongStudy]:
     """One :class:`VuongStudy` per draw: a bootstrap draw
     (:func:`~citefit.bootstrap.resample_draw`) or a simulation draw
-    (``partial(_simulated_samples, model, n, seed)``)."""
+    (:func:`~citefit.gof.simulation_draw`)."""
     return [VuongStudy.from_summary(summary)
-            for summary in _summaries(draws, "vuong-z", reps, workers)]
+            for summary in _summaries(draws, _z_values, reps, workers)]
 
 
 def bootstrap_vuong_study(sample, reps: int, size: int | None = None,
@@ -258,12 +255,14 @@ def scale_ci_study(samples, reps: int = 1000, size: int | None = 500,
     through one :func:`~citefit.bootstrap.run_reps` call. A sample whose
     replicates all failed gets the note "degenerate" and no interval.
     """
+    samples = list(map(as_sample, samples))
     draws = [resample_draw(sample, size, child_seed(seed, index))
              for index, sample in enumerate(samples)]
+    summaries = _summaries(draws, BOOTSTRAP_STATISTICS["lognormal-sigma"], reps, workers)
     rows = []
-    for draw, summary in zip(draws, _summaries(draws, "lognormal-sigma", reps, workers)):
+    for sample, summary in zip(samples, summaries):
         row = dict.fromkeys(SCALE_COLUMNS)
-        row["subject"] = draw.args[0].label    # the checked source sample
+        row["subject"] = sample.label
         row["reps"] = reps
         row["failed"] = summary.n_failed
         if summary.n_failed == reps:
@@ -310,17 +309,32 @@ def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]
 
 # --- mixtures ---------------------------------------------------------------
 
+def _lognormal_ks(samples) -> list[float]:
+    """KS distance of each sample from its own lognormal fit, NaN where the
+    fit is degenerate."""
+    return [ks_statistic(result.model, sample) if result.usable else math.nan
+            for sample, result in zip(samples, fit_many("lognormal", samples))]
+
+
 def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
                            seed: int = 0, workers: int = 1) -> tuple[list[dict], dict]:
     """Compare lognormal KS fits on mixture data against pure data.
 
     Each rep draws one sample from ``mixture`` (a
-    :class:`~citefit.distributions.Mixture`) and one from ``pure_model``,
-    fits the lognormal family to each, and records both KS statistics.
+    :class:`~citefit.distributions.Mixture`, path 0) and one from
+    ``pure_model`` (path 1) and records both :func:`_lognormal_ks` values.
     """
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
-    [rows] = run_reps([partial(_mixture_reps, mixture, pure_model, n, seed)], reps, workers)
+    draws = [simulation_draw(mixture, n, seed, 0), simulation_draw(pure_model, n, seed, 1)]
+    mix_ks, pure_ks = run_reps([partial(_statistic_reps, draw, _lognormal_ks)
+                                for draw in draws], reps, workers)
+    rows = []
+    for rep, (mix, pure) in enumerate(zip(mix_ks, pure_ks)):
+        if math.isnan(mix) or math.isnan(pure):
+            mix = pure = None
+        rows.append({"rep": rep, "mixture_ks": mix, "pure_ks": pure,
+                     "mixture_worse": None if mix is None else mix > pure})
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {
@@ -330,22 +344,6 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
         "fraction_worse": worse / valid if valid else math.nan,
     }
     return rows, summary
-
-
-def _mixture_reps(mixture, pure_model, n: int, seed: int, reps: range) -> list[dict]:
-    mix_data = _simulated_samples(mixture, n, seed, reps, 0)
-    pure_data = _simulated_samples(pure_model, n, seed, reps, 1)
-    fits = fit_many("lognormal", mix_data + pure_data)
-    rows = []
-    for rep, mix, pure, mix_fit, pure_fit in zip(reps, mix_data, pure_data, fits,
-                                                 fits[len(reps):]):
-        row = {"rep": rep, "mixture_ks": None, "pure_ks": None, "mixture_worse": None}
-        if mix_fit.usable and pure_fit.usable:
-            row["mixture_ks"] = ks_statistic(mix_fit.model, mix)
-            row["pure_ks"] = ks_statistic(pure_fit.model, pure)
-            row["mixture_worse"] = row["mixture_ks"] > row["pure_ks"]
-        rows.append(row)
-    return rows
 
 
 # --- closed-form mean table -------------------------------------------------

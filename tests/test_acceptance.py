@@ -8,7 +8,6 @@ a fixed master seed, so the whole suite is reproducible bit for bit.
 """
 
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from citefit import (
     mixture_impurity_study,
 )
 from citefit.cli import main
-from citefit.gof import _simulated_samples
+from citefit.gof import simulation_draw
 from citefit.seeding import child_seed
 from citefit.studies import vuong_studies
 from citefit.subjects import SUBJECTS
@@ -118,7 +117,7 @@ def test_05_ks_calibration():
 
 def _simulation_study(model, n, seed):
     """The Vuong study of 50 fresh samples of size ``n`` from ``model``."""
-    [study] = vuong_studies([partial(_simulated_samples, model, n, seed)], 50)
+    [study] = vuong_studies([simulation_draw(model, n, seed)], 50)
     return study
 
 

@@ -39,9 +39,9 @@ from citefit.bootstrap import (
     run_reps,
     summarise,
 )
-from citefit.gof import _simulated_samples
+from citefit.gof import simulation_draw
 from citefit.sample import DistinctCounts, count_total
-from citefit.seeding import spawn_rng
+from citefit.seeding import child_seed, spawn_rng
 from citefit.studies import BOOTSTRAP_STATISTICS, vuong_studies
 
 
@@ -180,7 +180,7 @@ def test_vuong_and_scale_replicates_build_no_citation_sample(monkeypatch):
     monkeypatch.setattr(CitationSample, "__init__", counting_init)
     bootstrap_vuong_study(data, 40, seed=2)
     scale_ci_study([data], reps=40, size=100)
-    vuong_studies([partial(_simulated_samples, HookedPowerLaw(3.94, 67.9), 100, 0)], 40)
+    vuong_studies([simulation_draw(HookedPowerLaw(3.94, 67.9), 100, 0)], 40)
     for name in BOOTSTRAP_STATISTICS:
         bootstrap_study(data, 40, name, size=100, seed=3)
     assert built == []
@@ -345,6 +345,17 @@ def test_bootstrap_studies_reject_distinct_counts(study):
     counts = DistinctCounts(np.array([1, 2, 5]), np.array([3, 4, 2]))
     with pytest.raises(DomainError, match="CitationSample"):
         study(counts, 40)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: resample_draw(CitationSample([1, 2]), 0, 0), DomainError,
+     "resample size must be >= 1"),
+    (lambda: spawn_rng(-1, 0), ValueError, "master seed must be non-negative, got -1"),
+    (lambda: child_seed(-1, 2), ValueError, "master seed must be non-negative, got -1"),
+], ids=["resample-size", "spawn_rng", "child_seed"])
+def test_draw_inputs_are_checked_before_any_replicate(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_summarise_counts_non_finite_values_as_failed():

@@ -288,8 +288,9 @@ def test_simulation_options_with_count_files_exit_2(capsys, tmp_path, argv, name
      "--dist lognormal takes no --alpha"),
     (["--dist", "hooked", "--alpha", "3", "--b", "2", "--mu", "1"],
      "--dist hooked takes no --mu"),
+    (["--dist", "lognormal", "--mu", "2"], "--dist lognormal needs --mu and --sigma"),
 ])
-def test_simulate_rejects_model_options_it_would_ignore(capsys, argv, message):
+def test_simulate_rejects_model_options_it_would_ignore_or_lacks(capsys, argv, message):
     code, out, err = _run(capsys, ["simulate", *argv, "-n", "3", "--seed", "1"])
     assert (code, out) == (2, "")
     assert f"citefit: error: {message}" in err
@@ -357,11 +358,13 @@ def test_invalid_option_values_exit_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,env_seed", [
-    (["gof", "{file}", "--dist", "lognormal", "--seed", "-1"], None),
-    (["bootstrap", "{file}", "--reps", "40"], "-1"),
+@pytest.mark.parametrize("argv,env_seed,message", [
+    (["gof", "{file}", "--dist", "lognormal", "--seed", "-1"], None, ">= 0, got -1"),
+    (["bootstrap", "{file}", "--reps", "40"], "-1", "CITEFIT_SEED must be >= 0, got -1"),
+    (["bootstrap", "{file}", "--reps", "40"], "1.5",
+     "CITEFIT_SEED must be an integer, got '1.5'"),
 ])
-def test_negative_seed_exits_2_without_traceback(counts_file, argv, env_seed):
+def test_invalid_seed_exits_2_without_traceback(counts_file, argv, env_seed, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(citefit.__file__)))
     env.pop("CITEFIT_SEED", None)
     if env_seed is not None:
@@ -370,7 +373,7 @@ def test_negative_seed_exits_2_without_traceback(counts_file, argv, env_seed):
     done = subprocess.run([sys.executable, "-m", "citefit.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
-    assert ">= 0, got -1" in done.stderr
+    assert message in done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -194,7 +194,7 @@ def test_block_draw_is_np_unique_of_each_simulation(model, n, seed, first, count
                                                     budget):
     reps = range(first, first + count)
     with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
-        got = gof._simulated_samples(model, n, seed, reps, *path)
+        got = gof.simulation_draw(model, n, seed, *path)(reps)
     assert len(got) == len(reps)
     for sample, i in zip(got, reps):
         values, mult = np.unique(model.sample_with(spawn_rng(seed, i, *path), n),
@@ -240,6 +240,20 @@ _READERS = {
 def test_readers_give_equal_results_on_distinct_counts(reader, counts):
     distinct = DistinctCounts(*np.unique(counts, return_counts=True))
     assert reader(distinct) == reader(CitationSample(counts))
+
+
+@pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
+def test_readers_reject_empty_distinct_counts(reader):
+    empty = DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    with pytest.raises(EmptySampleError, match="operation requires a non-empty sample"):
+        reader(empty)
+
+
+@pytest.mark.parametrize("test", [partial(ks_test_fixed, _LN), partial(ks_p_value, "lognormal")],
+                         ids=["ks_test_fixed", "ks_p_value"])
+def test_monte_carlo_ks_needs_a_simulation(test):
+    with pytest.raises(DomainError, match="n_sim must be >= 1"):
+        test(_LN.sample(50, 1), n_sim=0)
 
 
 def _traced_peak(run):

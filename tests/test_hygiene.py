@@ -5,8 +5,12 @@ under ``src/citefit`` imports a name it never uses (``__init__`` uses a
 name by exporting it), and every module-level function, class or
 assignment is referenced somewhere in the package or exported. Only
 ``distributions`` calls ``sample_with`` and only ``sample`` and
-``bootstrap`` call ``np.unique``, so samples are drawn and read one way;
-only the study driver and the mixture study call ``run_reps``. Every
+``bootstrap`` call ``np.unique``, so samples are drawn and read one way.
+Only ``gof`` names the simulated-sample draws and only ``bootstrap`` the
+resampler, so every other module builds a draw through its checked
+constructor, and nothing reads back what a draw was built from. Only the
+study driver and the mixture study call ``run_reps``, each with
+``partial(_statistic_reps, draw, statistic)`` functions. Every
 ``CitefitError`` subclass is raised somewhere in the package.
 """
 
@@ -95,11 +99,16 @@ def test_every_module_level_name_is_referenced():
     assert orphans == []
 
 
-def _calls(tree, name: str) -> list[int]:
-    """Line of each call of a function read as ``name`` or as attribute ``name``."""
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+def _call_nodes(tree, name: str) -> list[ast.Call]:
+    """Each call of a function read as ``name`` or as attribute ``name``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and (isinstance(node.func, ast.Attribute) and node.func.attr == name
                  or isinstance(node.func, ast.Name) and node.func.id == name)]
+
+
+def _calls(tree, name: str) -> list[int]:
+    """Line of each call of a function read as ``name`` or as attribute ``name``."""
+    return [node.lineno for node in _call_nodes(tree, name)]
 
 
 # A study draws from a model only through the Monte-Carlo KS block draw,
@@ -114,14 +123,53 @@ def test_one_draw_path(attr, owners):
     assert callers == []
 
 
+# A study builds its draws with resample_draw or simulation_draw, which
+# check their inputs before any replicate runs.
+@pytest.mark.parametrize("name,owner", [
+    ("_simulated_samples", "gof.py"),
+    ("_simulated_counts", "gof.py"),
+    ("_distinct_resamples", "bootstrap.py"),
+])
+def test_private_draws_are_named_only_by_their_module(name, owner):
+    users = sorted(path.name for path in MODULES
+                   if name in _referenced(ast.parse(path.read_text(encoding="utf-8"))))
+    assert users == [owner]
+
+
+# A study labels its rows from what it built its draws from, and never reads
+# a draw's partial back (.args, .func, .keywords); a caught exception's
+# .args is no draw.
+def test_no_draw_is_read_back():
+    reads = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        caught = {node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.name}
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("args", "func", "keywords")
+                  and not (isinstance(node.value, ast.Name) and node.value.id in caught)]
+    assert reads == []
+
+
+def _is_statistic_reps(node) -> bool:
+    """Whether ``node`` is ``partial(_statistic_reps, ...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "partial" and bool(node.args)
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "_statistic_reps")
+
 
 def test_one_replicate_driver():
     trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES]
     callers = sorted(f"{module}.{node.name}" for module, tree in trees for node in tree.body
                      if isinstance(node, ast.FunctionDef)
                      for _ in _calls(node, "run_reps"))
-    calls = sum(len(_calls(tree, "run_reps")) for _, tree in trees)
-    assert (callers, calls) == (["studies._summaries", "studies.mixture_impurity_study"], 2)
+    calls = [call for _, tree in trees for call in _call_nodes(tree, "run_reps")]
+    assert (callers, len(calls)) == (
+        ["studies._summaries", "studies.mixture_impurity_study"], 2)
+    # every replicate function is a batch statistic of a draw
+    fns = [call.args[0] for call in calls]
+    assert all(isinstance(fn, ast.ListComp) and _is_statistic_reps(fn.elt) for fn in fns)
 
 
 def _raised(tree) -> set[str]:

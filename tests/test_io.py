@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from citefit import CitationSample, HookedPowerLaw, OffsetError, ParseError
+from citefit import CitationSample, DomainError, HookedPowerLaw, OffsetError, ParseError
 from citefit.io import (
     format_sig4,
     ingest,
@@ -106,6 +107,21 @@ def test_ingest_unrecognised_header(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_file(path)
     assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda tmp: ingest_file(_write(tmp, "c.csv", "id,citations\na,3\nb\n")),
+     ParseError, "missing 'citations' cell"),
+    (lambda tmp: ingest([0, 3], offset=-1), OffsetError, "offset must be non-negative, got -1"),
+    (lambda tmp: ingest([3, -2]), ParseError, "negative count: -2"),
+    (lambda tmp: render_report([{"a": 1}], "xml"), ValueError, "unknown report format 'xml'"),
+    (lambda tmp: CitationSample([3], offset_applied=-1), DomainError,
+     "offset_applied must be non-negative"),
+], ids=["csv-missing-cell", "negative-offset", "negative-count", "report-format",
+        "negative-offset-applied"])
+def test_bad_input_is_rejected(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
 
 
 def test_ingest_preserves_cardinality(tmp_path):

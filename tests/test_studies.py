@@ -1,15 +1,16 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import citefit.studies as studies
 from citefit import (
     CitationSample,
     DiscretisedLognormal,
+    DomainError,
     EmptySampleError,
     HookedPowerLaw,
     Mixture,
@@ -22,7 +23,8 @@ from citefit import (
     scale_ci_study,
     shape_table,
 )
-from citefit.gof import _simulated_samples
+from citefit.gof import simulation_draw
+from citefit.sample import DistinctCounts
 from citefit.studies import (
     MIXTURE_COLUMNS,
     PLAUSIBILITY_COLUMNS,
@@ -31,11 +33,6 @@ from citefit.studies import (
     vuong_studies,
 )
 from citefit.subjects import SUBJECTS, get_subject
-
-
-def _simulations(model, n, seed=0):
-    """The draw of a simulation study: fresh samples of size ``n`` from ``model``."""
-    return partial(_simulated_samples, model, n, seed)
 
 
 def test_subject_fixture_shape():
@@ -110,7 +107,7 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
     monkeypatch.setattr(studies, "_z_from_fits",
                         lambda sample, ln, hk: raises_on_large_mean(
                             CitationSample(np.repeat(*sample.unique_counts))))
-    [simulated] = vuong_studies([_simulations(HookedPowerLaw(3.94, 67.9), 50, seed=3)], 40)
+    [simulated] = vuong_studies([simulation_draw(HookedPowerLaw(3.94, 67.9), 50, 3)], 40)
     for study in (bootstrap_vuong_study(data, reps=40, seed=3), simulated):
         assert 0 < study.failed < 40
         assert study.failed == study.z_summary.n_failed
@@ -119,7 +116,7 @@ def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
 
 def test_simulation_study_sign_convention():
     # positive z favours hooked, so a lognormal generator pushes z down
-    [study] = vuong_studies([_simulations(DiscretisedLognormal(2.81, 1.05), 500, seed=4)], 40)
+    [study] = vuong_studies([simulation_draw(DiscretisedLognormal(2.81, 1.05), 500, 4)], 40)
     assert study.z_summary.median <= 0.0
     assert study.hooked_wins == 0
     assert (study.hooked_wins + study.lognormal_wins + study.neither
@@ -127,7 +124,7 @@ def test_simulation_study_sign_convention():
 
 
 def test_simulation_study_worker_independence():
-    draws = [_simulations(HookedPowerLaw(5.0, 40.0), 400, seed=3)]
+    draws = [simulation_draw(HookedPowerLaw(5.0, 40.0), 400, 3)]
     a = vuong_studies(draws, 40, workers=1)
     b = vuong_studies(draws, 40, workers=3)
     assert a == b
@@ -235,15 +232,44 @@ def test_mixture_study_memory_follows_the_block_not_the_reps():
     assert peak <= 12e6
 
 
+def _no_replicates(*args):
+    raise AssertionError("a replicate ran")
+
+
 @pytest.mark.parametrize("study", [
     lambda n: mixture_impurity_study(Mixture((DiscretisedLognormal(1.0, 1.0),), (1.0,)),
-                                     DiscretisedLognormal(2.0, 1.0), n=n, reps=2),
-    lambda n: vuong_studies([_simulations(DiscretisedLognormal(2.0, 1.0), n)], 40),
-], ids=["mixture", "simulation-vuong"])
+                                     DiscretisedLognormal(2.0, 1.0), n=n, reps=2, workers=2),
+    lambda n: vuong_studies([simulation_draw(DiscretisedLognormal(2.0, 1.0), n, 0)], 40,
+                            workers=2),
+    lambda n: simulation_draw(DiscretisedLognormal(2.0, 1.0), n, 0),
+], ids=["mixture", "simulation-vuong", "draw"])
 @pytest.mark.parametrize("n", [0, -3])
-def test_simulated_studies_reject_empty_samples(study, n):
-    with pytest.raises(EmptySampleError):
+def test_simulated_studies_reject_empty_samples(monkeypatch, study, n):
+    # the draw rejects n when it is built, before any replicate or pool starts
+    monkeypatch.setattr(studies, "run_reps", _no_replicates)
+    with pytest.raises(EmptySampleError, match="operation requires a non-empty sample"):
         study(n)
+
+
+_SAMPLE = CitationSample([1, 2, 3, 5, 8], label="s")
+_NONE = (EmptySampleError, "operation requires a non-empty sample")
+
+
+# Each study checks every input before any replicate runs.
+@pytest.mark.parametrize("call,error", [
+    (lambda: bootstrap_vuong_study(CitationSample([]), 40), _NONE),
+    (lambda: scale_ci_study([_SAMPLE], reps=39), (TooFewRepsError, "need reps >= 40, got 39")),
+    (lambda: scale_ci_study([_SAMPLE, CitationSample([])], reps=40), _NONE),
+    (lambda: scale_ci_study([DistinctCounts(np.array([1, 2]), np.array([3, 4]))], reps=40),
+     (DomainError, "resamples a CitationSample, not DistinctCounts")),
+    (lambda: scale_ci_study([_SAMPLE], reps=40, size=0),
+     (DomainError, "resample size must be >= 1")),
+], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-distinct-counts", "scale-size"])
+def test_studies_reject_invalid_input(monkeypatch, call, error):
+    monkeypatch.setattr(studies, "run_reps", _no_replicates)
+    cls, message = error
+    with pytest.raises(cls, match=message):
+        call()
 
 
 @pytest.mark.parametrize("reps", [0, -2])

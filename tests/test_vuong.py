@@ -32,10 +32,14 @@ def test_identical_models_rejected():
         vuong(model, HookedPowerLaw(2.0, 1.0), sample)
 
 
-def test_single_unique_value_rejected():
-    with pytest.raises(IdenticalModelsError):
+@pytest.mark.parametrize("counts,message", [
+    ([3, 3, 3], "zero spread"),
+    ([3], "need at least two observations"),
+], ids=["one-value", "one-observation"])
+def test_too_little_data_rejected(counts, message):
+    with pytest.raises(IdenticalModelsError, match=message):
         vuong(HookedPowerLaw(2.0, 1.0), DiscretisedLognormal(0.0, 1.0),
-              CitationSample([3, 3, 3]))
+              CitationSample(counts))
 
 
 def test_antisymmetry_exact():
