@@ -141,7 +141,6 @@ def resample_draw(sample, size: int | None, seed: int):
     sample = as_sample(sample)
     if isinstance(sample, DistinctCounts):
         raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
-    sample.require_nonempty()
     size = len(sample) if size is None else int(size)
     if size < 1:
         raise DomainError("resample size must be >= 1")

@@ -28,7 +28,7 @@ import sys
 import citefit.io
 from citefit import __version__
 from citefit.bootstrap import MIN_REPS, resample_draw
-from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, Mixture
+from citefit.distributions import MODELS, DiscretisedLognormal, Mixture
 from citefit.exceptions import CitefitError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
 from citefit.gof import ks_p_value, simulation_draw
@@ -54,6 +54,7 @@ from citefit.subjects import SUBJECTS, get_subject
 from citefit.vuong import MODEL_A, MODEL_B, vuong
 
 SEED_ENV_VAR = "CITEFIT_SEED"
+_PARAM_NAMES = tuple(name for cls in MODELS.values() for name in cls.PARAMS)
 
 
 def _resolve_seed(args) -> int:
@@ -131,12 +132,11 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
 
 def _cmd_fit(args, seed: int) -> str:
     sample = _load_file(args, args.file)
-    families = ["lognormal", "hooked"] if args.dist == "both" else [args.dist]
+    families = list(MODELS) if args.dist == "both" else [args.dist]
     rows = []
     for family in families:
         result = fit(family, sample, args.max_evals)
-        row = {"family": family, "n": len(sample),
-               "mu": None, "sigma": None, "alpha": None, "b": None,
+        row = {"family": family, "n": len(sample), **dict.fromkeys(_PARAM_NAMES),
                "log_likelihood": None, "status": result.status.value,
                "evaluations": result.evaluations}
         if result.usable:
@@ -192,9 +192,9 @@ def _cmd_bootstrap(args, seed: int) -> str:
 
 
 def _cmd_simulate(args, seed: int) -> str:
-    own = ("mu", "sigma") if args.dist == "lognormal" else ("alpha", "b")
-    ignored = [f"--{name}" for name in ("mu", "sigma", "alpha", "b")
-               if getattr(args, name) is not None and (args.subject or name not in own)]
+    cls = MODELS[args.dist]
+    ignored = [f"--{name}" for name in _PARAM_NAMES
+               if getattr(args, name) is not None and (args.subject or name not in cls.PARAMS)]
     if ignored:
         chosen = "--subject" if args.subject else f"--dist {args.dist}"
         raise ParseError(f"{chosen} takes no {', '.join(ignored)}")
@@ -203,14 +203,12 @@ def _cmd_simulate(args, seed: int) -> str:
         subject = _subject(args.subject)
         model = subject.model(args.dist)
         n = subject.n if n is None else n
-    elif args.dist == "lognormal":
-        if args.mu is None or args.sigma is None:
-            raise ParseError("--dist lognormal needs --mu and --sigma")
-        model = DiscretisedLognormal(args.mu, args.sigma)
-    elif args.alpha is None or args.b is None:
-        raise ParseError("--dist hooked needs --alpha and --b")
     else:
-        model = HookedPowerLaw(args.alpha, args.b)
+        values = [getattr(args, name) for name in cls.PARAMS]
+        if None in values:
+            needed = " and ".join(f"--{name}" for name in cls.PARAMS)
+            raise ParseError(f"--dist {args.dist} needs {needed}")
+        model = cls(*values)
     if n is None:
         raise ParseError("give -n (no size available from the fixture)")
     counts = model.sample(n, seed)
@@ -335,7 +333,7 @@ def _add_study_source(parser):
     _add_offset(parser)
     parser.add_argument("--subject", default=None,
                         help="bundled subject name, or 'all', used when no files given")
-    parser.add_argument("--family", choices=["lognormal", "hooked"], default=None,
+    parser.add_argument("--family", choices=list(MODELS), default=None,
                         help="generator family for simulated study data "
                              "(default lognormal)")
     parser.add_argument("--n", type=_SIZE, default=None,
@@ -371,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(sub, "fit", _cmd_fit, "maximum-likelihood fit")
     _add_file(p)
-    p.add_argument("--dist", choices=["lognormal", "hooked", "both"], default="both")
+    p.add_argument("--dist", choices=[*MODELS, "both"], default="both")
 
     p = _add_subcommand(sub, "gof", _cmd_gof, "Monte-Carlo KS goodness of fit")
     _add_file(p)
-    p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
+    p.add_argument("--dist", choices=list(MODELS), required=True)
     p.add_argument("--nsim", type=_NSIM, default=1000)
     p.add_argument("--refit", action="store_true",
                    help="refit each simulated sample")
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(sub, "simulate", _cmd_simulate,
                         "draw counts from a model", report=False)
-    p.add_argument("--dist", choices=["lognormal", "hooked"], default="lognormal")
+    p.add_argument("--dist", choices=list(MODELS), default="lognormal")
     p.add_argument("--subject", default=None,
                    help="take parameters from a bundled subject")
     p.add_argument("--mu", type=_MU, default=None)
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_subcommand(sub, "plot", _cmd_plot,
                         "emit empirical/model CDF plot data", report=False)
     _add_file(p)
-    p.add_argument("--dist", choices=["lognormal", "hooked"], required=True)
+    p.add_argument("--dist", choices=list(MODELS), required=True)
 
     study = sub.add_parser("study", help="table-producing experiments")
     study_sub = study.add_subparsers(dest="study", required=True)

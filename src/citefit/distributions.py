@@ -10,6 +10,10 @@ Two families are provided, plus finite mixtures of them:
   Lomax (Pareto type II) law; it needs alpha > 1 to be summable. The
   normaliser is a Hurwitz zeta value, evaluated in closed form.
 
+``MODELS`` maps each family name to its class, and each class lists its
+parameter names in constructor order as ``PARAMS``: the fitter and the CLI
+read both from there, so a family is declared once.
+
 Each family evaluates its CDF pointwise at the counts asked for, and
 quantiles and draws search from a closed-form start, so work and memory
 follow the number of points, not the largest count. All models are
@@ -27,8 +31,6 @@ from scipy.special import erfc, ndtri
 from citefit.exceptions import DomainError, InvalidWeightsError, ParameterError
 from citefit.sample import positive_ints
 from citefit.seeding import spawn_rng
-
-FAMILIES = ("lognormal", "hooked")
 
 # Hooked power sums: terms are added one by one until b + x reaches
 # max(_EM_FLOOR, _EM_RATIO * alpha), where the Euler-Maclaurin tail with
@@ -159,6 +161,7 @@ class _DiscreteModel(ABC):
     estimate (``_start``). Models hold only parameters and normalisers."""
 
     family: str
+    PARAMS: tuple[str, ...]     # parameter names, in constructor order
 
     # --- family-specific primitives -------------------------------------
 
@@ -183,9 +186,9 @@ class _DiscreteModel(ABC):
         """A float64 estimate of the quantile at each u (may overflow to inf)."""
 
     @property
-    @abstractmethod
     def params(self) -> dict[str, float]:
         """Parameter record keyed by parameter name."""
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     # --- public API ------------------------------------------------------
 
@@ -294,15 +297,12 @@ class DiscretisedLognormal(_DiscreteModel):
     """
 
     family = "lognormal"
+    PARAMS = ("mu", "sigma")
 
     def __init__(self, mu: float, sigma: float):
         self.mu = mu = float(mu)
         self.sigma = sigma = float(sigma)
         self._kernel_args, self._z_half, self._norm = _lognormal_terms(mu, sigma)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"mu": self.mu, "sigma": self.sigma}
 
     @staticmethod
     def _features(x: np.ndarray) -> np.ndarray:
@@ -361,15 +361,12 @@ class HookedPowerLaw(_DiscreteModel):
     """
 
     family = "hooked"
+    PARAMS = ("alpha", "b")
 
     def __init__(self, alpha: float, b: float):
         self.alpha = alpha = float(alpha)
         self.b = b = float(b)
         self._kernel_args, self._head, self._scaled_norm = _hooked_terms(alpha, b)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"alpha": self.alpha, "b": self.b}
 
     @property
     def log_normalizer(self) -> float:
@@ -436,6 +433,10 @@ class HookedPowerLaw(_DiscreteModel):
         """Mean of the continuous analogue: the Lomax law with shape alpha
         and scale b (an approximation to the discrete mean)."""
         return self.b / (self.alpha - 1.0)
+
+
+# The fitted families by name, in report order.
+MODELS = {cls.family: cls for cls in (DiscretisedLognormal, HookedPowerLaw)}
 
 
 class Mixture(_DiscreteModel):

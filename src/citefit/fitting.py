@@ -27,8 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from citefit.distributions import (FAMILIES, DiscretisedLognormal, HookedPowerLaw,
-                                   _hooked_terms, _lognormal_terms)
+from citefit.distributions import MODELS, _hooked_terms, _lognormal_terms
 from citefit.exceptions import ParameterError
 from citefit.sample import as_sample, count_total
 from citefit.simplex import nelder_mead_lockstep
@@ -62,7 +61,6 @@ class FitResult:
 def log_likelihood(model, sample) -> float:
     """Sum of log pmf values of ``model`` over the sample counts."""
     sample = as_sample(sample)
-    sample.require_nonempty()
     values, mult = sample.unique_counts
     return float(np.dot(mult, model.log_pmf(values)))
 
@@ -79,13 +77,11 @@ def fit(family: str, sample, max_evals: int = MAX_EVALS) -> FitResult:
 def fit_many(family: str, samples, max_evals: int = MAX_EVALS) -> list[FitResult]:
     """``[fit(family, s, max_evals) for s in samples]``, bit for bit, with
     the searches run in lockstep (see the module docstring)."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in MODELS:
+        raise ParameterError(f"unknown family {family!r}; expected one of {tuple(MODELS)}")
     samples = [as_sample(sample) for sample in samples]
-    for sample in samples:
-        sample.require_nonempty()
 
-    start = _SEARCH[family][1]
+    start = _SEARCH[family][0]
     results = [None] * len(samples)
     indices, searched, starts = [], [], []
     for index, sample in enumerate(samples):
@@ -146,13 +142,11 @@ def _hooked_args(theta):
         return None
 
 
-# Per family: the model class, the start point, the kernel arguments at a
-# search point, and the model parameters at a search point.
+# Per family of ``MODELS``: the start point, the kernel arguments at a search
+# point, and the arguments of the family's class (its ``PARAMS``) there.
 _SEARCH = {
-    "lognormal": (DiscretisedLognormal, _lognormal_start, _lognormal_args,
-                  lambda t: (t[0], math.exp(t[1]))),
-    "hooked": (HookedPowerLaw, _hooked_start, _hooked_args,
-               lambda t: (1.0 + math.exp(t[0]), math.exp(t[1]))),
+    "lognormal": (_lognormal_start, _lognormal_args, lambda t: (t[0], math.exp(t[1]))),
+    "hooked": (_hooked_start, _hooked_args, lambda t: (1.0 + math.exp(t[0]), math.exp(t[1]))),
 }
 
 
@@ -161,7 +155,8 @@ def _objective(family: str, searched):
     over the (distinct counts, multiplicities) of each searched sample:
     minus the log-likelihood, inf outside the box or the family's domain
     (where a round of several searches evaluates a fixed in-domain point)."""
-    cls, _, args_at, _ = _SEARCH[family]
+    cls = MODELS[family]
+    _, args_at, _ = _SEARCH[family]
     features = [cls._features(values) for values, _ in searched]
     weights = [mult.astype(np.float64) for _, mult in searched]  # what np.dot would cast to
     placeholder = args_at([0.0, 0.0])
@@ -195,8 +190,8 @@ def _objective(family: str, searched):
 
 def _result(family: str, res) -> FitResult:
     """The fit at the search's best point, with its status."""
-    cls, _, _, params = _SEARCH[family]
-    model = cls(*params(res.x))
+    _, _, params = _SEARCH[family]
+    model = MODELS[family](*params(res.x))
     if family == "hooked" and model.b > RIDGE_B_CAP:
         message = f"scale parameter ridge guard tripped (b > {RIDGE_B_CAP:g})"
     elif not res.converged:

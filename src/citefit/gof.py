@@ -76,7 +76,6 @@ class ShapeReport:
 def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     """Proportion of counts <= g for each g in ``grid``."""
     sample = as_sample(sample)
-    sample.require_nonempty()
     v, mult = sample.unique_counts
     at_most = np.append(0, np.cumsum(mult))
     return at_most[np.searchsorted(v, grid, side="right")] / len(sample)
@@ -111,7 +110,6 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     them is its maximum over all of 1..max(sample), read from equal floats.
     """
     sample = as_sample(sample)
-    sample.require_nonempty()
     x, emp_cdf, _ = _breakpoints(*sample.unique_counts, len(sample))
     return x, emp_cdf, model.cdf(x)
 
@@ -208,7 +206,6 @@ def ks_test_fixed(model, sample, n_sim: int = 1000, seed: int = 0) -> GofResult:
     from (seed, i).
     """
     sample = as_sample(sample)
-    sample.require_nonempty()
     if n_sim < 1:
         raise DomainError("n_sim must be >= 1")
     return _mc_ks(model, sample, n_sim, seed, refit=None)
@@ -231,7 +228,6 @@ def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
         flagged through ``GofResult.fit.status``.
     """
     sample = as_sample(sample)
-    sample.require_nonempty()
     if n_sim < 1:
         raise DomainError("n_sim must be >= 1")
     fitted = fit(family, sample, max_evals)
@@ -258,7 +254,6 @@ def shape_classify(model, sample, epsilon: float = 0.01) -> ShapeReport:
     ``epsilon`` in magnitude are classified "+" or "-", otherwise "=".
     """
     sample = as_sample(sample)
-    sample.require_nonempty()
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
     v, mult = sample.unique_counts

@@ -83,8 +83,8 @@ def load_counts(path) -> list[int]:
 
 
 def ingest(counts, offset: int = 1, label: str = "") -> CitationSample:
-    """Map raw counts c to c + offset, at most ``MAX_COUNT``, and record the
-    offset. The range is checked on Python integers, before int64."""
+    """Map raw counts c to c + offset, at most ``MAX_COUNT``. The range is
+    checked on Python integers, before int64."""
     if offset < 0:
         raise OffsetError(f"offset must be non-negative, got {offset}")
     low, top = int(min(counts, default=1)), int(max(counts, default=0))
@@ -95,8 +95,7 @@ def ingest(counts, offset: int = 1, label: str = "") -> CitationSample:
                          f"supported count 2**62")
     if offset == 0 and low == 0:
         raise OffsetError("offset 0 with zero counts present; support starts at 1")
-    return CitationSample(np.asarray(counts, dtype=np.int64) + offset,
-                          offset_applied=offset, label=label)
+    return CitationSample(np.asarray(counts, dtype=np.int64) + offset, label=label)
 
 
 def ingest_file(path, offset: int = 1, label: str | None = None) -> CitationSample:

@@ -42,23 +42,17 @@ class CitationSample:
     counts : array_like of int
         Counts on the support {1, 2, ...} (zeros become 1 once the usual
         offset of 1 has been applied at ingestion).
-    offset_applied : int
-        Offset added to the raw data before construction, recorded as
-        provenance. Defaults to 1, the convention for citation counts.
     label : str
         Subject or provenance tag used in report rows.
     """
 
     counts: np.ndarray
-    offset_applied: int = 1
     label: str = ""
 
     def __post_init__(self):
         arr = positive_ints(self.counts, "counts (after the offset)").reshape(-1)
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
-        if self.offset_applied < 0:
-            raise DomainError("offset_applied must be non-negative")
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -113,8 +107,15 @@ def count_total(values: np.ndarray, mult: np.ndarray) -> int:
 
 
 def as_sample(data) -> CitationSample | DistinctCounts:
-    """Coerce an array of counts to a CitationSample (or pass through a
-    CitationSample or DistinctCounts)."""
-    if isinstance(data, (CitationSample, DistinctCounts)):
-        return data
-    return CitationSample(np.asarray(data))
+    """The sample every reader reads: ``data`` itself if it is a
+    CitationSample or DistinctCounts, else a CitationSample of its counts.
+
+    Raises EmptySampleError ("operation requires a non-empty sample") for a
+    sample with no counts, so no reader checks that again. Each class's
+    ``require_nonempty`` reads an array size, not ``len``, which sums
+    ``mult`` for DistinctCounts.
+    """
+    if not isinstance(data, (CitationSample, DistinctCounts)):
+        data = CitationSample(np.asarray(data))
+    data.require_nonempty()
+    return data

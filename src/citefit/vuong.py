@@ -69,7 +69,6 @@ def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray | None = None) -> Vu
 def vuong(model_a, model_b, sample) -> VuongResult:
     """Vuong test of ``model_a`` against ``model_b`` on ``sample``."""
     sample = as_sample(sample)
-    sample.require_nonempty()
     values, mult = sample.unique_counts
     diffs = model_a.log_pmf(values) - model_b.log_pmf(values)
     return vuong_from_diffs(diffs, mult)

@@ -133,6 +133,10 @@ def test_resample_deterministic():
 def test_resample_empty_source_rejected():
     with pytest.raises(EmptySampleError):
         resample_draw(CitationSample([]), 5, 0)
+    # an empty sample is rejected as empty before it is rejected as DistinctCounts
+    empty = DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    with pytest.raises(EmptySampleError, match="operation requires a non-empty sample"):
+        resample_draw(empty, 5, 0)
     with pytest.raises(EmptySampleError):
         bootstrap_study(CitationSample([]), 40, "mean")
 

@@ -18,7 +18,7 @@ from citefit import (
     log_likelihood,
 )
 import citefit.fitting
-from citefit.distributions import _em_sum
+from citefit.distributions import MODELS, _em_sum
 from citefit.fitting import _SEARCH, MAX_EVALS, fit_many
 from citefit.seeding import child_seed
 
@@ -292,7 +292,8 @@ def _hex(args):
 @example(family="lognormal", t0=1.0, t1=-30.5)
 @example(family="lognormal", t0=1.0, t1=30.0)
 def test_search_point_arguments_are_the_models(family, t0, t1):
-    cls, _, args_at, params = _SEARCH[family]
+    cls = MODELS[family]
+    _, args_at, params = _SEARCH[family]
     theta = [t0, t1]
     try:
         model = cls(*params(theta)) if _in_box(family, theta) else None

@@ -32,7 +32,7 @@ from citefit import (
 from citefit import gof
 from citefit.gof import EQUAL, PLUS, cdf_breakpoints, empirical_cdf
 from citefit.io import render_plot_data, render_report
-from citefit.sample import DistinctCounts
+from citefit.sample import DistinctCounts, as_sample
 from citefit.seeding import child_seed, spawn_rng
 
 
@@ -242,11 +242,19 @@ def test_readers_give_equal_results_on_distinct_counts(reader, counts):
     assert reader(distinct) == reader(CitationSample(counts))
 
 
+@pytest.mark.parametrize("empty", [
+    DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    CitationSample([]),
+], ids=["distinct-counts", "citation-sample"])
 @pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
-def test_readers_reject_empty_distinct_counts(reader):
-    empty = DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+def test_readers_reject_empty_distinct_counts(reader, empty):
     with pytest.raises(EmptySampleError, match="operation requires a non-empty sample"):
         reader(empty)
+
+
+def test_as_sample_rejects_an_empty_sample():
+    with pytest.raises(EmptySampleError, match="^operation requires a non-empty sample$"):
+        as_sample([])
 
 
 @pytest.mark.parametrize("test", [partial(ks_test_fixed, _LN), partial(ks_p_value, "lognormal")],

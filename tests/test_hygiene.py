@@ -11,7 +11,11 @@ resampler, so every other module builds a draw through its checked
 constructor, and nothing reads back what a draw was built from. Only the
 study driver and the mixture study call ``run_reps``, each with
 ``partial(_statistic_reps, draw, statistic)`` functions. Every
-``CitefitError`` subclass is raised somewhere in the package.
+``CitefitError`` subclass is raised somewhere in the package. Only
+``sample`` calls ``require_nonempty`` (every reader takes its sample from
+``as_sample``), and the families are listed once, in
+``distributions.MODELS``: no CLI ``choices`` list names one, and no module
+but ``distributions``, ``subjects`` and ``__init__`` names ``HookedPowerLaw``.
 """
 
 import ast
@@ -22,6 +26,7 @@ import pytest
 
 import citefit
 from citefit import exceptions
+from citefit.distributions import MODELS
 
 MODULES = sorted(Path(citefit.__file__).parent.glob("*.py"))
 
@@ -112,10 +117,12 @@ def _calls(tree, name: str) -> list[int]:
 
 
 # A study draws from a model only through the Monte-Carlo KS block draw,
-# and only a sample's own counts and the bootstrap resampler sort raw counts.
+# only a sample's own counts and the bootstrap resampler sort raw counts,
+# and every reader takes its sample from as_sample, the one empty check.
 @pytest.mark.parametrize("attr,owners", [
     ("sample_with", {"distributions.py"}),
     ("unique", {"sample.py", "bootstrap.py"}),
+    ("require_nonempty", {"sample.py"}),
 ])
 def test_one_draw_path(attr, owners):
     callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
@@ -191,3 +198,21 @@ def test_every_citefit_error_is_raised():
     errors = {name for name, value in vars(exceptions).items()
               if isinstance(value, type) and issubclass(value, exceptions.CitefitError)}
     assert sorted(errors - raised) == []
+
+
+# the CLI offers the families of MODELS, not a list of its own
+def test_no_family_choices_are_spelled_out():
+    cli = ast.parse((Path(citefit.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    spelled = [node.lineno for node in ast.walk(cli)
+               if isinstance(node, ast.keyword) and node.arg == "choices"
+               and isinstance(node.value, (ast.List, ast.Tuple, ast.Set))
+               and any(isinstance(elt, ast.Constant) and elt.value in MODELS
+                       for elt in node.value.elts)]
+    assert spelled == []
+
+
+# the fitter and the CLI reach a family's class through MODELS
+def test_family_classes_are_named_only_where_declared():
+    users = sorted(path.name for path in MODULES
+                   if "HookedPowerLaw" in _referenced(ast.parse(path.read_text(encoding="utf-8"))))
+    assert users == ["__init__.py", "distributions.py", "subjects.py"]

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from citefit import CitationSample, DomainError, HookedPowerLaw, OffsetError, ParseError
+from citefit import CitationSample, HookedPowerLaw, OffsetError, ParseError
 from citefit.io import (
     format_sig4,
     ingest,
@@ -30,7 +30,6 @@ def test_ingest_plain_lines_with_offset(tmp_path):
     path = _write(tmp_path, "counts.txt", "0\n3\n12\n")
     sample = ingest_file(path, offset=1)
     assert list(sample.counts) == [1, 4, 13]
-    assert sample.offset_applied == 1
 
 
 def test_ingest_negative_count_reports_line(tmp_path):
@@ -115,10 +114,7 @@ def test_ingest_unrecognised_header(tmp_path):
     (lambda tmp: ingest([0, 3], offset=-1), OffsetError, "offset must be non-negative, got -1"),
     (lambda tmp: ingest([3, -2]), ParseError, "negative count: -2"),
     (lambda tmp: render_report([{"a": 1}], "xml"), ValueError, "unknown report format 'xml'"),
-    (lambda tmp: CitationSample([3], offset_applied=-1), DomainError,
-     "offset_applied must be non-negative"),
-], ids=["csv-missing-cell", "negative-offset", "negative-count", "report-format",
-        "negative-offset-applied"])
+], ids=["csv-missing-cell", "negative-offset", "negative-count", "report-format"])
 def test_bad_input_is_rejected(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(tmp_path)
