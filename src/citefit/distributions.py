@@ -11,8 +11,9 @@ Two families are provided, plus finite mixtures of them:
   normaliser is a Hurwitz zeta value, evaluated in closed form.
 
 ``MODELS`` maps each family name to its class, and each class lists its
-parameter names in constructor order as ``PARAMS``: the fitter and the CLI
-read both from there, so a family is declared once.
+parameter names in constructor order as ``PARAMS``: the fitter, the subject
+table and the CLI read both from there (by :func:`family_class`, which
+rejects any other name), so a family is declared once.
 
 Each family evaluates its CDF pointwise at the counts asked for, and
 quantiles and draws search from a closed-form start, so work and memory
@@ -437,6 +438,13 @@ class HookedPowerLaw(_DiscreteModel):
 
 # The fitted families by name, in report order.
 MODELS = {cls.family: cls for cls in (DiscretisedLognormal, HookedPowerLaw)}
+
+
+def family_class(family: str):
+    """The class of ``family``, a key of ``MODELS``; ParameterError otherwise."""
+    if family not in MODELS:
+        raise ParameterError(f"unknown family {family!r}; expected one of {tuple(MODELS)}")
+    return MODELS[family]
 
 
 class Mixture(_DiscreteModel):

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from citefit.distributions import MODELS, _hooked_terms, _lognormal_terms
+from citefit.distributions import MODELS, _hooked_terms, _lognormal_terms, family_class
 from citefit.exceptions import ParameterError
 from citefit.sample import as_sample, count_total
 from citefit.simplex import nelder_mead_lockstep
@@ -77,8 +77,7 @@ def fit(family: str, sample, max_evals: int = MAX_EVALS) -> FitResult:
 def fit_many(family: str, samples, max_evals: int = MAX_EVALS) -> list[FitResult]:
     """``[fit(family, s, max_evals) for s in samples]``, bit for bit, with
     the searches run in lockstep (see the module docstring)."""
-    if family not in MODELS:
-        raise ParameterError(f"unknown family {family!r}; expected one of {tuple(MODELS)}")
+    family_class(family)
     samples = [as_sample(sample) for sample in samples]
 
     start = _SEARCH[family][0]

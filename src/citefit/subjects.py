@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from citefit.distributions import DiscretisedLognormal, HookedPowerLaw
+from citefit.distributions import DiscretisedLognormal, HookedPowerLaw, family_class
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class SubjectParams:
         return HookedPowerLaw(self.hook_alpha, self.hook_b)
 
     def model(self, family: str):
-        """The fitted model of ``family``: "lognormal" or "hooked"."""
-        return self.lognormal() if family == "lognormal" else self.hooked()
+        """The fitted model of ``family``, a key of ``MODELS``."""
+        return self.lognormal() if family_class(family) is DiscretisedLognormal else self.hooked()
 
 
 SUBJECTS: tuple[SubjectParams, ...] = (

@@ -16,6 +16,8 @@ study driver and the mixture study call ``run_reps``, each with
 ``as_sample``), and the families are listed once, in
 ``distributions.MODELS``: no CLI ``choices`` list names one, and no module
 but ``distributions``, ``subjects`` and ``__init__`` names ``HookedPowerLaw``.
+Every family has two parameters, the two coordinates of the simplex search,
+and the study tables' family cells list the families of ``MODELS`` in order.
 """
 
 import ast
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import citefit
-from citefit import exceptions
+from citefit import exceptions, studies
 from citefit.distributions import MODELS
 
 MODULES = sorted(Path(citefit.__file__).parent.glob("*.py"))
@@ -216,3 +218,9 @@ def test_family_classes_are_named_only_where_declared():
     users = sorted(path.name for path in MODULES
                    if "HookedPowerLaw" in _referenced(ast.parse(path.read_text(encoding="utf-8"))))
     assert users == ["__init__.py", "distributions.py", "subjects.py"]
+
+
+# the simplex search takes exactly two coordinates
+def test_every_family_has_two_parameters_and_a_table_cell():
+    assert [len(cls.PARAMS) for cls in MODELS.values()] == [2] * len(MODELS)
+    assert [family for family, _, _ in studies._FAMILY_CELLS] == list(MODELS)

@@ -1,5 +1,6 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,15 @@ def test_subject_fixture_shape():
     assert (food.hook_alpha, food.hook_b) == (5.76, 89.8)
     with pytest.raises(KeyError):
         get_subject("Astrology")
+
+
+def test_subject_model_takes_only_the_fitted_families():
+    virology = get_subject("Virology")
+    assert virology.model("lognormal") == virology.lognormal()
+    assert virology.model("hooked") == virology.hooked()
+    message = "unknown family 'pareto'; expected one of ('lognormal', 'hooked')"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        virology.model("pareto")
 
 
 def test_mean_crosscheck_averages():
