@@ -80,11 +80,6 @@ def _report(args, seed: int, rows, columns=None, /, **extra) -> str:
                                     columns)
 
 
-def _load_file(args, path) -> CitationSample:
-    label = os.path.splitext(os.path.basename(path))[0]
-    return ingest_file(path, offset=args.offset, label=label)
-
-
 def _subject(name: str):
     try:
         return get_subject(name)
@@ -117,7 +112,7 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
         if given:
             raise ParseError(f"{', '.join(given)} only choose simulated data; "
                              "drop them or the count files")
-        return [_load_file(args, p) for p in args.files], {"data_source": "files"}
+        return [ingest_file(p, args.offset) for p in args.files], {"data_source": "files"}
     samples = [CitationSample(model.sample(n, child_seed(seed, 900, index)),
                               label=subject.name)
                for index, (subject, model, n) in enumerate(_subject_generators(args))]
@@ -131,7 +126,7 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
 # --- subcommand handlers: (args, master seed) -> output text ---------------
 
 def _cmd_fit(args, seed: int) -> str:
-    sample = _load_file(args, args.file)
+    sample = ingest_file(args.file, args.offset)
     families = list(MODELS) if args.dist == "both" else [args.dist]
     rows = []
     for family in families:
@@ -147,7 +142,7 @@ def _cmd_fit(args, seed: int) -> str:
 
 
 def _cmd_gof(args, seed: int) -> str:
-    sample = _load_file(args, args.file)
+    sample = ingest_file(args.file, args.offset)
     result = ks_p_value(args.dist, sample, n_sim=args.nsim, seed=seed,
                         refit=args.refit, max_evals=args.max_evals)
     row = {
@@ -160,7 +155,7 @@ def _cmd_gof(args, seed: int) -> str:
 
 
 def _cmd_vuong(args, seed: int) -> str:
-    sample = _load_file(args, args.file)
+    sample = ingest_file(args.file, args.offset)
     hk = fit("hooked", sample, args.max_evals)
     ln = fit("lognormal", sample, args.max_evals)
     if not (hk.usable and ln.usable):
@@ -179,7 +174,7 @@ def _cmd_vuong(args, seed: int) -> str:
 
 
 def _cmd_bootstrap(args, seed: int) -> str:
-    sample = _load_file(args, args.file)
+    sample = ingest_file(args.file, args.offset)
     summary = bootstrap_study(sample, args.reps, args.statistic, size=args.size,
                               seed=seed, workers=args.workers)
     row = {
@@ -217,7 +212,7 @@ def _cmd_simulate(args, seed: int) -> str:
 
 
 def _cmd_plot(args, seed: int) -> str:
-    sample = _load_file(args, args.file)
+    sample = ingest_file(args.file, args.offset)
     result = fit(args.dist, sample, args.max_evals)
     if not result.usable:
         raise CitefitError(f"cannot plot a degenerate fit: {result.message}")

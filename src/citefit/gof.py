@@ -26,6 +26,11 @@ one pointwise CDF read at the block's breakpoints and one
 simulations are fitted together by one ``fitting.fit_many`` call. Memory
 follows the block, not ``n_sim``, and every statistic is the one a
 simulation drawn, sorted and tested on its own would give.
+
+A draw beyond ``MAX_COUNT`` = 2**62 is 2**62, so the simulations follow
+min(X, 2**62): every KS read of F, of the data and of each simulation, fixed
+or refitted, and the plot's model column take F as 1 from there on
+(``_drawn_cdf``); the model's ``cdf`` does not.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from functools import partial
 
 import numpy as np
 
+from citefit.distributions import MAX_COUNT
 from citefit.exceptions import DomainError, EmptySampleError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
 from citefit.sample import DistinctCounts, as_sample
@@ -101,8 +107,13 @@ def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int):
     return x[keep], at_most[keep] / n, x_starts
 
 
+def _drawn_cdf(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """F, read as ``f`` at breakpoints x, as the draws follow it: 1 from ``MAX_COUNT`` on."""
+    return np.where(x < MAX_COUNT, f, 1.0) if x.max() >= MAX_COUNT else f
+
+
 def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints x of the empirical CDF, with F_hat(x) and F(x) there.
+    """Breakpoints x of the empirical CDF, with F_hat(x) and F(x) (``_drawn_cdf``).
 
     x runs over each distinct count v and v - 1 (when v > 1). F_hat is flat
     from one distinct count to the integer before the next, and F is
@@ -111,7 +122,7 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     sample = as_sample(sample)
     x, emp_cdf, _ = _breakpoints(*sample.unique_counts, len(sample))
-    return x, emp_cdf, model.cdf(x)
+    return x, emp_cdf, _drawn_cdf(x, model.cdf(x))
 
 
 def ks_statistic(model, sample) -> float:
@@ -171,13 +182,13 @@ def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
     for v, mult in _simulated_counts(model, n, seed, reps):
         x, emp_cdf, x_starts = _breakpoints(v, mult, n)
         if refit is None:
-            d_sim += np.maximum.reduceat(np.abs(model._cdf_at(x) - emp_cdf), x_starts).tolist()
+            f = _drawn_cdf(x, model._cdf_at(x))
+            d_sim += np.maximum.reduceat(np.abs(f - emp_cdf), x_starts).tolist()
             continue
-        fits = refit(_split(v, mult, n))
-        d_sim += [float(np.abs((sim_fit.model if sim_fit.usable else model)._cdf_at(x_i)
-                               - emp_i).max())
-                  for sim_fit, x_i, emp_i in zip(fits, np.split(x, x_starts[1:]),
-                                                 np.split(emp_cdf, x_starts[1:]))]
+        nulls = [r.model if r.usable else model for r in refit(_split(v, mult, n))]
+        d_sim += [float(np.abs(_drawn_cdf(x_i, null._cdf_at(x_i)) - emp_i).max())
+                  for null, x_i, emp_i in zip(nulls, np.split(x, x_starts[1:]),
+                                              np.split(emp_cdf, x_starts[1:]))]
     return d_sim
 
 

@@ -1,9 +1,13 @@
-"""Count-file ingestion and report/plot-data emission.
+r"""Count-file ingestion and report/plot-data emission.
 
-Input formats: plain text with one non-negative integer per line, or CSV
-with a header row naming a ``citations`` column. Reports are emitted as
-TSV (tab separators, '.' decimals, 4 significant figures, fixed column
-order) or JSON (full precision); both carry a header block with the tool
+A count file is read in one pass: its first non-blank line is a count (the
+file is plain, one count per line) or a CSV header naming a ``citations``
+column (cells may be quoted), which every later row gives. A count is an
+optional sign and 1 to 4,300 ASCII digits (Python's limit on integer text);
+a file's stem labels its sample. Reports are TSV (tab separators, '.'
+decimals, 4 significant figures, fixed column order; a backslash, tab, CR
+or LF in a string cell or header value is written ``\\``, ``\t``, ``\r``,
+``\n``) or JSON (full precision); both carry a header block with the tool
 version, master seed and rep count.
 """
 
@@ -13,6 +17,7 @@ import csv
 import io as _io
 import json
 import math
+import os
 import sys
 from typing import Mapping
 
@@ -24,61 +29,44 @@ from citefit.exceptions import OffsetError, ParseError
 from citefit.gof import cdf_breakpoints
 from citefit.sample import CitationSample
 
-PLAIN, CSV_WITH_HEADER = "plain", "csv"
-
-
-def detect_format(first_line: str) -> str:
-    stripped = first_line.strip()
-    if _parse_int(stripped) is not None:
-        return PLAIN
-    if "citations" in _header_names(stripped):
-        return CSV_WITH_HEADER
-    raise ParseError(
-        "expected an integer count or a CSV header with a 'citations' column",
-        line_number=1,
-    )
-
-
-def _header_names(line: str) -> list[str]:
-    """CSV header cells, read like the data rows (quotes allowed), lowercased."""
-    return [c.strip().lower() for c in next(csv.reader([line]))]
-
-
-def _parse_int(text: str) -> int | None:
-    try:
-        return int(text, 10)
-    except ValueError:
-        return None
-
 
 def load_counts(path) -> list[int]:
-    """Raw (pre-offset) counts from a plain-lines or CSV file."""
+    """Raw (pre-offset) counts from a plain-lines or CSV file, in one pass."""
     # utf-8-sig drops a leading byte-order mark; a byte that is not UTF-8
     # reads as U+FFFD, which fails as a count or a header on its line
     with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
         lines = handle.read().splitlines()
-    stripped = [(no, line.strip()) for no, line in enumerate(lines, 1) if line.strip()]
-    if not stripped:
-        raise ParseError("file contains no counts")
-    column = None
-    if detect_format(stripped[0][1]) == CSV_WITH_HEADER:
-        column = _header_names(stripped[0][1]).index("citations")
-        stripped = stripped[1:]
-        if not stripped:
-            raise ParseError("CSV file contains no data rows")
-    counts = []
-    for no, text in stripped:
-        if column is not None:
-            cells = next(csv.reader([text]))
-            if column >= len(cells):
-                raise ParseError("missing 'citations' cell", line_number=no)
-            text = cells[column].strip()
-        value = _parse_int(text)
-        if value is None:
-            raise ParseError(f"not an integer: {text!r}", line_number=no)
-        if value < 0:
-            raise ParseError(f"negative count: {value}", line_number=no)
-        counts.append(value)
+    column, counts = None, []   # column: the 'citations' cell of a CSV row
+    try:
+        for no, line in enumerate(lines, 1):
+            if not (text := line.strip()):
+                continue
+            if column is not None:
+                cells = next(csv.reader([text]))
+                if column >= len(cells):
+                    raise ParseError("missing 'citations' cell", line_number=no)
+                text = cells[column].strip()
+            try:    # int() alone would also take '_' and non-ASCII digits
+                value = int(text) if text.isascii() and "_" not in text else None
+            except ValueError:      # not a sign and digits, or over 4,300 digits
+                value = None
+            if value is None and column is None and not counts:
+                names = [c.strip().lower() for c in next(csv.reader([text]))]
+                if "citations" not in names:
+                    raise ParseError("expected an integer count or a CSV header with a "
+                                     "'citations' column", line_number=1)
+                column = names.index("citations")
+            elif value is None:
+                raise ParseError(f"not an integer: {text!r}", line_number=no)
+            elif value < 0:
+                raise ParseError(f"negative count: {value}", line_number=no)
+            else:
+                counts.append(value)
+    except csv.Error as err:    # a cell beyond the csv module's field size limit
+        raise ParseError(str(err), line_number=no) from None
+    if not counts:
+        raise ParseError("file contains no counts" if column is None
+                         else "CSV file contains no data rows")
     return counts
 
 
@@ -98,15 +86,20 @@ def ingest(counts, offset: int = 1, label: str = "") -> CitationSample:
     return CitationSample(np.asarray(counts, dtype=np.int64) + offset, label=label)
 
 
-def ingest_file(path, offset: int = 1, label: str | None = None) -> CitationSample:
-    return ingest(load_counts(path), offset=offset,
-                  label=label if label is not None else str(path))
+def ingest_file(path, offset: int = 1) -> CitationSample:
+    """The counts of file ``path``, labelled with its name without extension."""
+    label = os.path.splitext(os.path.basename(path))[0]
+    return ingest(load_counts(path), offset=offset, label=label)
 
 
 # --- report emission --------------------------------------------------------
 
+# A backslash, tab, CR or LF in a TSV string would end its cell or its row.
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
 def format_sig4(value) -> str:
-    """Table cell formatting: 4 significant figures for floats."""
+    """Table cell formatting: 4 significant figures for floats, strings escaped."""
     if value is None:
         return "NA"
     if isinstance(value, bool):
@@ -118,7 +111,7 @@ def format_sig4(value) -> str:
         if v != v:
             return "NA"
         return f"{v:.4g}"
-    return str(value)
+    return str(value).translate(_TSV_ESCAPES)
 
 
 def _json_cell(value):
@@ -147,7 +140,7 @@ def render_report(rows, fmt: str = "tsv", header: Mapping | None = None,
     out = _io.StringIO()
     for key, value in header.items():
         nan = isinstance(value, (float, np.floating)) and math.isnan(value)
-        out.write(f"# {key}\t{'NA' if nan else value}\n")
+        out.write(f"# {key}\t{'NA' if nan else str(value).translate(_TSV_ESCAPES)}\n")
     if columns:
         out.write("\t".join(columns) + "\n")
         for row in rows:

@@ -179,6 +179,20 @@ def test_tsv_header_writes_nan_as_na(capsys):
     assert "nan" not in out
 
 
+# A file's stem labels its row; a tab, newline or backslash in it is escaped,
+# so every row has as many cells as the column line.
+@pytest.mark.parametrize("argv", [["shape"], ["plausibility", "--nsim", "9"]])
+def test_a_file_stem_cannot_break_the_tsv_table(capsys, tmp_path, counts_file, argv):
+    odd = tmp_path / "a\tb\nc\\d.txt"
+    odd.write_bytes(Path(counts_file).read_bytes())
+    code, out, _ = _run(capsys, ["study", *argv, counts_file, str(odd), "--seed", "1"])
+    assert code == 0
+    table = [line.split("\t") for line in out.split("\n")
+             if line and not line.startswith("#")]
+    assert [len(cells) for cells in table[1:]] == [len(table[0])] * (len(table) - 1)
+    assert [cells[0] for cells in table[1:3]] == ["counts", "a\\tb\\nc\\\\d"]
+
+
 def test_byte_identical_reruns(capsys, counts_file):
     args = ["study", "vuong", counts_file, "--reps", "40", "--size", "300",
             "--seed", "21"]

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,61 @@ _MIX = Mixture((DiscretisedLognormal(0.5, 0.7), HookedPowerLaw(6.0, 2.0)), (0.4,
 def test_mc_ks_is_pinned(run, d_hex, p_hex):
     result = run()
     assert (result.ks_stat.hex(), result.p_value.hex()) == (d_hex, p_hex)
+
+
+# Draws saturate at 2**62, so every KS read takes F as 1 there. Read as the
+# model's own F(2**62) of about 0.883, each of these samples and every one of
+# its simulations had D = 1 - F(2**62) and p = 1.0; a lognormal sample is
+# rejected either way.
+def test_mc_ks_reads_the_drawn_law_at_the_ceiling():
+    samples = [_HOOKED_WIDE.sample(200, s) for s in range(1, 8)]
+    assert all(sample.max() == 2 ** 62 for sample in samples)
+    results = [ks_test_fixed(_HOOKED_WIDE, sample, n_sim=19, seed=4) for sample in samples]
+    assert (results[0].ks_stat.hex(), results[0].p_value.hex()) == (
+        "0x1.84b19c9d429fcp-5", "0x1.ccccccccccccdp-1")
+    assert [r.p_value for r in results] == [0.9, 1.0, 0.9, 0.1, 0.85, 0.3, 0.95]
+    other = ks_test_fixed(_HOOKED_WIDE, DiscretisedLognormal(2.0, 1.0).sample(200, 1),
+                          n_sim=19, seed=4)
+    assert (other.ks_stat.hex(), other.p_value) == ("0x1.9a5feac795ab8p-1", 1 / 20)
+
+
+def _exact_ks_tails(model, n: int, d: float) -> np.ndarray:
+    """P(D >= d) and P(D > d) for the KS distance D of n draws of ``model``
+    (Conover, JASA 67(339), 1972): a dynamic programme over x = 1, 2, ...
+    whose state is c, the count of draws <= x. Given c at x - 1, the n - c
+    draws above x - 1 land on x independently with q = p(x) / (1 - F(x - 1)),
+    and a path survives while |c/n - F(x)| stays below (or at) d, read in
+    the floats ``ks_statistic`` reads. It stops where 1 - F < 1e-12."""
+    f = model.cdf(np.arange(1, model.quantile(1.0 - 1e-12) + 1))
+    c = np.arange(n + 1)
+    step, left, at_most = c - c[:, None], (n - c)[:, None], c / n
+    alive = np.zeros((2, n + 1))    # rows: |gap| < d, |gap| <= d on every x so far
+    alive[:, 0] = 1.0
+    f_prev = 0.0
+    for f_x in f:
+        q = min(1.0, (f_x - f_prev) / (1.0 - f_prev))
+        alive = alive @ scipy.stats.binom.pmf(step, left, q)
+        gap = np.abs(f_x - at_most)
+        alive[0, gap >= d] = 0.0
+        alive[1, gap > d] = 0.0
+        f_prev = f_x
+    return 1.0 - alive.sum(axis=1)
+
+
+# The fixed-null Monte-Carlo count r of simulations with D >= d_obs is
+# Binomial(n_sim, P(D >= d_obs)). Here P(D >= d_obs) = 0.7316 and the tie
+# mass P(D = d_obs) = 0.0216, which the rule "ties count as >=" takes in.
+def test_mc_ks_count_matches_the_exact_discrete_law():
+    model = DiscretisedLognormal(1.0, 0.8)
+    sample = model.sample(50, 1)
+    d_obs = ks_statistic(model, sample)
+    p_ge, p_gt = _exact_ks_tails(model, 50, d_obs)
+    assert p_ge == pytest.approx(0.7316, abs=1e-4)
+    assert p_ge - p_gt == pytest.approx(0.0216, abs=1e-4)
+    lo, hi = scipy.stats.binom.interval(1 - 1e-4, 4000, p_ge)
+    for seed in (0, 1, 2):
+        r = round(ks_test_fixed(model, sample, n_sim=4000, seed=seed).p_value * 4001) - 1
+        assert lo <= r <= hi
 
 
 def _one_simulation_at_a_time(model, n, seed, reps, family=None):

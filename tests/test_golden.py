@@ -40,6 +40,10 @@ def write_fixtures(directory: Path) -> None:
         "id,citations\n" + "".join(f"r{i},{c}\n" for i, c in enumerate(lines[:150])))
     (directory / "flat.txt").write_text("4\n" * 4)
     (directory / "bad.txt").write_text("12\n-3\n")
+    # lines that int() reads or rejects but the count rule does not take
+    (directory / "underscore.txt").write_text("1_000\n5\n")
+    (directory / "digits.csv").write_text("id,citations\na,3\nb,\u0663\n", encoding="utf-8")
+    (directory / "long.txt").write_text("7\n" + "1" * 5000 + "\n")
 
 
 def read_manifest() -> list[tuple[int, str, str]]:
@@ -101,3 +105,12 @@ def test_golden_report(code, digest, command, corpus_dir, monkeypatch):
     assert got_code == code
     assert output == (GOLDEN / golden_name(command)).read_bytes()
     assert hashlib.sha256(output).hexdigest() == digest
+
+
+# stderr is not recorded; there the count rule's fixtures name their line
+@pytest.mark.parametrize("name,line", [("underscore.txt", 1), ("digits.csv", 3),
+                                       ("long.txt", 2)])
+def test_count_rule_fixtures_name_their_line(name, line, corpus_dir, monkeypatch, capsys):
+    monkeypatch.chdir(corpus_dir)
+    assert main(["fit", name, "--seed", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"citefit: error: line {line}: ")

@@ -13,7 +13,8 @@ study driver and the mixture study call ``run_reps``, each with
 ``partial(_statistic_reps, draw, statistic)`` functions. Every
 ``CitefitError`` subclass is raised somewhere in the package. Only
 ``sample`` calls ``require_nonempty`` (every reader takes its sample from
-``as_sample``), and the families are listed once, in
+``as_sample``), only ``io`` calls ``open`` or ``os.path.splitext`` (it reads
+count files and labels their samples), and the families are listed once, in
 ``distributions.MODELS``: no CLI ``choices`` list names one, and no module
 but ``distributions``, ``subjects`` and ``__init__`` names ``HookedPowerLaw``.
 Every family has two parameters, the two coordinates of the simplex search,
@@ -129,6 +130,14 @@ def _calls(tree, name: str) -> list[int]:
 def test_one_draw_path(attr, owners):
     callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
                      for line in _calls(ast.parse(path.read_text(encoding="utf-8")), attr))
+    assert callers == []
+
+
+# Count text is read, and a sample named from its path, only in io.
+@pytest.mark.parametrize("name", ["open", "splitext"])
+def test_only_io_reads_count_files(name):
+    callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name != "io.py"
+                     for line in _calls(ast.parse(path.read_text(encoding="utf-8")), name))
     assert callers == []
 
 

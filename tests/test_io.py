@@ -3,15 +3,20 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citefit import CitationSample, HookedPowerLaw, OffsetError, ParseError
 from citefit.io import (
     format_sig4,
     ingest,
     ingest_file,
+    load_counts,
     render_plot_data,
     render_report,
 )
@@ -69,9 +74,9 @@ def test_ingest_empty_file_rejected(tmp_path):
 
 def test_ingest_csv_with_header(tmp_path):
     path = _write(tmp_path, "data.csv", "id,citations\na,0\nb,7\nc,33\n")
-    sample = ingest_file(path, offset=1, label="csv")
+    sample = ingest_file(path, offset=1)
     assert list(sample.counts) == [1, 8, 34]
-    assert sample.label == "csv"
+    assert sample.label == "data"     # the file's stem
 
 
 def test_ingest_csv_bad_cell_reports_line(tmp_path):
@@ -120,6 +125,65 @@ def test_bad_input_is_rejected(tmp_path, call, error, message):
         call(tmp_path)
 
 
+_HEADER_MESSAGE = "line 1: expected an integer count or a CSV header with a 'citations' column"
+
+
+# int() alone reads '1_000' and '\u0663' as counts; a line of over 4,300
+# digits keeps its message, and one beyond the csv module's field limit
+# is a parse error too, on its line
+@pytest.mark.parametrize("text,message", [
+    ("1_000\n5\n", _HEADER_MESSAGE),
+    ("5\n1_000\n", "line 2: not an integer: '1_000'"),
+    ("id,citations\na,3\nb,\u0663\n", "line 3: not an integer: '\u0663'"),
+    ("1" * 5000 + "\n7\n", _HEADER_MESSAGE),
+    ("7\n" + "1" * 5000 + "\n", f"line 2: not an integer: '{'1' * 5000}'"),
+    ("1" * 200_000 + "\n", "line 1: field larger than field limit (131072)"),
+    ("citations\n3\n" + "1" * 200_000 + "\n", "line 3: field larger than field limit (131072)"),
+], ids=["underscore-first", "underscore", "arabic-indic-digit", "over-4300-digits-first",
+        "over-4300-digits", "huge-first-line", "huge-csv-cell"])
+def test_count_rule_messages(tmp_path, text, message):
+    with pytest.raises(ParseError) as err:
+        ingest_file(_write(tmp_path, "counts.csv", text))
+    assert str(err.value) == message
+
+
+def test_a_signed_count_reads_as_its_value(tmp_path):
+    assert load_counts(_write(tmp_path, "c.txt", "+3\n-0\n 12 \n")) == [3, 0, 12]
+
+
+_COUNT = re.compile(r"[+-]?[0-9]{1,4300}")
+_LINES = st.one_of(
+    st.text(st.sampled_from("0123456789+-_ \u0663\u096b\uff15"), max_size=10),
+    st.builds(lambda sign, k, tail: sign + "7" * k + tail, st.sampled_from(["", "+", "-"]),
+              st.integers(4298, 4302), st.sampled_from(["", "_0", "\u0663"])),
+)
+
+
+# A line is a count exactly when it is an optional sign and 1 to 4,300 ASCII
+# digits: as the second line of a plain file and as a CSV cell alike.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(first=st.sampled_from(["5", "citations"]), line=_LINES)
+@example(first="5", line="+" + "7" * 4300)
+@example(first="citations", line="7" * 4301)
+def test_a_line_fails_as_not_an_integer_exactly_off_the_count_rule(first, line):
+    text = line.strip()
+    if not text:
+        return      # a blank line is skipped
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "counts.txt")
+        path.write_text(f"{first}\n{line}\n", encoding="utf-8")
+        try:
+            counts, message = load_counts(path), None
+        except ParseError as err:
+            counts, message = None, str(err)
+    if _COUNT.fullmatch(text) is None:
+        assert message == f"line 2: not an integer: {text!r}"
+    elif int(text) < 0:
+        assert message == f"line 2: negative count: {int(text)}"
+    else:
+        assert counts[-1] == int(text)
+
+
 def test_ingest_preserves_cardinality(tmp_path):
     counts = list(np.random.default_rng(0).integers(0, 50, size=500))
     path = _write(tmp_path, "counts.txt", "\n".join(map(str, counts)) + "\n")
@@ -150,6 +214,13 @@ def test_tsv_has_header_block_and_column_order():
     assert "# reps\t50" in lines
     header_line = [l for l in lines if not l.startswith("#")][0]
     assert header_line.split("\t") == list(PLAUSIBILITY_COLUMNS)
+
+
+def test_tsv_escapes_what_would_split_a_cell_or_a_row():
+    rows = [{"label": "a\tb\\c\nd\re", "x": 1.0}]
+    text = render_report(rows, "tsv", header={"source": "x\ty\nz"})
+    assert text.splitlines()[1:] == ["# source\tx\\ty\\nz", "label\tx", "a\\tb\\\\c\\nd\\re\t1"]
+    assert json.loads(render_report(rows, "json"))["rows"] == rows
 
 
 def test_tsv_empty_rows_header_only():
