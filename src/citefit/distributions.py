@@ -8,7 +8,9 @@ Two families are provided, plus finite mixtures of them:
 * :class:`HookedPowerLaw` uses the density value (b + x)**(-alpha) as a
   point mass with a normalising constant, the discrete counterpart of a
   Lomax (Pareto type II) law; it needs alpha > 1 to be summable. The
-  normaliser is a Hurwitz zeta value, evaluated in closed form.
+  normaliser is a Hurwitz zeta value: a few terms, then an Euler-Maclaurin
+  tail, in scalar arithmetic (``_em_tail``) for a model or a search point
+  and over an array (``_em_sum``) for the tails at a CDF's counts.
 
 ``MODELS`` maps each family name to its class, and each class lists its
 parameter names in constructor order as ``PARAMS``: the fitter, the subject
@@ -41,7 +43,8 @@ _EM_RATIO = 1.5
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
               -236364091 / 2730)
-_EM_COEFFS = tuple(bn / math.factorial(2 * j) for j, bn in enumerate(_BERNOULLI, 1))
+# (B_2j / (2j)!, 2j) for j = 1, 2, ...
+_EM_STEPS = tuple((bn / math.factorial(2 * j), 2.0 * j) for j, bn in enumerate(_BERNOULLI, 1))
 _NEGLIGIBLE = 1e-17
 
 MAX_COUNT = 2 ** 62     # draws saturate here; larger counts are not ingested
@@ -97,27 +100,42 @@ def _power_head(alpha: float, b: float) -> tuple[tuple[float, ...], float, float
         x += 1
 
 
-def _em_sum(alpha: float, edge, acc):
-    """``acc`` (a float) plus the Euler-Maclaurin corrections B_2j / (2j)!
-    * alpha (alpha + 1) ... (alpha + 2j - 2) / edge**(2j - 1) of the sum over
-    k >= 0 of ((edge + k) / edge)**(-alpha), added in turn (F. Johansson,
-    Numer. Algorithms 69, 2015), at a float or an array of edges >=
-    max(12, 1.5 alpha). The series ends after the first correction below
-    1e-17 of max(1, acc) at the smallest edge, where they are largest: a
-    sum they complete is at least 1, in units of its first tail term."""
-    scalar = isinstance(edge, float)
-    low = edge if scalar else float(edge.min())
+def _em_sum(alpha: float, edge: np.ndarray, acc: float) -> np.ndarray:
+    """``acc`` plus the Euler-Maclaurin corrections B_2j / (2j)! * alpha
+    (alpha + 1) ... (alpha + 2j - 2) / edge**(2j - 1) of the sum over k >= 0
+    of ((edge + k) / edge)**(-alpha), added in turn (F. Johansson, Numer.
+    Algorithms 69, 2015), at an array of edges >= max(12, 1.5 alpha): the
+    tails of a CDF's counts. The series ends after the first correction
+    below 1e-17 of max(1, acc) at the smallest edge, where they are largest:
+    a sum they complete is at least 1, in units of its first tail term."""
+    low = float(edge.min())
     enough = _NEGLIGIBLE * max(1.0, acc)
     square = edge * edge
     rising = alpha / edge
-    top = rising if scalar else alpha / low     # the rising product at low
-    for j, coeff in enumerate(_EM_COEFFS, 1):
+    top = alpha / low     # the rising product at low
+    for coeff, two_j in _EM_STEPS:
         acc = acc + coeff * rising
         if abs(coeff * top) <= enough:
             break
-        factor = (alpha + 2 * j - 1) * (alpha + 2 * j)
+        factor = (alpha + two_j - 1.0) * (alpha + two_j)
         rising = rising * (factor / square)
-        top = rising if scalar else top * (factor / (low * low))
+        top = top * (factor / (low * low))
+    return acc
+
+
+def _em_tail(alpha: float, edge: float, acc: float) -> float:
+    """``_em_sum`` at one float edge, bit for bit as at a one-element array:
+    the tail of a normaliser, formed at every search point of a fit."""
+    enough = _NEGLIGIBLE * max(1.0, acc)
+    square = edge * edge
+    rising = alpha / edge
+    for coeff, two_j in _EM_STEPS:
+        term = coeff * rising
+        acc += term
+        if -enough <= term <= enough:
+            break
+        s = alpha + two_j
+        rising *= (s - 1.0) * s / square
     return acc
 
 
@@ -147,12 +165,12 @@ def _hooked_terms(alpha: float, b: float):
         raise ParameterError(f"b must be > 0 and finite, got {b}")
     c = b + 1.0
     if c >= max(_EM_FLOOR, _EM_RATIO * alpha):     # no head: the tail from b + 1 is S
-        head, total = ((), 1.0, c), _em_sum(alpha, c, c / (alpha - 1.0) + 0.5)
+        head, total = ((), 1.0, c), _em_tail(alpha, c, c / (alpha - 1.0) + 0.5)
     else:
         totals, term, edge = head = _power_head(alpha, b)
         total = totals[-1]
         if term:
-            total += term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
+            total += term * _em_tail(alpha, edge, edge / (alpha - 1.0) + 0.5)
     return (c, -alpha, math.log(total)), head, total
 
 
@@ -349,7 +367,7 @@ class HookedPowerLaw(_DiscreteModel):
     The normalising constant is the Hurwitz zeta value zeta(alpha, b + 1),
     computed as a few explicit terms plus an Euler-Maclaurin tail to
     about 1e-16 relative accuracy over the whole parameter range the
-    fitter can visit (see ``_power_head`` and ``_em_sum``). It is carried
+    fitter can visit (see ``_power_head`` and ``_em_tail``). It is carried
     with a (b + 1)**alpha scaling, so the pmf and the CDF stay finite for
     any alpha > 1, b > 0.
 
@@ -411,7 +429,7 @@ class HookedPowerLaw(_DiscreteModel):
             ratio, decay, corr = log_ratio[lower], decay[lower], corr[lower]
             # T(e0) - T(x + 1), over f(e0)
             gained = (np.expm1((1.0 - alpha) * ratio) * (-edge / (alpha - 1.0))
-                      + 0.5 * (1.0 - decay) + _em_sum(alpha, edge, 0.0) - decay * corr)
+                      + 0.5 * (1.0 - decay) + _em_tail(alpha, edge, 0.0) - decay * corr)
             summed[lower] = (totals[-1] if h else 0.0) + term * gained
         out = summed
         if h:

@@ -171,7 +171,7 @@ def _objective(family: str, searched):
         _, feats, sizes, slices = group
         if len(points) == 1:    # a lone search: its Python-float arguments
             args = args_at(points[0])
-            ll = float(np.dot(slices[0][0], cls._log_pmf_at(feats, *args))) if args else math.nan
+            ll = float(slices[0][0].dot(cls._log_pmf_at(feats, *args))) if args else math.nan
             return [-ll if math.isfinite(ll) else math.inf]
         args = list(map(args_at, points))
         # each search's arguments over its elements, as C-contiguous rows
@@ -180,7 +180,7 @@ def _objective(family: str, searched):
         out = []
         for a, (w, lo, hi) in zip(args, slices):
             # one dot per fit: its own summation order
-            ll = float(np.dot(w, batch[lo:hi])) if a else math.nan
+            ll = float(w.dot(batch[lo:hi])) if a else math.nan
             out.append(-ll if math.isfinite(ll) else math.inf)
         return out
 

@@ -33,9 +33,10 @@ from citefit.sample import CitationSample
 def load_counts(path) -> list[int]:
     """Raw (pre-offset) counts from a plain-lines or CSV file, in one pass."""
     # utf-8-sig drops a leading byte-order mark; a byte that is not UTF-8
-    # reads as U+FFFD, which fails as a count or a header on its line
+    # reads as U+FFFD, which fails as a count or a header on its line; text
+    # mode reads CRLF and CR as LF, the one line end (a form feed is not one)
     with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
-        lines = handle.read().splitlines()
+        lines = handle.read().split("\n")
     column, counts = None, []   # column: the 'citations' cell of a CSV row
     try:
         for no, line in enumerate(lines, 1):
@@ -54,7 +55,7 @@ def load_counts(path) -> list[int]:
                 names = [c.strip().lower() for c in next(csv.reader([text]))]
                 if "citations" not in names:
                     raise ParseError("expected an integer count or a CSV header with a "
-                                     "'citations' column", line_number=1)
+                                     "'citations' column", line_number=no)
                 column = names.index("citations")
             elif value is None:
                 raise ParseError(f"not an integer: {text!r}", line_number=no)

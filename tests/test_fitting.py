@@ -261,13 +261,14 @@ def _in_box(family, theta):
 def _reference_scaled_norm(alpha, b):
     """S summed as the constructor summed it before the head was skipped:
     terms from x = 1 until b + x reaches max(12, 1.5 alpha), then the
-    Euler-Maclaurin tail."""
+    Euler-Maclaurin tail, in its array form at a one-element array."""
     c, reach, total, x = b + 1.0, max(12.0, 1.5 * alpha), 0.0, 1
     while True:
         term = math.exp(-alpha * math.log1p((x - 1) / c))
         edge = b + x
         if edge >= reach:
-            return total + term * _em_sum(alpha, edge, edge / (alpha - 1.0) + 0.5)
+            tail = _em_sum(alpha, np.array([edge]), edge / (alpha - 1.0) + 0.5)
+            return total + term * float(tail[0])
         if term * (1.0 + edge / (alpha - 1.0)) <= 1e-17 * total:
             return total
         total += term

@@ -44,6 +44,9 @@ def write_fixtures(directory: Path) -> None:
     (directory / "underscore.txt").write_text("1_000\n5\n")
     (directory / "digits.csv").write_text("id,citations\na,3\nb,\u0663\n", encoding="utf-8")
     (directory / "long.txt").write_text("7\n" + "1" * 5000 + "\n")
+    # a header after blank lines, and a form feed inside a line
+    (directory / "late_header.csv").write_text("\n\nid,cites\n1,2\n")
+    (directory / "formfeed.txt").write_text("3\x0c4\n5\n")
 
 
 def read_manifest() -> list[tuple[int, str, str]]:
@@ -109,7 +112,8 @@ def test_golden_report(code, digest, command, corpus_dir, monkeypatch):
 
 # stderr is not recorded; there the count rule's fixtures name their line
 @pytest.mark.parametrize("name,line", [("underscore.txt", 1), ("digits.csv", 3),
-                                       ("long.txt", 2)])
+                                       ("long.txt", 2), ("late_header.csv", 3),
+                                       ("formfeed.txt", 1)])
 def test_count_rule_fixtures_name_their_line(name, line, corpus_dir, monkeypatch, capsys):
     monkeypatch.chdir(corpus_dir)
     assert main(["fit", name, "--seed", "1"]) == 2

@@ -130,7 +130,8 @@ _HEADER_MESSAGE = "line 1: expected an integer count or a CSV header with a 'cit
 
 # int() alone reads '1_000' and '\u0663' as counts; a line of over 4,300
 # digits keeps its message, and one beyond the csv module's field limit
-# is a parse error too, on its line
+# is a parse error too, on its line; only LF ends a line, so a form feed or
+# U+2028 inside one leaves it not a count
 @pytest.mark.parametrize("text,message", [
     ("1_000\n5\n", _HEADER_MESSAGE),
     ("5\n1_000\n", "line 2: not an integer: '1_000'"),
@@ -139,8 +140,13 @@ _HEADER_MESSAGE = "line 1: expected an integer count or a CSV header with a 'cit
     ("7\n" + "1" * 5000 + "\n", f"line 2: not an integer: '{'1' * 5000}'"),
     ("1" * 200_000 + "\n", "line 1: field larger than field limit (131072)"),
     ("citations\n3\n" + "1" * 200_000 + "\n", "line 3: field larger than field limit (131072)"),
+    ("\n\nid,cites\n1,2\n", _HEADER_MESSAGE.replace("line 1", "line 3")),
+    ("3\x0c4\n5\n", _HEADER_MESSAGE),
+    ("5\n3\x0c4\n", "line 2: not an integer: '3\\x0c4'"),
+    ("5\n3\u20284\n", "line 2: not an integer: '3\\u20284'"),
 ], ids=["underscore-first", "underscore", "arabic-indic-digit", "over-4300-digits-first",
-        "over-4300-digits", "huge-first-line", "huge-csv-cell"])
+        "over-4300-digits", "huge-first-line", "huge-csv-cell", "header-after-blank-lines",
+        "form-feed-first", "form-feed", "line-separator"])
 def test_count_rule_messages(tmp_path, text, message):
     with pytest.raises(ParseError) as err:
         ingest_file(_write(tmp_path, "counts.csv", text))

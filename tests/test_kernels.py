@@ -8,7 +8,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfc
@@ -16,6 +16,8 @@ from scipy.special import erfc
 from citefit.distributions import (
     DiscretisedLognormal,
     HookedPowerLaw,
+    _em_sum,
+    _em_tail,
     _normal_interval_masses,
     _power_head,
 )
@@ -106,6 +108,22 @@ def test_hooked_cdf_is_one_where_the_rest_underflows():
     assert _power_head(1e10, 1.0) == ((1.0,), 0.0, 3.0)
     assert HookedPowerLaw(1e10, 1.0).cdf([2, 3, 1 << 40]).tolist() == [1.0] * 3
     assert HookedPowerLaw(300.0, 1e-12).cdf(1 << 40) == 1.0
+
+
+# The scalar tail of every normaliser is the CDF's array tail at one edge,
+# bit for bit: alpha over the fitter's (1, 1 + e**300], edges from
+# max(12, 1.5 alpha) up, and acc as the callers form it.
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(theta0=st.floats(-37.0, 300.0), spread=st.floats(0.0, 40.0), head=st.booleans())
+@example(theta0=300.0, spread=0.0, head=True)
+@example(theta0=-36.0, spread=0.0, head=True)
+def test_scalar_tail_is_the_array_tail_at_one_edge(theta0, spread, head):
+    alpha = 1.0 + math.exp(theta0)
+    assume(alpha > 1.0)
+    edge = max(12.0, 1.5 * alpha) * math.exp(spread)
+    acc = edge / (alpha - 1.0) + 0.5 if head else 0.0
+    got = _em_tail(alpha, edge, acc)
+    assert got.hex() == float(_em_sum(alpha, np.array([edge]), acc)[0]).hex()
 
 
 def _exact_mass(z_lo, z_hi):

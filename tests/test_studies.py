@@ -1,7 +1,10 @@
 """Study harness: schemas, accounting identities and statistical direction."""
 
+import importlib.util
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +290,20 @@ def test_mixture_impurity_study_rejects_too_few_reps(reps):
     mixture = Mixture((DiscretisedLognormal(1.0, 1.0),), (1.0,))
     with pytest.raises(TooFewRepsError):
         mixture_impurity_study(mixture, DiscretisedLognormal(2.0, 1.0), n=100, reps=reps)
+
+
+# The benchmark's library workloads call these study drivers; a change that
+# removes or renames one breaks the benchmark before it can be retargeted.
+@pytest.mark.parametrize("workload", ["vuong-boot", "plausibility-mc"])
+def test_benchmark_library_workloads_run(workload, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # for its dataclasses
+    spec.loader.exec_module(workloads)
+    size = workloads.SIZES["smoke"]
+    samples = workloads.build_samples(workload, 0, size, 0)
+    job = workloads.run_library_job(workload, samples, 0, size, 0)
+    assert job.errors == []
+    check = workloads.check_report(workload, job.report, size, [s.label for s in samples])
+    assert check.report_ok and check.problems == []
