@@ -179,7 +179,7 @@ def _cmd_bootstrap(args, seed: int) -> str:
                               seed=seed, workers=args.workers)
     row = {
         "statistic": args.statistic, "n": len(sample),
-        "size": args.size or len(sample), "median": summary.median,
+        "size": len(sample) if args.size is None else args.size, "median": summary.median,
         "lo95": summary.lo95, "hi95": summary.hi95,
         "reps": summary.reps, "failed": summary.n_failed,
     }

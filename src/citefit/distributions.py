@@ -75,17 +75,17 @@ def _normal_interval_masses(z: np.ndarray) -> np.ndarray:
 
 
 def _power_head(alpha: float, b: float) -> tuple[tuple[float, ...], float, float]:
-    """Running totals of f(x) = ((b + x) / (b + 1))**(-alpha), x = 1, 2, ...,
-    then the first term not summed and its edge b + x (the term is 0 when
-    the rest is negligible). The scaling keeps every term in floating range
-    (f(1) = 1) where the bare Hurwitz zeta value underflows; each exponent
-    is -alpha * log1p((x - 1) / (b + 1)), accurate when b is large against
-    x. Terms are added until b + x reaches max(12, 1.5 alpha), which b + 1
-    must not, or the integral bound on the rest falls below 1e-17 of the
-    total."""
+    """Running totals H(0) = 0, H(1) = 1, H(2), ... of f(x) = ((b + x) /
+    (b + 1))**(-alpha), so H(x) is at index x, then the first term not
+    summed and its edge b + x (the term is 0 when the rest is negligible).
+    The scaling keeps every term in floating range (f(1) = 1) where the
+    bare Hurwitz zeta value underflows; each exponent is -alpha *
+    log1p((x - 1) / (b + 1)), accurate when b is large against x. Terms are
+    added until b + x reaches max(12, 1.5 alpha), which b + 1 must not, or
+    the integral bound on the rest falls below 1e-17 of the total."""
     c, slope, neg_alpha = b + 1.0, alpha - 1.0, -alpha
     reach = max(_EM_FLOOR, _EM_RATIO * alpha)
-    totals = [1.0]
+    totals = [0.0, 1.0]
     total = 1.0
     x = 2
     while True:
@@ -106,20 +106,18 @@ def _em_sum(alpha: float, edge: np.ndarray, acc: float) -> np.ndarray:
     of ((edge + k) / edge)**(-alpha), added in turn (F. Johansson, Numer.
     Algorithms 69, 2015), at an array of edges >= max(12, 1.5 alpha): the
     tails of a CDF's counts. The series ends after the first correction
-    below 1e-17 of max(1, acc) at the smallest edge, where they are largest:
-    a sum they complete is at least 1, in units of its first tail term."""
-    low = float(edge.min())
+    below 1e-17 of max(1, acc) at the smallest edge, its largest entry: a
+    sum they complete is at least 1, in units of its first tail term."""
+    i = edge.argmin()     # the smallest edge
     enough = _NEGLIGIBLE * max(1.0, acc)
     square = edge * edge
     rising = alpha / edge
-    top = alpha / low     # the rising product at low
     for coeff, two_j in _EM_STEPS:
         acc = acc + coeff * rising
-        if abs(coeff * top) <= enough:
+        if abs(coeff * rising[i]) <= enough:
             break
         factor = (alpha + two_j - 1.0) * (alpha + two_j)
         rising = rising * (factor / square)
-        top = top * (factor / (low * low))
     return acc
 
 
@@ -165,7 +163,7 @@ def _hooked_terms(alpha: float, b: float):
         raise ParameterError(f"b must be > 0 and finite, got {b}")
     c = b + 1.0
     if c >= max(_EM_FLOOR, _EM_RATIO * alpha):     # no head: the tail from b + 1 is S
-        head, total = ((), 1.0, c), _em_tail(alpha, c, c / (alpha - 1.0) + 0.5)
+        head, total = ((0.0,), 1.0, c), _em_tail(alpha, c, c / (alpha - 1.0) + 0.5)
     else:
         totals, term, edge = head = _power_head(alpha, b)
         total = totals[-1]
@@ -198,7 +196,7 @@ class _DiscreteModel(ABC):
 
     @abstractmethod
     def _cdf_at(self, x: np.ndarray) -> np.ndarray:
-        """``cdf`` of a non-empty int64 array of counts in [1, 2**63), unchecked."""
+        """``cdf`` of an int64 array of counts in [1, 2**63), unchecked."""
 
     @abstractmethod
     def _start(self, u: np.ndarray) -> np.ndarray:
@@ -224,10 +222,7 @@ class _DiscreteModel(ABC):
     def cdf(self, x):
         """F(x) = P(X <= x), evaluated at each count given."""
         scalar = np.ndim(x) == 0
-        arr = positive_ints(x, "x")
-        if arr.size == 0:
-            return np.empty(0)
-        out = self._cdf_at(arr)
+        out = self._cdf_at(positive_ints(x, "x"))
         return float(out[0]) if scalar else out
 
     def quantile(self, u):
@@ -406,17 +401,17 @@ class HookedPowerLaw(_DiscreteModel):
 
     def _cdf_at(self, x: np.ndarray) -> np.ndarray:
         """H(x) / S, H(x) the sum of the terms up to x: the head's running
-        totals, then S - T(x + 1) for T the Euler-Maclaurin tail after x, or
-        where F < 1/2 the head's total plus T(e0) - T(x + 1) (e0 = b + h + 1)
+        totals H(0) = 0 ... H(h), then S - T(x + 1) for T the Euler-Maclaurin
+        tail after x, or where F < 1/2 H(h) + T(e0) - T(x + 1) (e0 = b + h + 1)
         arranged without cancellation: a few ulp of relative accuracy."""
         totals, term, edge = self._head
-        alpha, norm, h = self.alpha, self._scaled_norm, len(totals)
+        alpha, norm, h = self.alpha, self._scaled_norm, len(totals) - 1
+        out = np.array(totals)[np.minimum(x, h)]
         k = (x - h).astype(np.float64)                  # terms past the head
         past = k > 0.0
-        if h:
-            k = k[past]
-        if not (term and k.size):   # past a negligible rest F is total / S = 1
-            return np.array((0.0,) + totals)[np.minimum(x, h)] / norm
+        k = k[past]
+        if not (term and k.size):   # past a negligible rest F is H(h) / S = 1
+            return out / norm
         e = edge + k                                    # b + x + 1
         log_ratio = np.log1p(k / edge)                  # log(e / e0)
         decay = np.exp(-alpha * log_ratio)              # f(x + 1) / f(e0)
@@ -430,11 +425,8 @@ class HookedPowerLaw(_DiscreteModel):
             # T(e0) - T(x + 1), over f(e0)
             gained = (np.expm1((1.0 - alpha) * ratio) * (-edge / (alpha - 1.0))
                       + 0.5 * (1.0 - decay) + _em_tail(alpha, edge, 0.0) - decay * corr)
-            summed[lower] = (totals[-1] if h else 0.0) + term * gained
-        out = summed
-        if h:
-            out = np.array((0.0,) + totals)[np.minimum(x, h)]
-            out[past] = summed
+            summed[lower] = totals[-1] + term * gained
+        out[past] = summed
         out /= norm
         return np.minimum(out, 1.0, out=out)
 

@@ -153,7 +153,8 @@ def _objective(family: str, searched):
     """The batch objective of :func:`~citefit.simplex.nelder_mead_lockstep`
     over the (distinct counts, multiplicities) of each searched sample:
     minus the log-likelihood, inf outside the box or the family's domain
-    (where a round of several searches evaluates a fixed in-domain point)."""
+    (where a round of several searches evaluates a fixed in-domain point);
+    the search counts any other value that is not finite as inf."""
     cls = MODELS[family]
     _, args_at, _ = _SEARCH[family]
     features = [cls._features(values) for values, _ in searched]
@@ -171,18 +172,14 @@ def _objective(family: str, searched):
         _, feats, sizes, slices = group
         if len(points) == 1:    # a lone search: its Python-float arguments
             args = args_at(points[0])
-            ll = float(slices[0][0].dot(cls._log_pmf_at(feats, *args))) if args else math.nan
-            return [-ll if math.isfinite(ll) else math.inf]
+            return [-float(slices[0][0].dot(cls._log_pmf_at(feats, *args))) if args else math.inf]
         args = list(map(args_at, points))
         # each search's arguments over its elements, as C-contiguous rows
         rows = np.repeat(np.array([a or placeholder for a in args]).T, sizes, axis=1)
         batch = cls._log_pmf_at(feats, *rows)
-        out = []
-        for a, (w, lo, hi) in zip(args, slices):
-            # one dot per fit: its own summation order
-            ll = float(w.dot(batch[lo:hi])) if a else math.nan
-            out.append(-ll if math.isfinite(ll) else math.inf)
-        return out
+        # one dot per fit: its own summation order
+        return [-float(w.dot(batch[lo:hi])) if a else math.inf
+                for a, (w, lo, hi) in zip(args, slices)]
 
     return objective
 

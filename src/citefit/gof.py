@@ -20,10 +20,10 @@ draws blocks of about ``_BLOCK_DRAWS`` draws: simulation i takes its
 uniforms from the stream (seed, i, *path), a block's uniforms are sorted
 row by row and mapped to counts by one quantile search, which reads the
 model CDF once per run of equal closed-form starts, and one pass over the
-runs of equal counts gives every row's distinct counts. Without ``refit``
-one pointwise CDF read at the block's breakpoints and one
-``np.maximum.reduceat`` give every row's statistic; with it, a block's
-simulations are fitted together by one ``fitting.fit_many`` call. Memory
+runs of equal counts gives every row's distinct counts. Pointwise CDF
+reads at the block's breakpoints and one ``np.maximum.reduceat`` give every
+row's statistic; with ``refit``, a block's simulations are fitted together
+by one ``fitting.fit_many`` call, and each row reads its own fit. Memory
 follows the block, not ``n_sim``, and every statistic is the one a
 simulation drawn, sorted and tested on its own would give.
 
@@ -182,13 +182,12 @@ def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
     for v, mult in _simulated_counts(model, n, seed, reps):
         x, emp_cdf, x_starts = _breakpoints(v, mult, n)
         if refit is None:
-            f = _drawn_cdf(x, model._cdf_at(x))
-            d_sim += np.maximum.reduceat(np.abs(f - emp_cdf), x_starts).tolist()
-            continue
-        nulls = [r.model if r.usable else model for r in refit(_split(v, mult, n))]
-        d_sim += [float(np.abs(_drawn_cdf(x_i, null._cdf_at(x_i)) - emp_i).max())
-                  for null, x_i, emp_i in zip(nulls, np.split(x, x_starts[1:]),
-                                              np.split(emp_cdf, x_starts[1:]))]
+            f = model._cdf_at(x)
+        else:
+            nulls = [r.model if r.usable else model for r in refit(_split(v, mult, n))]
+            f = np.concatenate([null._cdf_at(x_i)
+                                for null, x_i in zip(nulls, np.split(x, x_starts[1:]))])
+        d_sim += np.maximum.reduceat(np.abs(_drawn_cdf(x, f) - emp_cdf), x_starts).tolist()
     return d_sim
 
 

@@ -50,7 +50,8 @@ from citefit.exceptions import (
     TooFewRepsError,
 )
 from citefit.fitting import FitStatus, fit, fit_many
-from citefit.gof import ks_p_value, ks_statistic, shape_classify, simulation_draw
+from citefit.gof import (EQUAL, MINUS, PLUS, ks_p_value, ks_statistic, shape_classify,
+                         simulation_draw)
 from citefit.sample import as_sample, count_total
 from citefit.seeding import child_seed
 from citefit.subjects import SUBJECTS
@@ -297,8 +298,8 @@ def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]
         rows.append(row)
 
     totals = []
-    for symbol, label in (("+", "higher total"), ("=", "same total"),
-                          ("-", "lower total")):
+    for symbol, label in ((PLUS, "higher total"), (EQUAL, "same total"),
+                          (MINUS, "lower total")):
         total_row = {"subject": label}
         for col in SHAPE_COLUMNS[1:]:
             total_row[col] = sum(1 for r in rows if r[col] == symbol)

@@ -156,10 +156,11 @@ def test_lognormal_tail_reaches_one():
 # --- cdf/quantile contracts --------------------------------------------------
 
 @pytest.mark.parametrize("model", [
-    HookedPowerLaw(2.0, 1.0),
-    HookedPowerLaw(5.07, 41.9),
+    HookedPowerLaw(2.0, 1.0),       # a head of explicit terms
+    HookedPowerLaw(5.07, 41.9),     # no head
     DiscretisedLognormal(0.0, 1.0),
     DiscretisedLognormal(2.08, 1.11),
+    Mixture([HookedPowerLaw(2.0, 1.0), DiscretisedLognormal(2.08, 1.11)], [0.3, 0.7]),
 ])
 def test_cdf_monotone_and_bounded(model):
     grid = model.cdf(np.arange(1, 10_001))
@@ -167,6 +168,9 @@ def test_cdf_monotone_and_bounded(model):
     assert grid[0] > 0.0
     assert grid[-1] <= 1.0
     assert model.cdf(1) == pytest.approx(model.pmf(1), rel=1e-12)
+    for no_counts in ([], np.empty(0, dtype=np.int64)):
+        empty = model.cdf(no_counts)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def test_normalization_with_tail_correction_over_fixture():
@@ -315,6 +319,18 @@ def test_models_pickle_roundtrip():
         assert_array_equal(clone.sample(100, 3), model.sample(100, 3))
 
 
+def test_equal_models_hash_equal_and_dedupe():
+    def build():
+        hooked, lognormal = HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)
+        return hooked, lognormal, Mixture([hooked, lognormal], [1.0, 3.0])
+
+    for model, twin in zip(build(), build()):
+        assert model == twin and hash(model) == hash(twin)
+    others = (HookedPowerLaw(3.94, 68.0), DiscretisedLognormal(2.08, 1.12),
+              Mixture(build()[:2], [3.0, 1.0]))
+    assert len({*build(), *build(), *others}) == 6
+
+
 def test_pickle_roundtrip_after_sampling():
     hooked, lognormal = HookedPowerLaw(3.94, 67.9), DiscretisedLognormal(2.08, 1.11)
     for model in (hooked, lognormal, Mixture([hooked, lognormal], [0.3, 0.7])):
@@ -380,6 +396,9 @@ def test_mixture_weight_validation():
     with pytest.raises(InvalidWeightsError):
         Mixture([comp, comp], [1.0, -0.5])
     assert_allclose(Mixture([comp, comp], [2.0, 6.0]).weights, [0.25, 0.75])
+    params = Mixture([comp, HookedPowerLaw(3.0, 10.0)], [2.0, 6.0]).params
+    assert params == {"weight_0": 0.25, "weight_1": 0.75}
+    assert all(type(w) is float for w in params.values())
 
 
 def test_single_component_mixture_is_bitwise_identical():
@@ -414,3 +433,4 @@ def test_mixture_mean_is_convex_combination():
     mean_a = a.continuous_mean()
     mean_b = b.continuous_mean()
     assert mean_a < draws.mean() < mean_b
+    assert mix.continuous_mean() == 0.5 * mean_a + 0.5 * mean_b

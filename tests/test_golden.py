@@ -118,3 +118,15 @@ def test_count_rule_fixtures_name_their_line(name, line, corpus_dir, monkeypatch
     monkeypatch.chdir(corpus_dir)
     assert main(["fit", name, "--seed", "1"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(f"citefit: error: line {line}: ")
+
+
+def test_readme_claim_commands_are_golden_cases():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The paper's claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0][:2] == [" Claim ", " Command "]
+    commands = [re.fullmatch(r" `citefit (.+)` ", row[1]) for row in rows[1:]]
+    named = [m.group(1) for m in commands if m]
+    assert len(named) >= 4 and all(m or row[1] == " none " for m, row in zip(commands, rows[1:]))
+    manifest = {command for _, _, command in CASES}
+    assert [c for c in named if c not in manifest] == []

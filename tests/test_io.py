@@ -262,6 +262,10 @@ def test_json_full_precision():
     assert json.loads(text)["rows"][0]["v"] == value
 
 
+def test_json_writes_numpy_integers_as_numbers():
+    assert json.loads(render_report([{"n": np.int64(3)}], "json"))["rows"] == [{"n": 3}]
+
+
 # --- plot data -------------------------------------------------------------------
 
 def test_plot_data_two_point_oracle():

@@ -105,7 +105,7 @@ def test_hooked_cdf_matches_mpmath_past_the_explicit_terms(alpha, b, x):
 def test_hooked_cdf_is_one_where_the_rest_underflows():
     # alpha * log1p((x - 1) / (b + 1)) is far beyond exp's range: the
     # explicit terms stop, and F is 1 from there
-    assert _power_head(1e10, 1.0) == ((1.0,), 0.0, 3.0)
+    assert _power_head(1e10, 1.0) == ((0.0, 1.0), 0.0, 3.0)
     assert HookedPowerLaw(1e10, 1.0).cdf([2, 3, 1 << 40]).tolist() == [1.0] * 3
     assert HookedPowerLaw(300.0, 1e-12).cdf(1 << 40) == 1.0
 
