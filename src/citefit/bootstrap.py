@@ -1,21 +1,20 @@
 """Bootstrap resampling and the replicate runner behind every study.
 
 A study evaluates a statistic on ``reps`` independent replicates (bootstrap
-resamples or fresh simulated samples). A study's replicate function maps a
-``range`` of replicate indices to their values, so that it can fit the
-samples of a whole chunk together (:func:`citefit.fitting.fit_many`).
-:func:`run_reps` runs the replicates of every sample in a study run
-together, through one process pool when ``workers > 1`` in chunks planned
-for the whole study: when the study has at least four samples per
-requested worker, one task per sample. :func:`summarise` takes the 95%
-interval from the order statistics of each sample's values: with k =
-ceil(0.025 * reps) the bounds are the k-th smallest and k-th largest
-values, the 25th smallest / 25th largest for the canonical 1000-rep study.
+resamples or fresh simulated samples). :func:`run_reps` takes the study's
+draws, each mapping a ``range`` of replicate indices to their samples, and
+its statistic, a batch function of those samples, so that it can fit the
+samples of a whole chunk together (:func:`citefit.fitting.fit_many`). It
+runs the replicates of every draw in a study run together, through one
+process pool when ``workers > 1`` in chunks planned for the whole study:
+when the study has at least four draws per requested worker, one task per
+draw. :func:`summarise` takes the 95% interval from the order statistics of
+each draw's values: with k = ceil(0.025 * reps) the bounds are the k-th
+smallest and k-th largest values, the 25th smallest / 25th largest for the
+canonical 1000-rep study.
 
-Every replicate function is :func:`_statistic_reps`: a batch statistic of
-the samples a draw makes for a range of replicates. A draw, checked when
-it is built, holds each sample as its distinct counts. A bootstrap draw
-(:func:`resample_draw`) resamples a source sample by
+A draw, checked when it is built, holds each sample as its distinct counts.
+A bootstrap draw (:func:`resample_draw`) resamples a source sample by
 :func:`_distinct_resamples`; a simulation draw
 (:func:`citefit.gof.simulation_draw`) draws from a model. So a chunk's
 memory follows the distinct counts of its samples, not their size, and a
@@ -76,34 +75,35 @@ def order_stat_bounds(raw_sorted: np.ndarray, reps: int) -> tuple[float, float]:
     return (float(raw_sorted[k - 1]), float(raw_sorted[len(raw_sorted) - k]))
 
 
-def run_reps(rep_fns, reps: int, workers: int) -> list[list]:
-    """``[fn(range(reps)) for fn in rep_fns]``, run in chunks of replicates.
+def run_reps(draws, statistic, reps: int, workers: int) -> list[list]:
+    """``[statistic(draw(range(reps))) for draw in draws]``, run in chunks of
+    replicates, each by ``_statistic_reps``.
 
-    Each ``fn`` maps a ``range`` of replicate indices to the list of their
-    values, in order, and a replicate's value must depend on its index
-    alone, not on the range it came in. A serial run calls each ``fn`` on
-    blocks of ``SERIAL_BLOCK`` consecutive replicates. With ``workers > 1``
-    one process pool of at most ``os.cpu_count()`` workers runs them all, in
-    about ``4 * workers`` tasks shared among the F functions: each function's
-    replicates go in ``ceil(4 * workers / F)`` chunks of consecutive
-    replicates. That is chunks of ``reps // (4 * workers)`` for one
-    function, and one task per function, its sample pickled once, when
-    ``F >= 4 * workers``. Every function's chunks are submitted before any
-    result is read, so the pool stays busy across samples. The chunks
-    follow the requested ``workers``, not the pool size, and the values
-    depend on neither. Each ``fn`` must then be picklable (a partial of a
-    module-level function). A replicate that raises cancels the work still
-    queued, and the exception propagates.
+    A replicate's value must depend on its index alone, not on the range it
+    came in. A serial run takes each draw in blocks of ``SERIAL_BLOCK``
+    consecutive replicates. With ``workers > 1`` one process pool of at most
+    ``os.cpu_count()`` workers runs them all, in about ``4 * workers`` tasks
+    shared among the D draws: each draw's replicates go in ``ceil(4 *
+    workers / D)`` chunks of consecutive replicates. That is chunks of
+    ``reps // (4 * workers)`` for one draw, and one task per draw, its
+    sample pickled once, when ``D >= 4 * workers``. Every draw's chunks are
+    submitted before any result is read, so the pool stays busy across
+    samples. The chunks follow the requested ``workers``, not the pool
+    size, and the values depend on neither. The draws and the statistic
+    must then be picklable (module-level functions or partials of them). A
+    replicate that raises cancels the work still queued, and the exception
+    propagates.
     """
-    serial = workers <= 1 or not rep_fns
-    chunksize = SERIAL_BLOCK if serial else max(1, reps // math.ceil(4 * workers / len(rep_fns)))
+    tasks = [partial(_statistic_reps, draw, statistic) for draw in draws]
+    serial = workers <= 1 or not tasks
+    chunksize = SERIAL_BLOCK if serial else max(1, reps // math.ceil(4 * workers / len(tasks)))
     chunks = [range(start, min(start + chunksize, reps))
               for start in range(0, reps, chunksize)]
     if serial:
-        return [[value for values in map(fn, chunks) for value in values] for fn in rep_fns]
+        return [[value for values in map(task, chunks) for value in values] for task in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         try:
-            pending = [pool.map(fn, chunks, chunksize=1) for fn in rep_fns]
+            pending = [pool.map(task, chunks, chunksize=1) for task in tasks]
             return [[value for chunk in values for value in chunk] for values in pending]
         except BaseException:
             pool.shutdown(cancel_futures=True)
@@ -148,9 +148,9 @@ def resample_draw(sample, size: int | None, seed: int):
 
 
 def _statistic_reps(draw, statistic, reps: range) -> list[float]:
-    """The replicate function of every study: ``statistic``, a batch
-    function (one value per sample, NaN where it failed), of the samples
-    ``draw`` makes for ``reps``."""
+    """The task of every chunk of replicates in :func:`run_reps`:
+    ``statistic``, a batch function (one value per sample, NaN where it
+    failed), of the samples ``draw`` makes for ``reps``."""
     return statistic(draw(reps))
 
 

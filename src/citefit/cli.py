@@ -96,6 +96,8 @@ def _subject_generators(args) -> list:
     (one, or 'all'): its ``--family`` model, and ``--n`` or its own size."""
     if args.subject is None:
         raise ParseError("give count files or --subject (a name, or 'all')")
+    if args.offset is not None:
+        raise ParseError("--offset applies only to count files; drop it or give files")
     subjects = list(SUBJECTS) if args.subject.lower() == "all" else [_subject(args.subject)]
     family = _generator_family(args)
     return [(s, s.model(family), s.n if args.n is None else args.n) for s in subjects]
@@ -112,7 +114,8 @@ def _study_samples(args, seed: int) -> tuple[list[CitationSample], dict]:
         if given:
             raise ParseError(f"{', '.join(given)} only choose simulated data; "
                              "drop them or the count files")
-        return [ingest_file(p, args.offset) for p in args.files], {"data_source": "files"}
+        offset = 1 if args.offset is None else args.offset
+        return [ingest_file(p, offset) for p in args.files], {"data_source": "files"}
     samples = [CitationSample(model.sample(n, child_seed(seed, 900, index)),
                               label=subject.name)
                for index, (subject, model, n) in enumerate(_subject_generators(args))]
@@ -310,22 +313,19 @@ _ALPHA = _checked(float, lambda v: 1.0 < v < math.inf, "alpha must be > 1 and fi
 _B = _checked(float, lambda v: 0.0 < v < math.inf, "b must be > 0 and finite")
 
 
-def _add_offset(parser):
-    parser.add_argument("--offset", type=int, default=1,
-                        help="offset added to raw counts (default 1)")
-
-
 def _add_file(parser, max_evals=True):
     """One count file; ``max_evals`` adds the budget of the fits made on it."""
     parser.add_argument("file")
-    _add_offset(parser)
+    parser.add_argument("--offset", type=int, default=1,
+                        help="offset added to raw counts (default 1)")
     if max_evals:
         parser.add_argument("--max-evals", type=_MAX_EVALS, default=MAX_EVALS)
 
 
 def _add_study_source(parser):
     parser.add_argument("files", nargs="*", help="count files (plain lines or CSV)")
-    _add_offset(parser)
+    parser.add_argument("--offset", type=int, default=None,
+                        help="offset added to the raw counts of count files (default 1)")
     parser.add_argument("--subject", default=None,
                         help="bundled subject name, or 'all', used when no files given")
     parser.add_argument("--family", choices=list(MODELS), default=None,

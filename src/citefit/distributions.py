@@ -172,6 +172,11 @@ def _hooked_terms(alpha: float, b: float):
     return (c, -alpha, math.log(total)), head, total
 
 
+def _as_given(x, out: np.ndarray, cast=float):
+    """The public read ``out`` at ``x``: ``cast`` of its value if ``x`` is 0-d."""
+    return cast(out[0]) if np.ndim(x) == 0 else out
+
+
 class _DiscreteModel(ABC):
     """Shared quantile/sampling machinery for all model families: a family
     gives F at an array of counts (``_cdf_at``) and a closed-form quantile
@@ -210,30 +215,22 @@ class _DiscreteModel(ABC):
     # --- public API ------------------------------------------------------
 
     def log_pmf(self, x):
-        scalar = np.ndim(x) == 0
-        out = self._log_pmf(positive_ints(x, "x"))
-        return float(out[0]) if scalar else out
+        return _as_given(x, self._log_pmf(positive_ints(x, "x")))
 
     def pmf(self, x):
-        scalar = np.ndim(x) == 0
-        out = np.exp(self._log_pmf(positive_ints(x, "x")))
-        return float(out[0]) if scalar else out
+        return _as_given(x, np.exp(self._log_pmf(positive_ints(x, "x"))))
 
     def cdf(self, x):
         """F(x) = P(X <= x), evaluated at each count given."""
-        scalar = np.ndim(x) == 0
-        out = self._cdf_at(positive_ints(x, "x"))
-        return float(out[0]) if scalar else out
+        return _as_given(x, self._cdf_at(positive_ints(x, "x")))
 
     def quantile(self, u):
         """Smallest x >= 1 with F(x) >= u, for u in [0, 1); 2**62 when F
         stays below u up to there."""
-        scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.asarray(u, dtype=np.float64).reshape(-1)
         if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0 or not np.all(np.isfinite(arr))):
             raise DomainError("u must lie in [0, 1)")
-        out = self._quantile_array(arr)
-        return int(out[0]) if scalar else out
+        return _as_given(u, self._quantile_array(arr), int)
 
     def _quantile_array(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of a float64 array of u in [0, 1), unchecked: F is read
@@ -279,10 +276,7 @@ class _DiscreteModel(ABC):
         """n i.i.d. draws by inverse transform; identical seed, identical output."""
         if n < 0:
             raise DomainError("sample size must be >= 0")
-        return self.sample_with(spawn_rng(seed), n)
-
-    def sample_with(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._quantile_array(rng.random(n))
+        return self._quantile_array(spawn_rng(seed).random(n))
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -463,8 +457,6 @@ class Mixture(_DiscreteModel):
     Weights are normalised to sum to 1. A single-component mixture
     reproduces its component exactly, including the sampling stream.
     """
-
-    family = "mixture"
 
     def __init__(self, components, weights):
         components = tuple(components)

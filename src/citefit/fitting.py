@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from citefit.distributions import MODELS, _hooked_terms, _lognormal_terms, family_class
-from citefit.exceptions import ParameterError
+from citefit.exceptions import DomainError, ParameterError
 from citefit.sample import as_sample, count_total
 from citefit.simplex import nelder_mead_lockstep
 
@@ -78,6 +78,8 @@ def fit_many(family: str, samples, max_evals: int = MAX_EVALS) -> list[FitResult
     """``[fit(family, s, max_evals) for s in samples]``, bit for bit, with
     the searches run in lockstep (see the module docstring)."""
     family_class(family)
+    if max_evals < 1:
+        raise DomainError(f"max_evals must be >= 1, got {max_evals}")
     samples = [as_sample(sample) for sample in samples]
 
     start = _SEARCH[family][0]

@@ -109,7 +109,7 @@ def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int):
 
 def _drawn_cdf(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """F, read as ``f`` at breakpoints x, as the draws follow it: 1 from ``MAX_COUNT`` on."""
-    return np.where(x < MAX_COUNT, f, 1.0) if x.max() >= MAX_COUNT else f
+    return np.where(x < MAX_COUNT, f, 1.0)
 
 
 def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,15 +8,16 @@ Every study is a pure function of its inputs and a master seed. Per-rep
 streams derive from (seed, rep), so reruns reproduce every cell for any
 worker count. Every replicated study is ``statistic(draw(reps))``: a batch
 statistic (one value per sample, NaN where it failed) of one draw per
-sample, run in one :func:`citefit.bootstrap.run_reps` call, so a run opens
-at most one process pool (when ``workers > 1``) and a study of many
-samples sends each of them to the pool as one task. A draw, checked when
-it is built, maps a range of replicates to their samples, held as their
-distinct counts (:class:`~citefit.sample.DistinctCounts`): bootstrap
-resamples (:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
-(:func:`~citefit.gof.simulation_draw`). The statistics fit a range's
-samples with one :func:`~citefit.fitting.fit_many` call per family, which
-gives each sample the fit :func:`~citefit.fitting.fit` would.
+sample, run by one :func:`citefit.bootstrap.run_reps` call that takes the
+draws and the statistic, so a run opens at most one process pool (when
+``workers > 1``) and a study of many samples sends each of them to the
+pool as one task. A draw, checked when it is built, maps a range of
+replicates to their samples, held as their distinct counts
+(:class:`~citefit.sample.DistinctCounts`): bootstrap resamples
+(:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
+(:func:`~citefit.gof.simulation_draw`). Each statistic, and the shape table,
+fits its samples with one :func:`~citefit.fitting.fit_many` call per
+family, which gives each sample the fit :func:`~citefit.fitting.fit` would.
 :func:`_summaries` summarises every study but the mixture study, with one
 failure rule: a replicate that raises a citefit error or yields a
 non-finite value counts as failed. Vuong studies always orient the test as
@@ -38,7 +39,6 @@ from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
     _replicate_value,
-    _statistic_reps,
     resample_draw,
     run_reps,
     summarise,
@@ -49,7 +49,7 @@ from citefit.exceptions import (
     ParameterError,
     TooFewRepsError,
 )
-from citefit.fitting import FitStatus, fit, fit_many
+from citefit.fitting import FitStatus, fit_many
 from citefit.gof import (EQUAL, MINUS, PLUS, ks_p_value, ks_statistic, shape_classify,
                          simulation_draw)
 from citefit.sample import as_sample, count_total
@@ -179,8 +179,7 @@ def _summaries(draws, statistic, reps: int, workers: int) -> list[StudySummary]:
     :class:`~citefit.exceptions.TooFewRepsError` below ``MIN_REPS``."""
     if reps < MIN_REPS:
         raise TooFewRepsError(f"need reps >= {MIN_REPS}, got {reps}")
-    return [summarise(values, reps) for values in run_reps(
-        [partial(_statistic_reps, draw, statistic) for draw in draws], reps, workers)]
+    return [summarise(values, reps) for values in run_reps(draws, statistic, reps, workers)]
 
 
 def bootstrap_study(sample, reps: int, statistic: str, size: int | None = None,
@@ -284,13 +283,13 @@ def shape_table(samples, epsilon: float = 0.01) -> tuple[list[dict], list[dict]]
     Returns the per-sample rows plus three totals rows counting "+", "="
     and "-" cells per column.
     """
+    samples = list(map(as_sample, samples))
+    fits = zip(*(fit_many(family, samples) for family, _, _ in _FAMILY_CELLS))
     rows = []
-    for sample in samples:
-        sample = as_sample(sample)
+    for sample, results in zip(samples, fits):
         row = dict.fromkeys(SHAPE_COLUMNS)
         row["subject"] = sample.label
-        for family, prefix, _ in _FAMILY_CELLS:
-            result = fit(family, sample)
+        for (_, prefix, _), result in zip(_FAMILY_CELLS, results):
             if result.usable:
                 report = shape_classify(result.model, sample, epsilon)
                 row.update({f"{prefix}_bottom": report.bottom,
@@ -327,8 +326,7 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
     if reps < 1:
         raise TooFewRepsError(f"need reps >= 1, got {reps}")
     draws = [simulation_draw(mixture, n, seed, 0), simulation_draw(pure_model, n, seed, 1)]
-    mix_ks, pure_ks = run_reps([partial(_statistic_reps, draw, _lognormal_ks)
-                                for draw in draws], reps, workers)
+    mix_ks, pure_ks = run_reps(draws, _lognormal_ks, reps, workers)
     rows = []
     for rep, (mix, pure) in enumerate(zip(mix_ks, pure_ks)):
         if math.isnan(mix) or math.isnan(pure):

@@ -57,6 +57,7 @@ def _one_resample(sample, size, seed, rep=0):
     return resample
 
 
+# Draws of plain values: run_reps(draws, list, ...) returns what they draw.
 def _power(exponent, reps):
     return [rep ** exponent for rep in reps]
 
@@ -376,7 +377,8 @@ def test_summarise_counts_non_finite_values_as_failed():
 def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, workers,
                                            pool_size):
     monkeypatch.setattr(citefit.bootstrap.os, "cpu_count", lambda: cpus)
-    values = run_reps([partial(_power, 1), partial(_power, 2), _chunk_start], 40, workers)
+    values = run_reps([partial(_power, 1), partial(_power, 2), _chunk_start], list, 40,
+                      workers)
     assert values[:2] == [list(range(40)), [r * r for r in range(40)]]
     assert [pool.max_workers for pool in inline_pools] == [pool_size]
     # chunking follows the requested workers, whatever the machine
@@ -387,29 +389,29 @@ def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, work
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_raising_replicate_propagates(workers):
     with pytest.raises(RuntimeError, match="broke"):
-        run_reps([_raises, partial(_power, 1)], 40, workers)
+        run_reps([_raises, partial(_power, 1)], list, 40, workers)
 
 
 def test_a_raising_replicate_cancels_the_queued_work(inline_pools):
     with pytest.raises(RuntimeError, match="broke"):
-        run_reps([_raises, partial(_power, 1)], 40, 2)
+        run_reps([_raises, partial(_power, 1)], list, 40, 2)
     assert inline_pools[0].cancelled
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_uneven_chunks_give_every_worker_count_the_same_values(workers):
-    values = run_reps([partial(_power, 2), _chunk_start], 41, workers)
+    values = run_reps([partial(_power, 2), _chunk_start], list, 41, workers)
     assert values[0] == [r * r for r in range(41)]
     # one range when serial; otherwise chunks of 41 // ceil(4 * workers / 2),
     # the last one shorter
     chunk = 41 if workers == 1 else 41 // math.ceil(4 * workers / 2)
     assert values[1] == [r - r % chunk for r in range(41)]
     with pytest.raises(RuntimeError, match="replicate 40 broke"):
-        run_reps([partial(_power, 1), partial(_raises_at, 40)], 41, workers)
+        run_reps([partial(_power, 1), partial(_raises_at, 40)], list, 41, workers)
 
 
 def test_a_serial_run_goes_in_blocks_of_replicates():
-    values = run_reps([partial(_power, 1), _chunk_start], 600, 1)
+    values = run_reps([partial(_power, 1), _chunk_start], list, 600, 1)
     assert values[0] == list(range(600))
     block = citefit.bootstrap.SERIAL_BLOCK
     assert values[1] == [r - r % block for r in range(600)]
@@ -434,7 +436,7 @@ def test_serial_study_memory_follows_the_block_not_the_reps():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_one_function_keeps_chunks_of_reps_over_four_workers(inline_pools, workers):
-    run_reps([partial(_power, 1)], 41, workers)
+    run_reps([partial(_power, 1)], list, 41, workers)
     chunk = 41 // (4 * workers)
     assert inline_pools[0].submitted == [[range(start, min(start + chunk, 41))
                                           for start in range(0, 41, chunk)]]
@@ -442,7 +444,7 @@ def test_one_function_keeps_chunks_of_reps_over_four_workers(inline_pools, worke
 
 @pytest.mark.parametrize("workers,functions", [(2, 8), (2, 23), (3, 12)])
 def test_four_functions_per_worker_get_one_task_each(inline_pools, workers, functions):
-    values = run_reps([partial(_power, k) for k in range(functions)], 50, workers)
+    values = run_reps([partial(_power, k) for k in range(functions)], list, 50, workers)
     assert values == [[r ** k for r in range(50)] for k in range(functions)]
     assert inline_pools[0].submitted == [[range(50)]] * functions
 

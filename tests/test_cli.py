@@ -294,6 +294,34 @@ def test_simulation_options_with_count_files_exit_2(capsys, tmp_path, argv, name
     assert f"citefit: error: {named} only choose simulated data" in err
 
 
+# --offset shifts the raw counts of count files; simulated data have none.
+@pytest.mark.parametrize("argv", [
+    ["plausibility", "--nsim", "9"],
+    ["vuong", "--n", "50", "--reps", "40"],
+    ["scale", "--reps", "40"],
+    ["shape", "--n", "200"],
+], ids=["plausibility", "vuong", "scale", "shape"])
+@pytest.mark.parametrize("offset", ["0", "7"])
+def test_offset_without_count_files_exits_2(capsys, argv, offset):
+    code, out, err = _run(capsys, ["study", *argv, "--subject", "Virology",
+                                   "--offset", offset, "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert "citefit: error: --offset applies only to count files" in err
+
+
+# An offset of 0 is read as given: a file of shifted counts read with
+# --offset 0 gives the report of the raw file read with the default offset 1.
+def test_study_offset_of_zero_applies_to_count_files(capsys, tmp_path):
+    raw = [0, 0, 1, 2, 3, 5, 8, 13, 21, 1, 4, 2]
+    paths = []
+    for name, shift in (("raw", 0), ("shifted", 1)):
+        (tmp_path / name).mkdir()
+        paths.append(_write_counts(tmp_path / name, [c + shift for c in raw]))
+    runs = [_run(capsys, ["study", "plausibility", path, "--nsim", "9", "--seed", "1", *extra])
+            for path, extra in ((paths[0], []), (paths[1], ["--offset", "0"]))]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--subject", "Virology", "--mu", "40", "--sigma", "0.1"],
      "--subject takes no --mu, --sigma"),

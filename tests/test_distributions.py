@@ -269,6 +269,26 @@ def test_lognormal_whose_cdf_stops_below_the_top_u_saturates():
     assert model.quantile(1.0 - 2.0 ** -52) < 10 ** 7
 
 
+# --- public read types -------------------------------------------------------
+
+_READ_MODELS = [DiscretisedLognormal(1.0, 0.8), HookedPowerLaw(2.5, 4.0),
+                Mixture((DiscretisedLognormal(1.0, 0.8), HookedPowerLaw(2.5, 4.0)), (0.3, 0.7))]
+
+
+# A scalar or 0-d array gives a Python scalar, a list an array of the reads.
+@pytest.mark.parametrize("model", _READ_MODELS, ids=["lognormal", "hooked", "mixture"])
+@pytest.mark.parametrize("read,x,cast", [
+    ("log_pmf", 3, float), ("pmf", 3, float), ("cdf", 3, float), ("quantile", 0.4, int),
+])
+def test_public_reads_keep_the_shape_given(model, read, x, cast):
+    method = getattr(model, read)
+    for given in (x, np.asarray(x), np.asarray(x)[()]):
+        assert type(method(given)) is cast
+    out = method([x, x])
+    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    assert out[0] == out[1] == method(x)
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_empty_and_negative():

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from citefit import (
     CitationSample,
     DiscretisedLognormal,
+    DomainError,
     EmptySampleError,
     FitStatus,
     HookedPowerLaw,
     ParameterError,
     fit,
+    ks_p_value,
     log_likelihood,
 )
 import citefit.fitting
@@ -153,6 +155,19 @@ def test_evaluation_budget_respected():
     assert result.status is FitStatus.NON_CONVERGED
     # the budget is checked per iteration; one iteration may overshoot
     assert result.evaluations <= 15 + 4
+
+
+# A budget below one is rejected before any sample is read (an empty one
+# would raise otherwise) and before a base fit reaches a Monte-Carlo test.
+@pytest.mark.parametrize("max_evals", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda m: fit("lognormal", CitationSample([1, 2, 3, 5, 8, 13, 1, 1, 2]), m),
+    lambda m: fit_many("hooked", [CitationSample([1, 2]), CitationSample([])], m),
+    lambda m: ks_p_value("hooked", CitationSample([1, 2, 3, 5, 8, 13, 1, 1, 2]), max_evals=m),
+], ids=["fit", "fit_many", "ks_p_value"])
+def test_a_budget_below_one_is_rejected(call, max_evals):
+    with pytest.raises(DomainError, match=f"max_evals must be >= 1, got {max_evals}"):
+        call(max_evals)
 
 
 def test_seeded_fits_differ_across_seeds():

@@ -200,7 +200,7 @@ def _one_simulation_at_a_time(model, n, seed, reps, family=None):
     tested on its own against ``model`` or, with ``family``, against its own
     fit when usable; on an unpickled copy of ``model``."""
     model = pickle.loads(pickle.dumps(model))
-    sims = [np.sort(model.sample_with(spawn_rng(seed, i), n)) for i in reps]
+    sims = [np.sort(model._quantile_array(spawn_rng(seed, i).random(n))) for i in reps]
     nulls = [model] * len(sims)
     if family is not None:
         nulls = [f.model if f.usable else model for f in (fit(family, sim) for sim in sims)]
@@ -257,8 +257,8 @@ def test_block_draw_is_np_unique_of_each_simulation(model, n, seed, first, count
         got = gof.simulation_draw(model, n, seed, *path)(reps)
     assert len(got) == len(reps)
     for sample, i in zip(got, reps):
-        values, mult = np.unique(model.sample_with(spawn_rng(seed, i, *path), n),
-                                 return_counts=True)
+        draws = model._quantile_array(spawn_rng(seed, i, *path).random(n))
+        values, mult = np.unique(draws, return_counts=True)
         assert (sample.values.dtype, sample.mult.dtype) == (values.dtype, mult.dtype)
         np.testing.assert_array_equal(sample.values, values)
         np.testing.assert_array_equal(sample.mult, mult)

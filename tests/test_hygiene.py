@@ -4,13 +4,14 @@ Every ``citefit.__all__`` name resolves and is listed once, no module
 under ``src/citefit`` imports a name it never uses (``__init__`` uses a
 name by exporting it), and every module-level function, class or
 assignment is referenced somewhere in the package or exported. Only
-``distributions`` calls ``sample_with`` and only ``sample`` and
-``bootstrap`` call ``np.unique``, so samples are drawn and read one way.
-Only ``gof`` names the simulated-sample draws and only ``bootstrap`` the
-resampler, so every other module builds a draw through its checked
-constructor, and nothing reads back what a draw was built from. Only the
-study driver and the mixture study call ``run_reps``, each with
-``partial(_statistic_reps, draw, statistic)`` functions. Every
+``sample`` and ``bootstrap`` call ``np.unique``, so samples are read one
+way, and only ``seeding`` builds a ``SeedSequence`` or ``PCG64``. Only
+``gof`` names the simulated-sample draws and only ``bootstrap`` the
+resampler and the replicate task ``_statistic_reps``, so every other module
+builds a draw through its checked constructor and hands it to ``run_reps``
+with a statistic, and nothing reads back what a draw was built from. Only
+the study driver and the mixture study call ``run_reps``, and the studies
+never call ``fit``: they fit in batches with ``fit_many``. Every
 ``CitefitError`` subclass is raised somewhere in the package. Only
 ``sample`` calls ``require_nonempty`` (every reader takes its sample from
 ``as_sample``), only ``io`` calls ``open`` or ``os.path.splitext`` (it reads
@@ -119,18 +120,25 @@ def _calls(tree, name: str) -> list[int]:
     return [node.lineno for node in _call_nodes(tree, name)]
 
 
-# A study draws from a model only through the Monte-Carlo KS block draw,
-# only a sample's own counts and the bootstrap resampler sort raw counts,
-# and every reader takes its sample from as_sample, the one empty check.
+# Only a sample's own counts and the bootstrap resampler sort raw counts,
+# every reader takes its sample from as_sample, the one empty check, and
+# every stream comes from seeding.
 @pytest.mark.parametrize("attr,owners", [
-    ("sample_with", {"distributions.py"}),
     ("unique", {"sample.py", "bootstrap.py"}),
     ("require_nonempty", {"sample.py"}),
+    ("SeedSequence", {"seeding.py"}),
+    ("PCG64", {"seeding.py"}),
 ])
 def test_one_draw_path(attr, owners):
     callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
                      for line in _calls(ast.parse(path.read_text(encoding="utf-8")), attr))
     assert callers == []
+
+
+# Every study table fits its samples in batches, one fit_many call per family.
+def test_studies_never_call_fit():
+    tree = ast.parse((Path(citefit.__file__).parent / "studies.py").read_text(encoding="utf-8"))
+    assert (_calls(tree, "fit"), "fit" in _imported(tree)) == ([], False)
 
 
 # Count text is read, and a sample named from its path, only in io.
@@ -147,6 +155,7 @@ def test_only_io_reads_count_files(name):
     ("_simulated_samples", "gof.py"),
     ("_simulated_counts", "gof.py"),
     ("_distinct_resamples", "bootstrap.py"),
+    ("_statistic_reps", "bootstrap.py"),
 ])
 def test_private_draws_are_named_only_by_their_module(name, owner):
     users = sorted(path.name for path in MODULES
@@ -170,13 +179,6 @@ def test_no_draw_is_read_back():
     assert reads == []
 
 
-def _is_statistic_reps(node) -> bool:
-    """Whether ``node`` is ``partial(_statistic_reps, ...)``."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "partial" and bool(node.args)
-            and isinstance(node.args[0], ast.Name) and node.args[0].id == "_statistic_reps")
-
-
 def test_one_replicate_driver():
     trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES]
     callers = sorted(f"{module}.{node.name}" for module, tree in trees for node in tree.body
@@ -185,9 +187,6 @@ def test_one_replicate_driver():
     calls = [call for _, tree in trees for call in _call_nodes(tree, "run_reps")]
     assert (callers, len(calls)) == (
         ["studies._summaries", "studies.mixture_impurity_study"], 2)
-    # every replicate function is a batch statistic of a draw
-    fns = [call.args[0] for call in calls]
-    assert all(isinstance(fn, ast.ListComp) and _is_statistic_reps(fn.elt) for fn in fns)
 
 
 def _raised(tree) -> set[str]:

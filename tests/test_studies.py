@@ -21,13 +21,14 @@ from citefit import (
     ParameterError,
     TooFewRepsError,
     bootstrap_vuong_study,
+    fit,
     mean_table,
     mixture_impurity_study,
     plausibility_row,
     scale_ci_study,
     shape_table,
 )
-from citefit.gof import simulation_draw
+from citefit.gof import shape_classify, simulation_draw
 from citefit.sample import DistinctCounts
 from citefit.studies import (
     MIXTURE_COLUMNS,
@@ -268,7 +269,7 @@ _SAMPLE = CitationSample([1, 2, 3, 5, 8], label="s")
 _NONE = (EmptySampleError, "operation requires a non-empty sample")
 
 
-# Each study checks every input before any replicate runs.
+# Each study checks every input before any replicate or fit runs.
 @pytest.mark.parametrize("call,error", [
     (lambda: bootstrap_vuong_study(CitationSample([]), 40), _NONE),
     (lambda: scale_ci_study([_SAMPLE], reps=39), (TooFewRepsError, "need reps >= 40, got 39")),
@@ -277,12 +278,33 @@ _NONE = (EmptySampleError, "operation requires a non-empty sample")
      (DomainError, "resamples a CitationSample, not DistinctCounts")),
     (lambda: scale_ci_study([_SAMPLE], reps=40, size=0),
      (DomainError, "resample size must be >= 1")),
-], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-distinct-counts", "scale-size"])
+    (lambda: shape_table([_SAMPLE, CitationSample([])]), _NONE),
+], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-distinct-counts", "scale-size",
+        "shape-empty"])
 def test_studies_reject_invalid_input(monkeypatch, call, error):
     monkeypatch.setattr(studies, "run_reps", _no_replicates)
+    monkeypatch.setattr(studies, "fit_many", _no_replicates)
     cls, message = error
     with pytest.raises(cls, match=message):
         call()
+
+
+# Each cell classifies the sample against its own fit; a degenerate fit
+# leaves its family's cells empty.
+def test_shape_table_cells_follow_each_samples_own_fit():
+    samples = [CitationSample(DiscretisedLognormal(1.5 + 0.5 * i, 1.0).sample(300, i),
+                              label=f"s{i}") for i in range(3)]
+    samples.insert(1, CitationSample([4] * 9, label="flat"))
+    rows, _ = shape_table(samples, epsilon=0.02)
+    for sample, row in zip(samples, rows):
+        for family, prefix, _ in studies._FAMILY_CELLS:
+            result = fit(family, sample)
+            cells = [row[f"{prefix}_{atom}"] for atom in ("bottom", "middle", "top")]
+            if not result.usable:
+                assert cells == [None] * 3
+                continue
+            report = shape_classify(result.model, sample, 0.02)
+            assert cells == [report.bottom, report.middle, report.top]
 
 
 @pytest.mark.parametrize("reps", [0, -2])
