@@ -20,10 +20,11 @@ A bootstrap draw (:func:`resample_draw`) resamples a source sample by
 memory follows the distinct counts of its samples, not their size, and a
 serial run holds at most ``SERIAL_BLOCK`` samples at once.
 
-One failure rule holds for every study: a replicate whose statistic raises
-a citefit error or yields a non-finite value is recorded as NaN, excluded
-from the order statistics and counted in ``n_failed`` (bounds become NaN if
-fewer than k successes remain on a side).
+One failure rule holds for every study: a statistic fails a replicate by
+returning NaN for it, never by raising (a citefit error it raises ends the
+study). A non-finite value is recorded as NaN, excluded from the order
+statistics and counted in ``n_failed`` (bounds become NaN if fewer than k
+successes remain on a side).
 
 Per-replicate seeds derive from (master seed, replicate index), so results
 are identical for any worker count.
@@ -39,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from citefit.exceptions import CitefitError, DomainError
+from citefit.exceptions import DomainError
 from citefit.sample import CitationSample, DistinctCounts, as_sample
 from citefit.seeding import spawn_rng
 
@@ -108,14 +109,6 @@ def run_reps(draws, statistic, reps: int, workers: int) -> list[list]:
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def _replicate_value(statistic, *args) -> float:
-    """``statistic(*args)`` as a float, NaN when it raises a citefit error."""
-    try:
-        return float(statistic(*args))
-    except CitefitError:
-        return math.nan
 
 
 def _distinct_resamples(sample: CitationSample, size: int, seed: int,

@@ -29,7 +29,7 @@ import citefit.io
 from citefit import __version__
 from citefit.bootstrap import MIN_REPS, resample_draw
 from citefit.distributions import MODELS, DiscretisedLognormal, Mixture
-from citefit.exceptions import CitefitError, OffsetError, ParseError
+from citefit.exceptions import CitefitError, FitFailedError, OffsetError, ParseError
 from citefit.fitting import MAX_EVALS, fit
 from citefit.gof import ks_p_value, simulation_draw
 from citefit.io import _write, ingest_file, render_plot_data
@@ -37,11 +37,6 @@ from citefit.sample import CitationSample
 from citefit.seeding import child_seed
 from citefit.studies import (
     BOOTSTRAP_STATISTICS,
-    MIXTURE_COLUMNS,
-    PLAUSIBILITY_COLUMNS,
-    SCALE_COLUMNS,
-    SHAPE_COLUMNS,
-    VUONG_STUDY_COLUMNS,
     bootstrap_study,
     mean_table,
     mixture_impurity_study,
@@ -72,12 +67,12 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _report(args, seed: int, rows, columns=None, /, **extra) -> str:
-    """``rows`` in ``--format`` under a header of the master seed and ``extra``;
-    ``render_report`` is looked up on ``citefit.io`` at each call, so that the
-    benchmark's tracer, which wraps it there, sees every report."""
-    return citefit.io.render_report(rows, args.format, {"master_seed": seed, **extra},
-                                    columns)
+def _report(args, seed: int, rows, /, **extra) -> str:
+    """``rows`` in ``--format`` under a header of the master seed and ``extra``,
+    their columns the first row's keys; ``render_report`` is looked up on
+    ``citefit.io`` at each call, so that the benchmark's tracer, which wraps
+    it there, sees every report."""
+    return citefit.io.render_report(rows, args.format, {"master_seed": seed, **extra})
 
 
 def _subject(name: str):
@@ -162,7 +157,7 @@ def _cmd_vuong(args, seed: int) -> str:
     hk = fit("hooked", sample, args.max_evals)
     ln = fit("lognormal", sample, args.max_evals)
     if not (hk.usable and ln.usable):
-        raise CitefitError("cannot compare: a fit is degenerate")
+        raise FitFailedError("cannot compare: a fit is degenerate")
     result = vuong(hk.model, ln.model, sample)
     favored = {MODEL_A: "hooked", MODEL_B: "lognormal"}.get(result.favored, "neither")
     row = {
@@ -218,7 +213,7 @@ def _cmd_plot(args, seed: int) -> str:
     sample = ingest_file(args.file, args.offset)
     result = fit(args.dist, sample, args.max_evals)
     if not result.usable:
-        raise CitefitError(f"cannot plot a degenerate fit: {result.message}")
+        raise FitFailedError(f"cannot plot a degenerate fit: {result.message}")
     return render_plot_data(result.model, sample)
 
 
@@ -228,7 +223,7 @@ def _cmd_study_plausibility(args, seed: int) -> str:
         plausibility_row(sample, n_sim=args.nsim, seed=child_seed(seed, i))
         for i, sample in enumerate(samples)
     ]
-    return _report(args, seed, rows, PLAUSIBILITY_COLUMNS, n_sim=args.nsim, **extra)
+    return _report(args, seed, rows, n_sim=args.nsim, **extra)
 
 
 def _cmd_study_vuong(args, seed: int) -> str:
@@ -249,22 +244,20 @@ def _cmd_study_vuong(args, seed: int) -> str:
             studied.append((subject.name, n, simulation_draw(model, n, child_seed(seed, i))))
     studies = vuong_studies([draw for _, _, draw in studied], args.reps, args.workers)
     rows = [study.row(label, n) for (label, n, _), study in zip(studied, studies)]
-    return _report(args, seed, rows, VUONG_STUDY_COLUMNS, reps=args.reps, mode=mode,
-                   **extra)
+    return _report(args, seed, rows, reps=args.reps, mode=mode, **extra)
 
 
 def _cmd_study_scale(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
     rows = scale_ci_study(samples, reps=args.reps, size=args.size,
                           seed=seed, workers=args.workers)
-    return _report(args, seed, rows, SCALE_COLUMNS, reps=args.reps, size=args.size,
-                   **extra)
+    return _report(args, seed, rows, reps=args.reps, size=args.size, **extra)
 
 
 def _cmd_study_shape(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
     rows, totals = shape_table(samples, epsilon=args.epsilon)
-    return _report(args, seed, rows + totals, SHAPE_COLUMNS, epsilon=args.epsilon, **extra)
+    return _report(args, seed, rows + totals, epsilon=args.epsilon, **extra)
 
 
 def _cmd_study_mixture(args, seed: int) -> str:
@@ -275,7 +268,7 @@ def _cmd_study_mixture(args, seed: int) -> str:
     rows, summary = mixture_impurity_study(
         mixture, pure, n=args.n, reps=args.reps, seed=seed, workers=args.workers,
     )
-    return _report(args, seed, rows, MIXTURE_COLUMNS, n=args.n, **summary)
+    return _report(args, seed, rows, n=args.n, **summary)
 
 
 def _cmd_study_means(args, seed: int) -> str:

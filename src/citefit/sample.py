@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -14,21 +15,26 @@ from citefit.exceptions import DomainError, EmptySampleError
 def positive_ints(x, what: str) -> np.ndarray:
     """``x`` as a new int64 array (at least 1-d) of integers in [1, 2**63).
 
-    Everything is checked before the cast, so a non-finite, fractional or
-    out-of-range value raises DomainError instead of wrapping around.
+    Only integer and real-float arrays, and object arrays of real numbers
+    other than bools, hold counts; anything else (bool, complex, text,
+    dates) raises DomainError. Everything is checked before the cast, so a
+    non-finite, fractional or out-of-range value raises DomainError instead
+    of wrapping around.
     """
     arr = np.atleast_1d(np.asarray(x))
-    if arr.dtype == object:
+    if arr.dtype == object and all(isinstance(v, Real) and not isinstance(v, bool)
+                                   for v in arr.flat):
         # Python ints beyond 64 bits; as floats they fail the range check
         arr = arr.astype(np.float64)
+    kind = arr.dtype.kind
+    if not (kind in "iu" or kind == "f" and np.all(np.isfinite(arr) & (arr == np.rint(arr)))):
+        raise DomainError(f"{what} must be integers")
     if arr.size == 0:
         return arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.isfinite(arr) & (arr == np.rint(arr))):
-            raise DomainError(f"{what} must be integers")
-    if arr.max() >= 2 ** 63:
+    # Python scalars, so that 2**63 is never cast to the array's dtype
+    if arr.max().item() >= 2 ** 63:
         raise DomainError(f"{what} must be below 2**63")
-    if arr.min() < 1:
+    if arr.min().item() < 1:
         raise DomainError(f"{what} must be >= 1")
     return arr.astype(np.int64)
 

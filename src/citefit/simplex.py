@@ -49,7 +49,7 @@ class SimplexResult:
     converged: bool
 
 
-def simplex_search(x0, max_evals=10_000):
+def simplex_search(x0, max_evals):
     """Minimise over two coordinates by ask/tell from ``x0``: a generator
     that yields each point to evaluate (a list of two floats), is sent its
     value, and returns a :class:`SimplexResult`.
@@ -136,7 +136,7 @@ def _finite(value) -> float:
     return float(value) if math.isfinite(value) else math.inf
 
 
-def nelder_mead_lockstep(fn_batch, starts, max_evals=10_000) -> list[SimplexResult | None]:
+def nelder_mead_lockstep(fn_batch, starts, max_evals) -> list[SimplexResult | None]:
     """One :func:`simplex_search` per start, advanced together.
 
     Each round calls ``fn_batch(live, points)`` once, with the indices of

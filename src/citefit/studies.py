@@ -18,12 +18,12 @@ replicates to their samples, held as their distinct counts
 (:func:`~citefit.gof.simulation_draw`). Each statistic, and the shape table,
 fits its samples with one :func:`~citefit.fitting.fit_many` call per
 family, which gives each sample the fit :func:`~citefit.fitting.fit` would.
-:func:`_summaries` summarises every study but the mixture study, with one
-failure rule: a replicate that raises a citefit error or yields a
-non-finite value counts as failed. Vuong studies always orient the test as
-hooked (model A) against lognormal (model B): positive z favours the
-hooked power law, and each surviving z is classified by the Vuong test's
-own +-1.96 rule.
+A statistic fails a replicate by returning NaN for it, never by raising:
+:func:`_summaries`, which summarises every study but the mixture study,
+counts each non-finite value as failed. Vuong studies always orient the
+test as hooked (model A) against lognormal (model B): positive z favours
+the hooked power law, and each surviving z is classified by the Vuong
+test's own +-1.96 rule.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ import numpy as np
 from citefit.bootstrap import (
     MIN_REPS,
     StudySummary,
-    _replicate_value,
     resample_draw,
     run_reps,
     summarise,
 )
+from citefit.distributions import MODELS
 from citefit.exceptions import (
     AllStatisticsFailedError,
     FitFailedError,
+    IdenticalModelsError,
     ParameterError,
     TooFewRepsError,
 )
@@ -104,35 +105,30 @@ class VuongStudy:
 
     def row(self, label: str, n: int) -> dict:
         s = self.z_summary
-        return {
-            "label": label, "n": n,
-            "z_lo95": s.lo95, "z_median": s.median, "z_hi95": s.hi95,
-            "hooked_wins": self.hooked_wins,
-            "lognormal_wins": self.lognormal_wins,
-            "neither": self.neither, "failed": self.failed,
-        }
+        return dict(zip(VUONG_STUDY_COLUMNS, (label, n, s.lo95, s.median, s.hi95,
+                                              self.hooked_wins, self.lognormal_wins,
+                                              self.neither, self.failed), strict=True))
 
 
 # --- bootstrap statistics: resamples -> one value each, NaN where it fails --
 
 def _z_from_fits(sample, ln, hk) -> float:
     """Vuong z of the hooked fit ``hk`` against the lognormal fit ``ln`` of
-    ``sample``. Raises a citefit error when either fit is degenerate, when
-    the hooked fit hits the ridge guard or the budget, or when z is
-    undefined."""
-    if ln.status is not FitStatus.CONVERGED:
-        raise FitFailedError(f"lognormal fit unusable: {ln.status.value}")
-    if hk.status is not FitStatus.CONVERGED:
-        raise FitFailedError(f"hooked fit unusable: {hk.status.value}")
-    return vuong(hk.model, ln.model, sample).z
+    ``sample``. NaN when either fit is degenerate, when the hooked fit hits
+    the ridge guard or the budget, or when z is undefined."""
+    if ln.status is not FitStatus.CONVERGED or hk.status is not FitStatus.CONVERGED:
+        return math.nan
+    try:
+        return vuong(hk.model, ln.model, sample).z
+    except IdenticalModelsError:
+        return math.nan
 
 
 def _z_values(samples) -> list[float]:
-    """Vuong z of the hooked fit against the lognormal fit of each sample,
-    NaN where :func:`_z_from_fits` raises, from one
+    """:func:`_z_from_fits` of each sample, from one
     :func:`~citefit.fitting.fit_many` call per family."""
-    fits = zip(samples, fit_many("lognormal", samples), fit_many("hooked", samples))
-    return [_replicate_value(_z_from_fits, *sample_fits) for sample_fits in fits]
+    return list(map(_z_from_fits, samples, fit_many("lognormal", samples),
+                    fit_many("hooked", samples)))
 
 
 def _means(samples) -> list[float]:
@@ -164,10 +160,8 @@ def _fitted_params(family: str, name: str, samples) -> list[float]:
 BOOTSTRAP_STATISTICS = {
     "mean": _means,
     "median": _medians,
-    "lognormal-mu": partial(_fitted_params, "lognormal", "mu"),
-    "lognormal-sigma": partial(_fitted_params, "lognormal", "sigma"),
-    "hooked-alpha": partial(_fitted_params, "hooked", "alpha"),
-    "hooked-b": partial(_fitted_params, "hooked", "b"),
+    **{f"{family}-{name}": partial(_fitted_params, family, name)
+       for family, cls in MODELS.items() for name in cls.PARAMS},
     "vuong-z": _z_values,
 }
 
@@ -331,8 +325,8 @@ def mixture_impurity_study(mixture, pure_model, n: int, reps: int,
     for rep, (mix, pure) in enumerate(zip(mix_ks, pure_ks)):
         if math.isnan(mix) or math.isnan(pure):
             mix = pure = None
-        rows.append({"rep": rep, "mixture_ks": mix, "pure_ks": pure,
-                     "mixture_worse": None if mix is None else mix > pure})
+        flag = None if mix is None else mix > pure
+        rows.append(dict(zip(MIXTURE_COLUMNS, (rep, mix, pure, flag), strict=True)))
     worse = sum(1 for r in rows if r["mixture_worse"])
     valid = sum(1 for r in rows if r["mixture_worse"] is not None)
     summary = {

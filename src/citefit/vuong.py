@@ -42,15 +42,12 @@ def _favored(z: float) -> str:
     return NEITHER
 
 
-def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray | None = None) -> VuongResult:
-    """Build the z statistic from per-observation log-likelihood differences.
-
-    ``weights`` are multiplicities for tied observations; the sample
-    standard deviation uses the n - 1 denominator.
+def vuong_from_diffs(diffs: np.ndarray, weights: np.ndarray) -> VuongResult:
+    """Build the z statistic from the log-likelihood differences ``diffs`` of
+    distinct observations, each seen ``weights`` times (its multiplicity);
+    the sample standard deviation uses the n - 1 denominator.
     """
     diffs = np.asarray(diffs, dtype=np.float64)
-    if weights is None:
-        weights = np.ones_like(diffs)
     weights = np.asarray(weights, dtype=np.float64)
     n = int(weights.sum())
     if n < 2:

@@ -71,6 +71,29 @@ def test_out_of_range_values_rejected_before_the_cast(x, message):
         HookedPowerLaw(2.0, 1.0).cdf(x)
 
 
+# counts are integer or real-float arrays, or object arrays of real non-bool
+# numbers; a float16 array is range-checked without casting 2**63 to float16
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,expected", [
+    ([True, True], None), (np.array([True, 3], dtype=object), None),
+    ([1 + 5j, 2], None), (np.array(["3", 4], dtype=object), None), (["1"], None),
+    (np.array(["2020-01-02"], dtype="datetime64[D]"), None),
+    (np.array([3, 4], dtype=np.float16), [3, 4]),
+    (np.array([np.uint8(3), 4.0], dtype=object), [3, 4]),
+], ids=["bool", "object-bool", "complex", "object-str", "str", "datetime64", "float16",
+        "object-numbers"])
+def test_counts_of_the_wrong_kind_are_rejected(x, expected):
+    model = HookedPowerLaw(3.0, 10.0)
+    if expected is None:
+        with pytest.raises(DomainError, match="must be integers"):
+            CitationSample(x)
+        with pytest.raises(DomainError, match="must be integers"):
+            model.cdf(x)
+    else:
+        assert_array_equal(CitationSample(x).counts, expected)
+        assert_array_equal(model.cdf(x), model.cdf(expected))
+
+
 @pytest.mark.parametrize("u", [-0.1, 1.0, 1.5, math.nan])
 def test_quantile_domain(u):
     with pytest.raises(DomainError):

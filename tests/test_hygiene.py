@@ -12,12 +12,13 @@ builds a draw through its checked constructor and hands it to ``run_reps``
 with a statistic, and nothing reads back what a draw was built from. Only
 the study driver and the mixture study call ``run_reps``, and the studies
 never call ``fit``: they fit in batches with ``fit_many``. Every
-``CitefitError`` subclass is raised somewhere in the package. Only
-``sample`` calls ``require_nonempty`` (every reader takes its sample from
-``as_sample``), only ``io`` calls ``open`` or ``os.path.splitext`` (it reads
-count files and labels their samples), and the families are listed once, in
-``distributions.MODELS``: no CLI ``choices`` list names one, and no module
-but ``distributions``, ``subjects`` and ``__init__`` names ``HookedPowerLaw``.
+``CitefitError`` subclass is raised somewhere in the package, and the base
+class itself nowhere. Only ``sample`` calls ``require_nonempty`` (every
+reader takes its sample from ``as_sample``), only ``io`` calls ``open`` or
+``os.path.splitext`` (it reads count files and labels their samples), and
+the families are listed once, in ``distributions.MODELS``: no CLI
+``choices`` list names one, and no module but ``distributions``,
+``subjects`` and ``__init__`` names ``HookedPowerLaw``.
 Every family has two parameters, the two coordinates of the simplex search,
 and the study tables' family cells list the families of ``MODELS`` in order.
 """
@@ -201,13 +202,14 @@ def _raised(tree) -> set[str]:
 
 
 # __all__ counts as a use in the orphan check, so an exported error class
-# that nothing raises would pass it
+# that nothing raises would pass it; the base class is only caught, so every
+# failure carries its own type
 def test_every_citefit_error_is_raised():
     raised = set().union(*(_raised(ast.parse(path.read_text(encoding="utf-8")))
                            for path in MODULES))
     errors = {name for name, value in vars(exceptions).items()
               if isinstance(value, type) and issubclass(value, exceptions.CitefitError)}
-    assert sorted(errors - raised) == []
+    assert sorted(errors - raised) == ["CitefitError"]
 
 
 # the CLI offers the families of MODELS, not a list of its own

@@ -146,11 +146,11 @@ def test_lockstep_reproduces_each_search():
 def test_two_coordinates_only(x0):
     message = f"simplex_search takes two coordinates, got {len(x0)}"
     with pytest.raises(ValueError, match=message):
-        next(simplex_search(x0))
+        next(simplex_search(x0, 100))
     # not a search without a finite start: the error ends the whole batch
     with pytest.raises(ValueError, match=message):
         nelder_mead_lockstep(lambda live, points: [quadratic(x) for x in points],
-                             [[0.0, 0.0], x0])
+                             [[0.0, 0.0], x0], 100)
 
 
 def _replay(search, fn):

@@ -17,6 +17,7 @@ from citefit import (
     DomainError,
     EmptySampleError,
     HookedPowerLaw,
+    IdenticalModelsError,
     Mixture,
     ParameterError,
     TooFewRepsError,
@@ -29,12 +30,13 @@ from citefit import (
     shape_table,
 )
 from citefit.gof import shape_classify, simulation_draw
-from citefit.sample import DistinctCounts
+from citefit.sample import DistinctCounts, count_total
 from citefit.studies import (
     MIXTURE_COLUMNS,
     PLAUSIBILITY_COLUMNS,
     SCALE_COLUMNS,
     SHAPE_COLUMNS,
+    VUONG_STUDY_COLUMNS,
     vuong_studies,
 )
 from citefit.subjects import SUBJECTS, get_subject
@@ -107,25 +109,33 @@ def test_bootstrap_vuong_study_worker_independence():
     assert a == b
 
 
-def test_vuong_studies_count_any_citefit_error_as_failed(monkeypatch):
-    import citefit.studies as studies
-
+def test_vuong_studies_count_an_undefined_z_as_failed(monkeypatch):
     data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(200, 1))
     threshold = float(data.counts.mean())
+    real_vuong = studies.vuong
 
-    def raises_on_large_mean(sample):
-        if sample.counts.mean() > threshold:
-            raise ParameterError("out of the box")
-        return float(sample.counts.mean())
+    def raises_on_large_mean(error):
+        def fake(model_a, model_b, sample):
+            if count_total(*sample.unique_counts) / len(sample) > threshold:
+                raise error("no z here")
+            return real_vuong(model_a, model_b, sample)
+        return fake
 
-    monkeypatch.setattr(studies, "_z_from_fits",
-                        lambda sample, ln, hk: raises_on_large_mean(
-                            CitationSample(np.repeat(*sample.unique_counts))))
+    monkeypatch.setattr(studies, "vuong", raises_on_large_mean(IdenticalModelsError))
     [simulated] = vuong_studies([simulation_draw(HookedPowerLaw(3.94, 67.9), 50, 3)], 40)
     for study in (bootstrap_vuong_study(data, reps=40, seed=3), simulated):
         assert 0 < study.failed < 40
         assert study.failed == study.z_summary.n_failed
         assert study.hooked_wins + study.lognormal_wins + study.neither == 40 - study.failed
+    # any other citefit error from inside a statistic ends the study
+    monkeypatch.setattr(studies, "vuong", raises_on_large_mean(ParameterError))
+    with pytest.raises(ParameterError, match="no z here"):
+        bootstrap_vuong_study(data, reps=40, seed=3)
+
+
+def test_vuong_study_row_keys_are_its_columns():
+    [study] = vuong_studies([simulation_draw(HookedPowerLaw(5.0, 40.0), 400, 3)], 40)
+    assert tuple(study.row("x", 400)) == VUONG_STUDY_COLUMNS
 
 
 def test_simulation_study_sign_convention():

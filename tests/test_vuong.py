@@ -18,7 +18,7 @@ from citefit.vuong import MODEL_A, MODEL_B, NEITHER, vuong_from_diffs
 
 
 def test_hand_computed_z():
-    result = vuong_from_diffs(np.array([0.1, 0.3]))
+    result = vuong_from_diffs(np.array([0.1, 0.3]), np.ones(2))
     assert result.z == pytest.approx(2.0, rel=1e-12)
     assert result.n == 2
     assert result.favored == MODEL_A
@@ -73,8 +73,8 @@ def test_deterministic():
 
 
 def test_threshold_boundaries():
-    assert vuong_from_diffs(np.array([0.1, 0.3])).favored == MODEL_A      # z = 2.0
-    near = vuong_from_diffs(np.array([0.05, 0.25, -0.06, 0.02, 0.01]))
+    assert vuong_from_diffs(np.array([0.1, 0.3]), np.ones(2)).favored == MODEL_A  # z = 2.0
+    near = vuong_from_diffs(np.array([0.05, 0.25, -0.06, 0.02, 0.01]), np.ones(5))
     assert abs(near.z) < 1.96 and near.favored == NEITHER
 
 
