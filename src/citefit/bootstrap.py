@@ -42,7 +42,7 @@ import numpy as np
 
 from citefit.exceptions import DomainError
 from citefit.sample import CitationSample, DistinctCounts, as_sample
-from citefit.seeding import spawn_rng
+from citefit.seeding import streams
 
 MIN_REPS = 40   # the smallest reps with k = ceil(0.025 * reps) equal to 0.025 * reps
 SERIAL_BLOCK = 256  # replicates per call of a serial run, which bounds its memory
@@ -119,8 +119,8 @@ def _distinct_resamples(sample: CitationSample, size: int, seed: int,
     with no sort and no raw draws kept."""
     values, inverse = np.unique(sample.counts, return_inverse=True)
     resamples = []
-    for rep in reps:
-        idx = spawn_rng(seed, rep).integers(0, len(sample), size=size)
+    for rng in streams(seed, reps):
+        idx = rng.integers(0, len(sample), size=size)
         mult = np.bincount(inverse[idx], minlength=values.size)
         drawn = np.flatnonzero(mult)
         resamples.append(DistinctCounts(values[drawn], mult[drawn]))

@@ -230,15 +230,19 @@ class _DiscreteModel(ABC):
         arr = np.asarray(u, dtype=np.float64).reshape(-1)
         if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0 or not np.all(np.isfinite(arr))):
             raise DomainError("u must lie in [0, 1)")
-        return _as_given(u, self._quantile_array(arr), int)
+        return _as_given(u, self._quantile_array(arr)[0], int)
 
-    def _quantile_array(self, u: np.ndarray) -> np.ndarray:
+    def _quantile_array(self, u: np.ndarray):
         """``quantile`` of a float64 array of u in [0, 1), unchecked: F is read
-        at the closed-form start x and at x - 1 once per run of equal starts
+        at the closed-form start v and at v - 1 once per run of equal starts
         (a Monte-Carlo block's draws come sorted), and ``_search`` mends the
-        starts that miss. The result depends on the model and u alone."""
+        starts that miss. Returns the quantiles, the index where each run
+        begins, and the F it read (at each v, then at max(v - 1, 1)), or None
+        if a start missed: else every quantile is its run's v, and a block's
+        KS pass need not read F again. The result depends on the model and u
+        alone."""
         if u.size == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp), None
         with np.errstate(over="ignore", divide="ignore"):
             start = np.clip(np.ceil(self._start(u)), 1, MAX_COUNT)
         first = np.flatnonzero(np.append(True, start[1:] != start[:-1]))
@@ -253,7 +257,8 @@ class _DiscreteModel(ABC):
         miss = np.flatnonzero(up | down)
         if miss.size:
             x[miss] = self._search(u[miss], x[miss], up[miss])
-        return x
+            f = None
+        return x, first, f
 
     def _search(self, u: np.ndarray, x: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Quantiles from starts x that missed: F(x) < u where ``up``, else
@@ -276,7 +281,7 @@ class _DiscreteModel(ABC):
         """n i.i.d. draws by inverse transform; identical seed, identical output."""
         if n < 0:
             raise DomainError("sample size must be >= 0")
-        return self._quantile_array(spawn_rng(seed).random(n))
+        return self._quantile_array(spawn_rng(seed).random(n))[0]
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())

@@ -16,16 +16,20 @@ which corrects the known conservatism of the fixed-parameter procedure
 A sample is read as its distinct counts and multiplicities
 (``unique_counts``): breakpoints, F_hat, the ECDF and the shape atoms come
 from them. ``_simulated_counts``, the one way a study draws from a model,
-draws blocks of about ``_BLOCK_DRAWS`` draws: simulation i takes its
-uniforms from the stream (seed, i, *path), a block's uniforms are sorted
-row by row and mapped to counts by one quantile search, which reads the
-model CDF once per run of equal closed-form starts, and one pass over the
-runs of equal counts gives every row's distinct counts. Pointwise CDF
-reads at the block's breakpoints and one ``np.maximum.reduceat`` give every
-row's statistic; with ``refit``, a block's simulations are fitted together
-by one ``fitting.fit_many`` call, and each row reads its own fit. Memory
-follows the block, not ``n_sim``, and every statistic is the one a
-simulation drawn, sorted and tested on its own would give.
+draws blocks of about ``_BLOCK_DRAWS`` draws. Simulation i takes its
+uniforms from the stream (seed, i, *path); ``seeding.streams`` derives a
+block's streams together. A block's uniforms are sorted row by row and
+mapped to counts by one quantile search, which reads the model CDF at the
+closed-form start v and at v - 1 once per run of equal starts, and one pass
+over the runs of equal counts gives every row's distinct counts. F at the
+block's breakpoints and one ``np.maximum.reduceat`` give every row's
+statistic. Against the one model, F at the breakpoints (each distinct
+count and one below) is what the quantile search read, and it is read
+again only in a block where a start missed. With ``refit``, a block's
+simulations are fitted together by one ``fitting.fit_many`` call, and each
+row reads its own fit. Memory follows the block, not ``n_sim``, and every
+statistic is the one a simulation drawn, sorted and tested on its own
+would give.
 
 A draw beyond ``MAX_COUNT`` = 2**62 is 2**62, so the simulations follow
 min(X, 2**62): every KS read of F, of the data and of each simulation, fixed
@@ -44,7 +48,7 @@ from citefit.distributions import MAX_COUNT
 from citefit.exceptions import DomainError, EmptySampleError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
 from citefit.sample import DistinctCounts, as_sample
-from citefit.seeding import spawn_rng
+from citefit.seeding import streams
 
 PLUS = "+"
 EQUAL = "="
@@ -87,10 +91,11 @@ def empirical_cdf(sample, grid: np.ndarray) -> np.ndarray:
     return at_most[np.searchsorted(v, grid, side="right")] / len(sample)
 
 
-def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int):
+def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int, f: np.ndarray | None = None):
     """Breakpoints x of the empirical CDF of samples of n counts each, given
     as their distinct counts v and multiplicities flattened sample after
-    sample, with F_hat(x) and the index where each sample's x begin. Per
+    sample, with F_hat(x), the index where each sample's x begin, and F(x)
+    taken from ``f``, the rows F(v - 1) and F(v), or None without it. Per
     sample, x is np.union1d(v[v > 1] - 1, v), never merged with the previous
     sample's, and F_hat(x) is (counts <= x) / n, as ``empirical_cdf`` gives."""
     below = (np.cumsum(mult) - mult) % n    # how many counts of its sample are < v
@@ -104,7 +109,8 @@ def _breakpoints(v: np.ndarray, mult: np.ndarray, n: int):
     keep[2::2] = x[2::2] != x[1:-1:2]
     keep[2 * v_starts] = v[v_starts] > 1
     x_starts = (np.cumsum(keep) - keep)[2 * v_starts]
-    return x[keep], at_most[keep] / n, x_starts
+    f_x = None if f is None else f.T.reshape(-1)[keep]
+    return x[keep], at_most[keep] / n, x_starts, f_x
 
 
 def _drawn_cdf(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -121,7 +127,7 @@ def cdf_breakpoints(model, sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     them is its maximum over all of 1..max(sample), read from equal floats.
     """
     sample = as_sample(sample)
-    x, emp_cdf, _ = _breakpoints(*sample.unique_counts, len(sample))
+    x, emp_cdf, _, _ = _breakpoints(*sample.unique_counts, len(sample))
     return x, emp_cdf, _drawn_cdf(x, model.cdf(x))
 
 
@@ -135,21 +141,24 @@ def ks_statistic(model, sample) -> float:
 def _simulated_counts(model, n: int, seed: int, reps: range, *path):
     """The simulations of ``reps``, block by block: simulation i is n >= 1
     draws of ``model`` from the stream (seed, i, *path). Yields each block's
-    distinct counts and their multiplicities, flattened simulation after
-    simulation."""
+    distinct counts v and their multiplicities, flattened simulation after
+    simulation, and F(v - 1) and F(v) as the rows of one array, or None if
+    the quantile search read F at other counts too."""
     rows = max(1, _BLOCK_DRAWS // n)
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
         u = np.empty((len(block), n))
-        for row, i in zip(u, block):
-            spawn_rng(seed, i, *path).random(out=row)
+        for row, rng in zip(u, streams(seed, block, *path)):
+            rng.random(out=row)
         u.sort(axis=1)      # the quantile is monotone: its draws come sorted
-        flat = model._quantile_array(u.reshape(-1))
+        flat, run_starts, f = model._quantile_array(u.reshape(-1))
         new_run = np.empty(flat.size, dtype=bool)
         np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
         new_run[::n] = True     # a row's counts are never merged with the previous row's
         first = np.flatnonzero(new_run)
-        distinct = flat[first], np.diff(first, append=flat.size)
+        if f is not None:       # each distinct count is the start of the run it begins in
+            f = f.reshape(2, -1)[::-1, np.searchsorted(run_starts, first, side="right") - 1]
+        distinct = flat[first], np.diff(first, append=flat.size), f
         del u, flat, new_run    # only the distinct counts outlive the block
         yield distinct
 
@@ -162,8 +171,8 @@ def _split(v: np.ndarray, mult: np.ndarray, n: int) -> list[DistinctCounts]:
 
 def _simulated_samples(model, n: int, seed: int, path, reps: range) -> list[DistinctCounts]:
     """Every simulation of ``reps`` held as its distinct counts."""
-    return [sample for block in _simulated_counts(model, n, seed, reps, *path)
-            for sample in _split(*block, n)]
+    return [sample for v, mult, _ in _simulated_counts(model, n, seed, reps, *path)
+            for sample in _split(v, mult, n)]
 
 
 def simulation_draw(model, n: int, seed: int, *path: int):
@@ -179,14 +188,14 @@ def _mc_ks_reps(model, n: int, seed: int, refit, reps: range) -> list[float]:
     ``refit`` (a batch fit of one family), against its own fit when that
     is usable; the simulations of a block are refitted together."""
     d_sim = []
-    for v, mult in _simulated_counts(model, n, seed, reps):
-        x, emp_cdf, x_starts = _breakpoints(v, mult, n)
-        if refit is None:
-            f = model._cdf_at(x)
-        else:
+    for v, mult, f in _simulated_counts(model, n, seed, reps):
+        x, emp_cdf, x_starts, f = _breakpoints(v, mult, n, f)
+        if refit is not None:
             nulls = [r.model if r.usable else model for r in refit(_split(v, mult, n))]
             f = np.concatenate([null._cdf_at(x_i)
                                 for null, x_i in zip(nulls, np.split(x, x_starts[1:]))])
+        elif f is None:     # a quantile start missed in this block
+            f = model._cdf_at(x)
         d_sim += np.maximum.reduceat(np.abs(_drawn_cdf(x, f) - emp_cdf), x_starts).tolist()
     return d_sim
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,24 +17,25 @@ def positive_ints(x, what: str) -> np.ndarray:
 
     Only integer and real-float arrays, and object arrays of real numbers
     other than bools, hold counts; anything else (bool, complex, text,
-    dates) raises DomainError. Everything is checked before the cast, so a
-    non-finite, fractional or out-of-range value raises DomainError instead
-    of wrapping around.
+    dates) raises DomainError. In an object array an integer is read exactly,
+    as a Python int however large, and any other real as a float64.
+    Everything is checked before the cast, so a non-finite, fractional or
+    out-of-range value raises DomainError instead of wrapping around.
     """
     arr = np.atleast_1d(np.asarray(x))
-    if arr.dtype == object and all(isinstance(v, Real) and not isinstance(v, bool)
-                                   for v in arr.flat):
-        # Python ints beyond 64 bits; as floats they fail the range check
-        arr = arr.astype(np.float64)
     kind = arr.dtype.kind
+    if kind == "O" and all(isinstance(v, Real) and not isinstance(v, bool) for v in arr.flat):
+        exact = [v if isinstance(v, Integral) else float(v) for v in arr.flat]
+        if all(isinstance(v, Integral) or v.is_integer() for v in exact):
+            arr, kind = np.array([int(v) for v in exact], dtype=object).reshape(arr.shape), "i"
     if not (kind in "iu" or kind == "f" and np.all(np.isfinite(arr) & (arr == np.rint(arr)))):
         raise DomainError(f"{what} must be integers")
     if arr.size == 0:
         return arr.astype(np.int64)
-    # Python scalars, so that 2**63 is never cast to the array's dtype
-    if arr.max().item() >= 2 ** 63:
+    # Python ints, so that 2**63 is never cast to the array's dtype
+    if int(arr.max()) >= 2 ** 63:
         raise DomainError(f"{what} must be below 2**63")
-    if arr.min().item() < 1:
+    if int(arr.min()) < 1:
         raise DomainError(f"{what} must be >= 1")
     return arr.astype(np.int64)
 

@@ -94,6 +94,30 @@ def test_counts_of_the_wrong_kind_are_rejected(x, expected):
         assert_array_equal(model.cdf(x), model.cdf(expected))
 
 
+# an integer in an object array is read exactly, however large; any other
+# real goes through float64 and must hold an integer there
+@pytest.mark.parametrize("count", [2 ** 53 + 1, 2 ** 60 + 1, 2 ** 63 - 100, 2 ** 63 - 1])
+def test_object_array_integers_are_read_exactly(count):
+    assert CitationSample(np.array([count, 3], dtype=object)).counts.tolist() == [count, 3]
+    model = HookedPowerLaw(3.0, 10.0)
+    assert_array_equal(model.cdf(np.array([count, 3], dtype=object)),
+                       model.cdf(np.array([count, 3], dtype=np.int64)))
+
+
+@pytest.mark.parametrize("x,message", [
+    (np.array([2 ** 63, 3], dtype=object), "below 2"),
+    (np.array([2.0 ** 63, 3], dtype=object), "below 2"),
+    (np.array([np.uint64(2 ** 63), 3], dtype=object), "below 2"),
+    (np.array([0, 2 ** 62], dtype=object), ">= 1"),
+    (np.array([2.5, 2 ** 62], dtype=object), "must be integers"),
+    (np.array([math.inf, 2], dtype=object), "must be integers"),
+    (np.array([2 ** 64, 0.5], dtype=object), "must be integers"),
+])
+def test_object_array_rules(x, message):
+    with pytest.raises(DomainError, match=message):
+        CitationSample(x)
+
+
 @pytest.mark.parametrize("u", [-0.1, 1.0, 1.5, math.nan])
 def test_quantile_domain(u):
     with pytest.raises(DomainError):

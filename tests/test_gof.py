@@ -200,7 +200,7 @@ def _one_simulation_at_a_time(model, n, seed, reps, family=None):
     tested on its own against ``model`` or, with ``family``, against its own
     fit when usable; on an unpickled copy of ``model``."""
     model = pickle.loads(pickle.dumps(model))
-    sims = [np.sort(model._quantile_array(spawn_rng(seed, i).random(n))) for i in reps]
+    sims = [np.sort(model._quantile_array(spawn_rng(seed, i).random(n))[0]) for i in reps]
     nulls = [model] * len(sims)
     if family is not None:
         nulls = [f.model if f.usable else model for f in (fit(family, sim) for sim in sims)]
@@ -225,6 +225,35 @@ def test_block_pass_is_one_simulation_at_a_time(model, n, seed, first, count, bu
     with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
         got = gof._mc_ks_reps(model, n, seed, None, reps)
     assert [d.hex() for d in got] == expected
+
+
+# Fixed-mode KS reads F where the quantile pass read it, at each distinct
+# count v and v - 1, unless a start in the block missed. The lognormal's
+# starts all hit; a mixture starts at its smallest component start, so some
+# start misses in every block, and the wide hooked law's draws reach the
+# 2**62 ceiling, where starts miss in most blocks but not all.
+@pytest.mark.parametrize("model,n,budget,blocks,handed", [
+    (_LN, 60, 130, 9, 9),
+    (HookedPowerLaw(2.5, 12.0), 250, 1 << 16, 1, 1),
+    (_MIX, 25, 90, 6, 0),
+    (_HOOKED_WIDE, 8, 20, 9, 2),
+])
+def test_fixed_ks_reads_f_once(model, n, budget, blocks, handed):
+    reps = range(3, 20)
+    expected, f_handed = [], 0
+    with mock.patch.object(gof, "_BLOCK_DRAWS", budget):
+        got = gof._mc_ks_reps(model, n, 5, None, reps)
+        counts = list(gof._simulated_counts(model, n, 5, reps))
+    for v, mult, f in counts:
+        x, emp_cdf, x_starts, f_x = gof._breakpoints(v, mult, n, f)
+        f_read = model._cdf_at(x)
+        if f_x is not None:
+            f_handed += 1
+            assert f_x.tolist() == f_read.tolist()
+        expected += np.maximum.reduceat(np.abs(gof._drawn_cdf(x, f_read) - emp_cdf),
+                                        x_starts).tolist()
+    assert (len(counts), f_handed) == (blocks, handed)
+    assert [d.hex() for d in got] == [d.hex() for d in expected]
 
 
 @pytest.mark.parametrize("family,model,n,reps,budget", [
@@ -257,7 +286,7 @@ def test_block_draw_is_np_unique_of_each_simulation(model, n, seed, first, count
         got = gof.simulation_draw(model, n, seed, *path)(reps)
     assert len(got) == len(reps)
     for sample, i in zip(got, reps):
-        draws = model._quantile_array(spawn_rng(seed, i, *path).random(n))
+        draws = model._quantile_array(spawn_rng(seed, i, *path).random(n))[0]
         values, mult = np.unique(draws, return_counts=True)
         assert (sample.values.dtype, sample.mult.dtype) == (values.dtype, mult.dtype)
         np.testing.assert_array_equal(sample.values, values)

@@ -5,7 +5,8 @@ under ``src/citefit`` imports a name it never uses (``__init__`` uses a
 name by exporting it), and every module-level function, class or
 assignment is referenced somewhere in the package or exported. Only
 ``sample`` and ``bootstrap`` call ``np.unique``, so samples are read one
-way, and only ``seeding`` builds a ``SeedSequence`` or ``PCG64``. Only
+way, and only ``seeding`` builds a ``SeedSequence``, ``PCG64`` or
+``Generator`` or assigns a bit generator's ``state``. Only
 ``gof`` names the simulated-sample draws and only ``bootstrap`` the
 resampler and the replicate task ``_statistic_reps``, so every other module
 builds a draw through its checked constructor and hands it to ``run_reps``
@@ -129,11 +130,25 @@ def _calls(tree, name: str) -> list[int]:
     ("require_nonempty", {"sample.py"}),
     ("SeedSequence", {"seeding.py"}),
     ("PCG64", {"seeding.py"}),
+    ("Generator", {"seeding.py"}),
 ])
 def test_one_draw_path(attr, owners):
     callers = sorted(f"{path.name}:{line}" for path in MODULES if path.name not in owners
                      for line in _calls(ast.parse(path.read_text(encoding="utf-8")), attr))
     assert callers == []
+
+
+# Only seeding sets a bit generator's state: a stream is positioned where
+# it is derived.
+def test_only_seeding_assigns_a_state():
+    setters = sorted({path.name for path in MODULES
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                      for target in (node.targets if isinstance(node, ast.Assign)
+                                     else [node.target])
+                      for part in ast.walk(target)
+                      if isinstance(part, ast.Attribute) and part.attr == "state"})
+    assert setters == ["seeding.py"]
 
 
 # Every study table fits its samples in batches, one fit_many call per family.
