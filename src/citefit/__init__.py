@@ -3,7 +3,18 @@ law models for citation-like count data.
 
 Pure Python on NumPy and SciPy: there is no compiled extension, so every
 install runs the same code path.
+
+Importing citefit before NumPy sets ``OPENBLAS_NUM_THREADS=1`` unless it is
+set, so no idle BLAS pools start and dot products do not depend on the core
+count; set it before importing citefit to override. A program that imports
+NumPy first keeps NumPy's default pool.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # set after NumPy loads, it would only reach subprocesses
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -83,17 +83,18 @@ def run_reps(draws, statistic, reps: int, workers: int) -> list[list]:
     A replicate's value must depend on its index alone, not on the range it
     came in. A serial run takes each draw in blocks of ``SERIAL_BLOCK``
     consecutive replicates. With ``workers > 1`` one process pool of at most
-    ``os.cpu_count()`` workers runs them all, in about ``4 * workers`` tasks
-    shared among the D draws: each draw's replicates go in ``ceil(4 *
-    workers / D)`` chunks of consecutive replicates. That is chunks of
-    ``reps // (4 * workers)`` for one draw, and one task per draw, its
-    sample pickled once, when ``D >= 4 * workers``. Every draw's chunks are
-    submitted before any result is read, so the pool stays busy across
-    samples. The chunks follow the requested ``workers``, not the pool
-    size, and the values depend on neither. The draws and the statistic
-    must then be picklable (module-level functions or partials of them). A
-    replicate that raises cancels the work still queued, and the exception
-    propagates.
+    as many workers as the CPUs this process may use
+    (``os.sched_getaffinity``, else ``os.cpu_count()``) runs them all, in
+    about ``4 * workers`` tasks shared among the D draws: each draw's
+    replicates go in ``ceil(4 * workers / D)`` chunks of consecutive
+    replicates. That is chunks of ``reps // (4 * workers)`` for one draw,
+    and one task per draw, its sample pickled once, when ``D >= 4 *
+    workers``. Every draw's chunks are submitted before any result is read,
+    so the pool stays busy across samples. The chunks follow the requested
+    ``workers``, not the pool size, and the values depend on neither. The
+    draws and the statistic must then be picklable (module-level functions
+    or partials of them). A replicate that raises cancels the work still
+    queued, and the exception propagates.
     """
     tasks = [partial(_statistic_reps, draw, statistic) for draw in draws]
     serial = workers <= 1 or not tasks
@@ -102,7 +103,9 @@ def run_reps(draws, statistic, reps: int, workers: int) -> list[list]:
               for start in range(0, reps, chunksize)]
     if serial:
         return [[value for values in map(task, chunks) for value in values] for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    with ProcessPoolExecutor(max_workers=min(workers, usable or 1)) as pool:
         try:
             pending = [pool.map(task, chunks, chunksize=1) for task in tasks]
             return [[value for chunk in values for value in chunk] for values in pending]

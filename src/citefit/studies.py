@@ -143,10 +143,11 @@ def _medians(samples) -> list[float]:
     values (an odd size takes its middle value twice)."""
     medians = []
     for s in samples:
-        below = np.cumsum(s.mult)
+        values, mult = s.unique_counts
+        below = np.cumsum(mult)
         middle = np.searchsorted(below, [(below[-1] - 1) // 2, below[-1] // 2],
                                  side="right")
-        medians.append(float(np.median(s.values[middle])))
+        medians.append(float(np.median(values[middle])))
     return medians
 
 

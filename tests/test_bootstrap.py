@@ -323,6 +323,18 @@ def test_batch_statistics_equal_the_per_resample_values(counts, size, seed, star
         assert [v.hex() for v in got] == [v.hex() for v in want], name
 
 
+# a statistic reads a sample through unique_counts, so a CitationSample
+# gives the bits of its DistinctCounts (odd and even sizes for the median)
+@pytest.mark.parametrize("name", list(BOOTSTRAP_STATISTICS))
+def test_statistics_read_a_sample_and_its_distinct_counts_alike(name):
+    counts = HookedPowerLaw(3.94, 67.9).sample(101, 5)
+    samples = [CitationSample(counts), CitationSample(counts[:100])]
+    distinct = [DistinctCounts(*sample.unique_counts) for sample in samples]
+    statistic = BOOTSTRAP_STATISTICS[name]
+    assert ([v.hex() for v in statistic(samples)]
+            == [v.hex() for v in statistic(distinct)])
+
+
 @pytest.mark.parametrize("counts,size", [
     ([2 ** 62, 2 ** 62 + 1, 3], 40),     # the int64 total overflows
     ([2 ** 53 - 1, 2 ** 52 + 1, 7], 40),  # totals from 2**53 to 2**59
@@ -373,9 +385,17 @@ def test_summarise_counts_non_finite_values_as_failed():
     assert (mixed.median, mixed.n_failed) == (1.5, 1)
 
 
-@pytest.mark.parametrize("cpus,workers,pool_size", [(2, 64, 2), (8, 3, 3), (None, 4, 1)])
-def test_one_pool_capped_at_the_core_count(monkeypatch, inline_pools, cpus, workers,
-                                           pool_size):
+# affinity None: a platform without os.sched_getaffinity, capped at os.cpu_count()
+@pytest.mark.parametrize("affinity,cpus,workers,pool_size", [
+    (2, 8, 64, 2), (8, 8, 3, 3), (1, 2, 2, 1), (None, 2, 64, 2), (None, None, 4, 1),
+])
+def test_one_pool_capped_at_the_usable_cpus(monkeypatch, inline_pools, affinity, cpus,
+                                            workers, pool_size):
+    if affinity is None:
+        monkeypatch.delattr(citefit.bootstrap.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(citefit.bootstrap.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
     monkeypatch.setattr(citefit.bootstrap.os, "cpu_count", lambda: cpus)
     values = run_reps([partial(_power, 1), partial(_power, 2), _chunk_start], list, 40,
                       workers)

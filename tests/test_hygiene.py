@@ -22,6 +22,10 @@ the families are listed once, in ``distributions.MODELS``: no CLI
 ``subjects`` and ``__init__`` names ``HookedPowerLaw``.
 Every family has two parameters, the two coordinates of the simplex search,
 and the study tables' family cells list the families of ``MODELS`` in order.
+Only ``__init__`` writes ``os.environ`` (its one-thread BLAS default): no
+other module assigns or deletes an item of it, calls its ``setdefault``,
+``update``, ``pop``, ``popitem`` or ``clear``, or calls ``os.putenv`` or
+``os.unsetenv``.
 """
 
 import ast
@@ -249,3 +253,30 @@ def test_family_classes_are_named_only_where_declared():
 def test_every_family_has_two_parameters_and_a_table_cell():
     assert [len(cls.PARAMS) for cls in MODELS.values()] == [2] * len(MODELS)
     assert [family for family, _, _ in studies._FAMILY_CELLS] == list(MODELS)
+
+
+def _environ_writes(tree) -> list[int]:
+    """Line of each write to ``os.environ`` (or ``environ``), and of each
+    ``putenv`` or ``unsetenv`` call."""
+    def is_environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+             and is_environ(node.value)]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and (node.func.attr in ("setdefault", "update", "pop", "popitem", "clear")
+                   and is_environ(node.func.value)
+                   or node.func.attr in ("putenv", "unsetenv"))]
+    return sorted(lines)
+
+
+# the process environment is set once, where citefit is first imported
+def test_only_init_writes_the_environment():
+    probe = ast.parse("os.environ['A'] = '1'\ndel environ['A']\nos.environ.update(A='1')\n"
+                      "os.putenv('A', '1')\nos.environ.get('A')\n")
+    assert _environ_writes(probe) == [1, 2, 3, 4]
+    writes = {path.name: _environ_writes(ast.parse(path.read_text(encoding="utf-8")))
+              for path in MODULES}
+    assert {name: lines for name, lines in writes.items() if lines}.keys() == {"__init__.py"}
