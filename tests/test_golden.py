@@ -39,6 +39,9 @@ def write_fixtures(directory: Path) -> None:
     (directory / "counts.csv").write_text(
         "id,citations\n" + "".join(f"r{i},{c}\n" for i, c in enumerate(lines[:150])))
     (directory / "flat.txt").write_text("4\n" * 4)
+    # a usable lognormal fit and a degenerate hooked one: the hooked start
+    # b = mean (about 6.7e11) lies outside the fitter's box
+    (directory / "hookdeg.txt").write_text("0\n999999999999\n1000000000004\n")
     (directory / "bad.txt").write_text("12\n-3\n")
     # lines that int() reads or rejects but the count rule does not take
     (directory / "underscore.txt").write_text("1_000\n5\n")
