@@ -52,6 +52,7 @@ from citefit.studies import (
     mean_table,
     mixture_impurity_study,
     plausibility_row,
+    plausibility_table,
     scale_ci_study,
     shape_table,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "mean_table",
     "mixture_impurity_study",
     "plausibility_row",
+    "plausibility_table",
     "scale_ci_study",
     "shape_classify",
     "shape_table",

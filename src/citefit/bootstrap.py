@@ -133,13 +133,13 @@ def _distinct_resamples(sample: CitationSample, size: int, seed: int,
 def resample_draw(sample, size: int | None, seed: int):
     """The draw of a bootstrap study: replicates -> resamples of ``size``
     counts (None: the sample's size) of ``sample`` from ``seed``, checked
-    before any replicate runs."""
+    before any replicate runs: ``size`` must be an integer, not a bool."""
     sample = as_sample(sample)
     if isinstance(sample, DistinctCounts):
         raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
-    size = len(sample) if size is None else int(size)
-    if size < 1:
-        raise DomainError("resample size must be >= 1")
+    size = len(sample) if size is None else size
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
+        raise DomainError(f"resample size must be >= 1 and an integer, got {size!r}")
     return partial(_distinct_resamples, sample, size, seed)
 
 

@@ -40,7 +40,7 @@ from citefit.studies import (
     bootstrap_study,
     mean_table,
     mixture_impurity_study,
-    plausibility_row,
+    plausibility_table,
     scale_ci_study,
     shape_table,
     vuong_studies,
@@ -219,10 +219,8 @@ def _cmd_plot(args, seed: int) -> str:
 
 def _cmd_study_plausibility(args, seed: int) -> str:
     samples, extra = _study_samples(args, seed)
-    rows = [
-        plausibility_row(sample, n_sim=args.nsim, seed=child_seed(seed, i))
-        for i, sample in enumerate(samples)
-    ]
+    rows = plausibility_table(samples, args.nsim,
+                              [child_seed(seed, i) for i in range(len(samples))])
     return _report(args, seed, rows, n_sim=args.nsim, **extra)
 
 

@@ -66,7 +66,7 @@ class GofResult:
     p_value: float
     n_sim: int
     refit_mode: str               # "fixed" or "refit"
-    fit: FitResult | None = None  # convergence flag when the null was fitted
+    fit: FitResult | None = None  # the null's fit, when the null was fitted
 
     @property
     def plausible(self) -> bool:

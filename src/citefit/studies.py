@@ -1,5 +1,5 @@
 """Reproducible study harness, one function per table: bootstrap
-statistics, plausibility rows, bootstrap and simulation Vuong tallies,
+statistics, the KS plausibility table, bootstrap and simulation Vuong tallies,
 scale-parameter intervals, shape tables, the mixture-impurity experiment
 (a :class:`~citefit.distributions.Mixture` against a pure model) and the
 closed-form mean table.
@@ -15,9 +15,9 @@ pool as one task. A draw, checked when it is built, maps a range of
 replicates to their samples, held as their distinct counts
 (:class:`~citefit.sample.DistinctCounts`): bootstrap resamples
 (:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
-(:func:`~citefit.gof.simulation_draw`). Each statistic, and the shape table,
-fits its samples with one :func:`~citefit.fitting.fit_many` call per
-family, which gives each sample the fit :func:`~citefit.fitting.fit` would.
+(:func:`~citefit.gof.simulation_draw`). Each statistic and the shape and
+plausibility tables fit their samples with one :func:`~citefit.fitting.fit_many`
+call per family, which gives each sample the fit :func:`~citefit.fitting.fit` would.
 A statistic fails a replicate by returning NaN for it, never by raising:
 :func:`_summaries`, which summarises every study but the mixture study,
 counts each non-finite value as failed. Vuong studies always orient the
@@ -45,13 +45,13 @@ from citefit.bootstrap import (
 from citefit.distributions import MODELS
 from citefit.exceptions import (
     AllStatisticsFailedError,
-    FitFailedError,
+    DomainError,
     IdenticalModelsError,
     ParameterError,
     TooFewRepsError,
 )
 from citefit.fitting import FitStatus, fit_many
-from citefit.gof import (EQUAL, MINUS, PLUS, ks_p_value, ks_statistic, shape_classify,
+from citefit.gof import (EQUAL, MINUS, PLUS, ks_statistic, ks_test_fixed, shape_classify,
                          simulation_draw)
 from citefit.sample import as_sample, count_total
 from citefit.seeding import child_seed
@@ -76,7 +76,7 @@ VUONG_STUDY_COLUMNS = ("label", "n", "z_lo95", "z_median", "z_hi95",
 
 MIXTURE_COLUMNS = ("rep", "mixture_ks", "pure_ks", "mixture_worse")
 
-# (family, column prefix, plausibility flag); family i fits on child_seed(seed, i)
+# (family, column prefix, plausibility flag); a row tests family i on child_seed(seed, i)
 _FAMILY_CELLS = (("lognormal", "ln", "L"), ("hooked", "hook", "H"))
 
 
@@ -207,36 +207,46 @@ def vuong_studies(draws, reps: int, workers: int = 1) -> list[VuongStudy]:
             for summary in _summaries(draws, _z_values, reps, workers)]
 
 
-def bootstrap_vuong_study(sample, reps: int, size: int | None = None,
-                          seed: int = 0, workers: int = 1) -> VuongStudy:
-    """Vuong z over ``reps`` bootstrap resamples of ``sample``."""
-    [study] = vuong_studies([resample_draw(sample, size, seed)], reps, workers)
+def bootstrap_vuong_study(sample, reps: int, seed: int = 0, workers: int = 1) -> VuongStudy:
+    """Vuong z over ``reps`` bootstrap resamples of ``sample``, each of its size."""
+    [study] = vuong_studies([resample_draw(sample, None, seed)], reps, workers)
     return study
 
 
-# --- plausibility rows ----------------------------------------------------
+# --- plausibility tables --------------------------------------------------
+
+def plausibility_table(samples, n_sim: int, seeds) -> list[dict]:
+    """One KS-plausibility row per sample. Row i tests its usable fit of family
+    j by :func:`~citefit.gof.ks_test_fixed` on ``child_seed(seeds[i], j)``; a
+    degenerate fit ends the row as "degenerate", later families' cells empty."""
+    samples = list(map(as_sample, samples))
+    if n_sim < 1:
+        raise DomainError("n_sim must be >= 1")
+    if len(seeds) != len(samples):
+        raise DomainError(f"need one seed per sample, got {len(seeds)} for {len(samples)}")
+    fits = zip(*(fit_many(family, samples) for family, _, _ in _FAMILY_CELLS))
+    rows = []
+    for sample, seed, results in zip(samples, seeds, fits):
+        row = dict.fromkeys(PLAUSIBILITY_COLUMNS)
+        row.update(subject=sample.label, n=len(sample))
+        flags = []
+        for i, ((_, prefix, flag), result) in enumerate(zip(_FAMILY_CELLS, results)):
+            if not result.usable:
+                flags = ["degenerate"]
+                break
+            test = ks_test_fixed(result.model, sample, n_sim, child_seed(seed, i))
+            row.update({f"{prefix}_{name}": value for name, value in result.model.params.items()})
+            row.update({f"{prefix}_ks": test.ks_stat, f"{prefix}_p": test.p_value})
+            if test.plausible:
+                flags.append(flag)
+        row["plausible"] = ",".join(flags)
+        rows.append(row)
+    return rows
+
 
 def plausibility_row(sample, n_sim: int = 1000, seed: int = 0) -> dict:
-    """One KS-plausibility table row: both families fitted and tested."""
-    sample = as_sample(sample)
-    row = dict.fromkeys(PLAUSIBILITY_COLUMNS)
-    row["subject"] = sample.label
-    row["n"] = len(sample)
-    flags = []
-    for i, (family, prefix, flag) in enumerate(_FAMILY_CELLS):
-        try:
-            result = ks_p_value(family, sample, n_sim, child_seed(seed, i))
-        except FitFailedError:
-            row["plausible"] = "degenerate"
-            return row
-        for name, value in result.fit.model.params.items():
-            row[f"{prefix}_{name}"] = value
-        row[f"{prefix}_ks"] = result.ks_stat
-        row[f"{prefix}_p"] = result.p_value
-        if result.plausible:
-            flags.append(flag)
-    row["plausible"] = ",".join(flags)
-    return row
+    """The :func:`plausibility_table` row of one sample."""
+    return plausibility_table([sample], n_sim, [seed])[0]
 
 
 # --- scale-parameter intervals (one per subject) --------------------------

@@ -12,7 +12,7 @@ resampler and the replicate task ``_statistic_reps``, so every other module
 builds a draw through its checked constructor and hands it to ``run_reps``
 with a statistic, and nothing reads back what a draw was built from. Only
 the study driver and the mixture study call ``run_reps``, and the studies
-never call ``fit``: they fit in batches with ``fit_many``. Every
+never call ``fit`` or ``ks_p_value``: they fit in batches with ``fit_many``. Every
 ``CitefitError`` subclass is raised somewhere in the package, and the base
 class itself nowhere. Only ``sample`` calls ``require_nonempty`` (every
 reader takes its sample from ``as_sample``), only ``io`` calls ``open`` or
@@ -155,10 +155,12 @@ def test_only_seeding_assigns_a_state():
     assert setters == ["seeding.py"]
 
 
-# Every study table fits its samples in batches, one fit_many call per family.
+# Every study table fits its samples in batches, one fit_many call per family,
+# and neither fits one sample itself nor through ks_p_value.
 def test_studies_never_call_fit():
     tree = ast.parse((Path(citefit.__file__).parent / "studies.py").read_text(encoding="utf-8"))
-    assert (_calls(tree, "fit"), "fit" in _imported(tree)) == ([], False)
+    for name in ("fit", "ks_p_value"):
+        assert (name, _calls(tree, name), name in _imported(tree)) == (name, [], False)
 
 
 # Count text is read, and a sample named from its path, only in io.

@@ -21,16 +21,20 @@ from citefit import (
     Mixture,
     ParameterError,
     TooFewRepsError,
+    bootstrap_study,
     bootstrap_vuong_study,
     fit,
     mean_table,
     mixture_impurity_study,
     plausibility_row,
+    plausibility_table,
     scale_ci_study,
     shape_table,
 )
-from citefit.gof import shape_classify, simulation_draw
+from citefit.gof import ks_p_value, shape_classify, simulation_draw
+from citefit.io import render_report
 from citefit.sample import DistinctCounts, count_total
+from citefit.seeding import child_seed
 from citefit.studies import (
     MIXTURE_COLUMNS,
     PLAUSIBILITY_COLUMNS,
@@ -89,6 +93,62 @@ def test_plausibility_row_degenerate():
     assert row["plausible"] == "degenerate"
     assert row["ln_p"] is None and row["hook_p"] is None
     assert row["n"] == 3
+
+
+# A usable lognormal fit and a degenerate hooked one: the hooked start
+# b = mean (about 6.7e11) lies outside the fitter's box.
+_HOOKED_DEGENERATE = CitationSample([1, 10 ** 12, 10 ** 12 + 5], label="hookdeg")
+
+
+def _plausibility_samples():
+    return [CitationSample(DiscretisedLognormal(2.0, 1.1).sample(300, 7), label="ln"),
+            _HOOKED_DEGENERATE, CitationSample([3, 3, 3], label="flat"),
+            CitationSample(HookedPowerLaw(4.0, 50.0).sample(200, 8), label="hook")]
+
+
+def test_plausibility_table_rows_are_the_one_sample_rows():
+    samples, seeds = _plausibility_samples(), [5, 0, 17, 2 ** 40]
+    rows = plausibility_table(samples, 19, seeds)
+    assert [row["plausible"] for row in rows[1:3]] == ["degenerate"] * 2
+    for sample, seed, row in zip(samples, seeds, rows):
+        assert (render_report([row], "json")
+                == render_report([plausibility_row(sample, 19, seed)], "json"))
+
+
+# Each cell is the one-sample Monte-Carlo KS test of its family on
+# child_seed(row seed, family index), up to the row's first degenerate fit.
+def test_plausibility_table_cells_are_each_familys_ks_test():
+    samples = _plausibility_samples()
+    rows = plausibility_table(samples, 19, [3] * len(samples))
+    for sample, row in zip(samples, rows):
+        for i, (family, prefix, _) in enumerate(studies._FAMILY_CELLS):
+            if not fit(family, sample).usable:
+                assert row["plausible"] == "degenerate"
+                break
+            result = ks_p_value(family, sample, 19, child_seed(3, i))
+            assert (row[f"{prefix}_ks"], row[f"{prefix}_p"]) == (result.ks_stat,
+                                                                 result.p_value)
+        else:
+            assert row["plausible"] != "degenerate"
+    assert rows[1]["ln_p"] is not None and rows[1]["hook_p"] is None
+
+
+def test_plausibility_table_fits_each_family_once(monkeypatch):
+    calls, real_fit_many = [], studies.fit_many
+
+    def counted(family, samples):
+        calls.append((family, len(samples)))
+        return real_fit_many(family, samples)
+
+    monkeypatch.setattr(studies, "fit_many", counted)
+    plausibility_table(_plausibility_samples()[:3], 9, [0, 1, 2])
+    assert calls == [("lognormal", 3), ("hooked", 3)]
+
+
+# A resample size is any integer but a bool: NumPy's integers count too.
+def test_bootstrap_study_takes_a_numpy_integer_size():
+    assert (bootstrap_study(_SAMPLE, 40, "mean", size=np.int64(3), seed=4)
+            == bootstrap_study(_SAMPLE, 40, "mean", size=3, seed=4))
 
 
 def test_bootstrap_vuong_study_accounting():
@@ -288,9 +348,20 @@ _NONE = (EmptySampleError, "operation requires a non-empty sample")
      (DomainError, "resamples a CitationSample, not DistinctCounts")),
     (lambda: scale_ci_study([_SAMPLE], reps=40, size=0),
      (DomainError, "resample size must be >= 1")),
+    (lambda: scale_ci_study([_SAMPLE], reps=40, size=2.7),
+     (DomainError, "resample size must be >= 1 and an integer, got 2.7")),
+    (lambda: bootstrap_study(_SAMPLE, 40, "mean", size="5"),
+     (DomainError, "resample size must be >= 1 and an integer, got '5'")),
+    (lambda: bootstrap_study(_SAMPLE, 40, "mean", size=True),
+     (DomainError, "resample size must be >= 1 and an integer, got True")),
     (lambda: shape_table([_SAMPLE, CitationSample([])]), _NONE),
+    (lambda: plausibility_table([_SAMPLE], 0, [0]), (DomainError, "n_sim must be >= 1")),
+    (lambda: plausibility_table([_SAMPLE, CitationSample([])], 9, [0, 1]), _NONE),
+    (lambda: plausibility_table([_SAMPLE, _SAMPLE], 9, [0]),
+     (DomainError, "need one seed per sample, got 1 for 2")),
 ], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-distinct-counts", "scale-size",
-        "shape-empty"])
+        "scale-float-size", "bootstrap-text-size", "bootstrap-bool-size", "shape-empty",
+        "plausibility-nsim", "plausibility-empty", "plausibility-seeds"])
 def test_studies_reject_invalid_input(monkeypatch, call, error):
     monkeypatch.setattr(studies, "run_reps", _no_replicates)
     monkeypatch.setattr(studies, "fit_many", _no_replicates)
