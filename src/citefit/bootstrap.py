@@ -13,7 +13,8 @@ each draw's values: with k = ceil(0.025 * reps) the bounds are the k-th
 smallest and k-th largest values, the 25th smallest / 25th largest for the
 canonical 1000-rep study.
 
-A draw, checked when it is built, holds each sample as its distinct counts.
+A draw, checked when it is built, builds each sample from its distinct
+counts (:meth:`~citefit.sample.CitationSample.from_distinct`).
 A bootstrap draw (:func:`resample_draw`) resamples a source sample by
 :func:`_distinct_resamples`; a simulation draw
 (:func:`citefit.gof.simulation_draw`) draws from a model. So a chunk's
@@ -40,8 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from citefit.exceptions import DomainError
-from citefit.sample import CitationSample, DistinctCounts, as_sample
+from citefit.sample import CitationSample, as_sample, positive_int
 from citefit.seeding import streams
 
 MIN_REPS = 40   # the smallest reps with k = ceil(0.025 * reps) equal to 0.025 * reps
@@ -115,7 +115,7 @@ def run_reps(draws, statistic, reps: int, workers: int) -> list[list]:
 
 
 def _distinct_resamples(sample: CitationSample, size: int, seed: int,
-                        reps: range) -> list[DistinctCounts]:
+                        reps: range) -> list[CitationSample]:
     """The bootstrap resample of each ``rep`` in ``reps``: ``size`` draws
     with replacement from ``sample``, drawn from (seed, rep) and held as its
     distinct counts, bit for bit ``np.unique(draws, return_counts=True)``,
@@ -126,20 +126,17 @@ def _distinct_resamples(sample: CitationSample, size: int, seed: int,
         idx = rng.integers(0, len(sample), size=size)
         mult = np.bincount(inverse[idx], minlength=values.size)
         drawn = np.flatnonzero(mult)
-        resamples.append(DistinctCounts(values[drawn], mult[drawn]))
+        resamples.append(CitationSample.from_distinct(values[drawn], mult[drawn]))
     return resamples
 
 
 def resample_draw(sample, size: int | None, seed: int):
     """The draw of a bootstrap study: replicates -> resamples of ``size``
     counts (None: the sample's size) of ``sample`` from ``seed``, checked
-    before any replicate runs: ``size`` must be an integer, not a bool."""
+    before any replicate runs: ``size`` must be an integer, not a bool. A
+    sample built from its distinct counts resamples its sorted counts."""
     sample = as_sample(sample)
-    if isinstance(sample, DistinctCounts):
-        raise DomainError("a bootstrap study resamples a CitationSample, not DistinctCounts")
-    size = len(sample) if size is None else size
-    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
-        raise DomainError(f"resample size must be >= 1 and an integer, got {size!r}")
+    size = positive_int(len(sample) if size is None else size, "resample size")
     return partial(_distinct_resamples, sample, size, seed)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from citefit.distributions import MAX_COUNT
 from citefit.exceptions import DomainError, EmptySampleError, FitFailedError
 from citefit.fitting import MAX_EVALS, FitResult, fit, fit_many
-from citefit.sample import DistinctCounts, as_sample
+from citefit.sample import CitationSample, as_sample, positive_int
 from citefit.seeding import streams
 
 PLUS = "+"
@@ -163,13 +163,14 @@ def _simulated_counts(model, n: int, seed: int, reps: range, *path):
         yield distinct
 
 
-def _split(v: np.ndarray, mult: np.ndarray, n: int) -> list[DistinctCounts]:
-    """A block of ``_simulated_counts`` as one DistinctCounts per simulation."""
+def _split(v: np.ndarray, mult: np.ndarray, n: int) -> list[CitationSample]:
+    """A block of ``_simulated_counts`` as one sample per simulation."""
     starts = np.flatnonzero((np.cumsum(mult) - mult) % n == 0)[1:]    # no count below v
-    return list(map(DistinctCounts, np.split(v, starts), np.split(mult, starts)))
+    return [CitationSample.from_distinct(*distinct)
+            for distinct in zip(np.split(v, starts), np.split(mult, starts))]
 
 
-def _simulated_samples(model, n: int, seed: int, path, reps: range) -> list[DistinctCounts]:
+def _simulated_samples(model, n: int, seed: int, path, reps: range) -> list[CitationSample]:
     """Every simulation of ``reps`` held as its distinct counts."""
     return [sample for v, mult, _ in _simulated_counts(model, n, seed, reps, *path)
             for sample in _split(v, mult, n)]
@@ -225,9 +226,7 @@ def ks_test_fixed(model, sample, n_sim: int = 1000, seed: int = 0) -> GofResult:
     from (seed, i).
     """
     sample = as_sample(sample)
-    if n_sim < 1:
-        raise DomainError("n_sim must be >= 1")
-    return _mc_ks(model, sample, n_sim, seed, refit=None)
+    return _mc_ks(model, sample, positive_int(n_sim, "n_sim"), seed, refit=None)
 
 
 def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
@@ -247,8 +246,7 @@ def ks_p_value(family: str, sample, n_sim: int = 1000, seed: int = 0,
         flagged through ``GofResult.fit.status``.
     """
     sample = as_sample(sample)
-    if n_sim < 1:
-        raise DomainError("n_sim must be >= 1")
+    n_sim = positive_int(n_sim, "n_sim")
     fitted = fit(family, sample, max_evals)
     if not fitted.usable:
         raise FitFailedError(f"cannot test an unusable fit: {fitted.message}")

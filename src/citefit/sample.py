@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -40,9 +39,20 @@ def positive_ints(x, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@dataclass(frozen=True)
+def positive_int(value, what: str):
+    """``value`` if it is an integer >= 1, else DomainError: a float, even
+    an integral one, and a bool are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{what} must be >= 1 and an integer, got {value!r}")
+    return value
+
+
 class CitationSample:
     """A multiset of offset-adjusted positive integer counts.
+
+    It is held as its counts, checked and kept in the order given, or as
+    its distinct counts (:meth:`from_distinct`), as drawn samples are; each
+    form derives the other on first read. A sample is immutable.
 
     Parameters
     ----------
@@ -53,56 +63,49 @@ class CitationSample:
         Subject or provenance tag used in report rows.
     """
 
-    counts: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        arr = positive_ints(self.counts, "counts (after the offset)").reshape(-1)
+    def __init__(self, counts, label: str = ""):
+        arr = positive_ints(counts, "counts (after the offset)").reshape(-1)
         arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        vars(self).update(counts=arr, label=label, _size=int(arr.size))
+
+    @classmethod
+    def from_distinct(cls, values: np.ndarray, mult: np.ndarray,
+                      label: str = "") -> CitationSample:
+        """The sample of distinct counts ``values``, strictly increasing, with
+        positive multiplicities ``mult``, as :func:`numpy.unique` returns
+        them. Nothing is checked, because they come from counts that were."""
+        sample = cls.__new__(cls)
+        vars(sample).update(unique_counts=(values, mult), label=label)
+        return sample
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a sample is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
-        return int(self.counts.size)
+        return self._size
+
+    @cached_property
+    def _size(self) -> int:
+        return int(self.unique_counts[1].sum())
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The counts (read-only): in the order given, or sorted for a
+        sample built from its distinct counts."""
+        counts = np.repeat(*self.unique_counts)
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def unique_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct values and their multiplicities (both read-only)."""
+        """Distinct values and their multiplicities (read-only when derived
+        from the counts)."""
         values, mult = np.unique(self.counts, return_counts=True)
         values.flags.writeable = False
         mult.flags.writeable = False
         return values, mult
-
-    def require_nonempty(self) -> None:
-        if self.counts.size == 0:
-            raise EmptySampleError("operation requires a non-empty sample")
-
-
-@dataclass(frozen=True, eq=False)
-class DistinctCounts:
-    """A count multiset held only as its distinct values and multiplicities.
-
-    These are all that any reader of a sample reads
-    (:attr:`CitationSample.unique_counts`): fits, the Vuong test, KS, the
-    ECDF and the shape table. Bootstrap resamples and simulated samples are
-    held as one of these. ``values`` is strictly increasing and ``mult``
-    positive, as :func:`numpy.unique` returns them; nothing is checked,
-    because they come from counts that were. ``label`` tags report rows.
-    """
-
-    values: np.ndarray
-    mult: np.ndarray
-    label: str = ""
-
-    def __len__(self) -> int:
-        return int(self.mult.sum())
-
-    @property
-    def unique_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values, self.mult
-
-    def require_nonempty(self) -> None:
-        if self.values.size == 0:
-            raise EmptySampleError("operation requires a non-empty sample")
 
 
 def count_total(values: np.ndarray, mult: np.ndarray) -> int:
@@ -113,16 +116,18 @@ def count_total(values: np.ndarray, mult: np.ndarray) -> int:
     return sum(map(operator.mul, values.tolist(), mult.tolist()))
 
 
-def as_sample(data) -> CitationSample | DistinctCounts:
+def as_sample(data) -> CitationSample:
     """The sample every reader reads: ``data`` itself if it is a
-    CitationSample or DistinctCounts, else a CitationSample of its counts.
+    CitationSample, else a CitationSample of its counts.
 
     Raises EmptySampleError ("operation requires a non-empty sample") for a
-    sample with no counts, so no reader checks that again. Each class's
-    ``require_nonempty`` reads an array size, not ``len``, which sums
-    ``mult`` for DistinctCounts.
+    sample with no counts, so no reader checks that again. The check reads
+    the form the sample was built in, so a drawn sample is neither summed
+    nor expanded.
     """
-    if not isinstance(data, (CitationSample, DistinctCounts)):
+    if not isinstance(data, CitationSample):
         data = CitationSample(np.asarray(data))
-    data.require_nonempty()
+    held = vars(data).get("counts")
+    if (data.unique_counts[0] if held is None else held).size == 0:
+        raise EmptySampleError("operation requires a non-empty sample")
     return data

@@ -12,8 +12,8 @@ sample, run by one :func:`citefit.bootstrap.run_reps` call that takes the
 draws and the statistic, so a run opens at most one process pool (when
 ``workers > 1``) and a study of many samples sends each of them to the
 pool as one task. A draw, checked when it is built, maps a range of
-replicates to their samples, held as their distinct counts
-(:class:`~citefit.sample.DistinctCounts`): bootstrap resamples
+replicates to their samples, built from their distinct counts
+(:meth:`~citefit.sample.CitationSample.from_distinct`): bootstrap resamples
 (:func:`~citefit.bootstrap.resample_draw`) or fresh simulations
 (:func:`~citefit.gof.simulation_draw`). Each statistic and the shape and
 plausibility tables fit their samples with one :func:`~citefit.fitting.fit_many`
@@ -53,7 +53,7 @@ from citefit.exceptions import (
 from citefit.fitting import FitStatus, fit_many
 from citefit.gof import (EQUAL, MINUS, PLUS, ks_statistic, ks_test_fixed, shape_classify,
                          simulation_draw)
-from citefit.sample import as_sample, count_total
+from citefit.sample import as_sample, count_total, positive_int
 from citefit.seeding import child_seed
 from citefit.subjects import SUBJECTS
 from citefit.vuong import MODEL_A, MODEL_B, NEITHER, _favored, vuong
@@ -220,8 +220,7 @@ def plausibility_table(samples, n_sim: int, seeds) -> list[dict]:
     j by :func:`~citefit.gof.ks_test_fixed` on ``child_seed(seeds[i], j)``; a
     degenerate fit ends the row as "degenerate", later families' cells empty."""
     samples = list(map(as_sample, samples))
-    if n_sim < 1:
-        raise DomainError("n_sim must be >= 1")
+    positive_int(n_sim, "n_sim")
     if len(seeds) != len(samples):
         raise DomainError(f"need one seed per sample, got {len(seeds)} for {len(samples)}")
     fits = zip(*(fit_many(family, samples) for family, _, _ in _FAMILY_CELLS))

@@ -40,7 +40,7 @@ from citefit.bootstrap import (
     summarise,
 )
 from citefit.gof import simulation_draw
-from citefit.sample import DistinctCounts, count_total
+from citefit.sample import count_total
 from citefit.seeding import child_seed, spawn_rng
 from citefit.studies import BOOTSTRAP_STATISTICS, vuong_studies
 
@@ -108,16 +108,16 @@ def test_resample_membership_and_size():
     source = CitationSample([2, 3, 5, 8, 13], label="src")
     boot = _one_resample(source, 200, seed=1)
     assert len(boot) == 200
-    assert set(boot.values) <= set(source.counts)
+    assert set(boot.unique_counts[0]) <= set(source.counts)
 
 
 def test_resample_constant_source():
     boot = _one_resample(CitationSample([7, 7, 7]), 50, seed=3)
-    assert (boot.values.tolist(), boot.mult.tolist()) == ([7], [50])
+    assert [part.tolist() for part in boot.unique_counts] == [[7], [50]]
 
 
 def test_resample_two_point_support():
-    outcomes = {tuple(np.repeat(boot.values, boot.mult))
+    outcomes = {tuple(boot.counts)
                 for boot in _distinct_resamples(CitationSample([2, 3]), 2, 0, range(40))}
     assert outcomes == {(2, 2), (2, 3), (3, 3)}  # all three occur, nothing else
 
@@ -127,15 +127,16 @@ def test_resample_deterministic():
     source = CitationSample([1, 4, 9, 16])
     a = _one_resample(source, 100, 5, rep=2)
     b = _distinct_resamples(source, 100, 5, range(4))[2]
-    assert_array_equal(a.values, b.values)
-    assert_array_equal(a.mult, b.mult)
+    assert_array_equal(a.unique_counts[0], b.unique_counts[0])
+    assert_array_equal(a.unique_counts[1], b.unique_counts[1])
 
 
 def test_resample_empty_source_rejected():
     with pytest.raises(EmptySampleError):
         resample_draw(CitationSample([]), 5, 0)
-    # an empty sample is rejected as empty before it is rejected as DistinctCounts
-    empty = DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    # so is a sample built from no distinct counts
+    empty = CitationSample.from_distinct(np.array([], dtype=np.int64),
+                                         np.array([], dtype=np.int64))
     with pytest.raises(EmptySampleError, match="operation requires a non-empty sample"):
         resample_draw(empty, 5, 0)
     with pytest.raises(EmptySampleError):
@@ -158,9 +159,10 @@ def test_distinct_resamples_are_unique_counts_of_the_resamples(counts, size):
     for draws, distinct in zip(_draws(sample, size, 11, reps),
                                _distinct_resamples(sample, size, 11, reps)):
         values, mult = np.unique(draws, return_counts=True)
-        assert_array_equal(distinct.values, values)
-        assert_array_equal(distinct.mult, mult)
-        assert (distinct.values.dtype, distinct.mult.dtype) == (values.dtype, mult.dtype)
+        got_values, got_mult = distinct.unique_counts
+        assert_array_equal(got_values, values)
+        assert_array_equal(got_mult, mult)
+        assert (got_values.dtype, got_mult.dtype) == (values.dtype, mult.dtype)
         assert len(distinct) == size
 
 
@@ -173,22 +175,30 @@ def test_all_equal_distinct_resamples_fit_degenerate_and_fail():
     assert (study.failed, study.z_summary.n_failed) == (40, 40)
 
 
+# A replicate's sample is built from its distinct counts: it never runs the
+# checks of the constructor, and no reader expands it back to its counts.
 def test_vuong_and_scale_replicates_build_no_citation_sample(monkeypatch):
     data = CitationSample(HookedPowerLaw(3.94, 67.9).sample(300, 1))
-    built = []
-    init = CitationSample.__init__
+    built, drawn = [], []
+    init, from_distinct = CitationSample.__init__, CitationSample.from_distinct
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def recording_from_distinct(*args):
+        drawn.append(from_distinct(*args))
+        return drawn[-1]
+
     monkeypatch.setattr(CitationSample, "__init__", counting_init)
+    monkeypatch.setattr(CitationSample, "from_distinct", recording_from_distinct)
     bootstrap_vuong_study(data, 40, seed=2)
     scale_ci_study([data], reps=40, size=100)
     vuong_studies([simulation_draw(HookedPowerLaw(3.94, 67.9), 100, 0)], 40)
     for name in BOOTSTRAP_STATISTICS:
         bootstrap_study(data, 40, name, size=100, seed=3)
     assert built == []
+    assert drawn and not any("counts" in vars(sample) for sample in drawn)
     CitationSample(data.counts[:10])    # the counter sees a sample that is built
     assert len(built) == 1
 
@@ -249,7 +259,7 @@ def test_bootstrap_study_counts_partial_failures():
     # a size-5 resample of this sample fails exactly when it is all ones
     data = CitationSample([1] * 30 + [2])
     summary = bootstrap_study(data, 200, "lognormal-sigma", size=5, seed=9)
-    flat = [r.values.size == 1 for r in _distinct_resamples(data, 5, 9, range(200))]
+    flat = [r.unique_counts[0].size == 1 for r in _distinct_resamples(data, 5, 9, range(200))]
     assert 0 < summary.n_failed < 200
     assert [math.isnan(v) for v in summary.raw] == flat
     assert all(v > 0.0 and math.isfinite(v) for v in summary.raw if not math.isnan(v))
@@ -324,12 +334,13 @@ def test_batch_statistics_equal_the_per_resample_values(counts, size, seed, star
 
 
 # a statistic reads a sample through unique_counts, so a CitationSample
-# gives the bits of its DistinctCounts (odd and even sizes for the median)
+# gives the bits of the sample of its distinct counts (odd and even sizes for
+# the median)
 @pytest.mark.parametrize("name", list(BOOTSTRAP_STATISTICS))
 def test_statistics_read_a_sample_and_its_distinct_counts_alike(name):
     counts = HookedPowerLaw(3.94, 67.9).sample(101, 5)
     samples = [CitationSample(counts), CitationSample(counts[:100])]
-    distinct = [DistinctCounts(*sample.unique_counts) for sample in samples]
+    distinct = [CitationSample.from_distinct(*sample.unique_counts) for sample in samples]
     statistic = BOOTSTRAP_STATISTICS[name]
     assert ([v.hex() for v in statistic(samples)]
             == [v.hex() for v in statistic(distinct)])
@@ -355,13 +366,20 @@ def test_count_total_is_exact_past_int64():
     assert count_total(np.array([5, 9]), np.array([2, 3])) == 37
 
 
+# a sample built from its distinct counts resamples its sorted counts, so its
+# draws and studies are those of the sorted sample, bit for bit
 @pytest.mark.parametrize("study", [partial(bootstrap_study, statistic="mean"),
                                    bootstrap_vuong_study], ids=["bootstrap", "vuong"])
-def test_bootstrap_studies_reject_distinct_counts(study):
-    # a resample draws from the raw counts, which DistinctCounts does not keep
-    counts = DistinctCounts(np.array([1, 2, 5]), np.array([3, 4, 2]))
-    with pytest.raises(DomainError, match="CitationSample"):
-        study(counts, 40)
+def test_a_distinct_sample_resamples_its_sorted_counts(study):
+    values, mult = np.array([1, 2, 5, 9]), np.array([3, 4, 2, 1])
+    distinct = CitationSample.from_distinct(values, mult)
+    counts = CitationSample(np.repeat(values, mult))
+    for size in (None, 7):
+        for a, b in zip(resample_draw(distinct, size, 3)(range(40)),
+                        resample_draw(counts, size, 3)(range(40))):
+            assert ([(part.dtype, part.tobytes()) for part in a.unique_counts]
+                    == [(part.dtype, part.tobytes()) for part in b.unique_counts])
+    assert repr(study(distinct, 40, seed=3)) == repr(study(counts, 40, seed=3))
 
 
 @pytest.mark.parametrize("call,error,message", [

@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting: oracles, round trips and diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,16 +158,18 @@ def test_evaluation_budget_respected():
     assert result.evaluations <= 15 + 4
 
 
-# A budget below one is rejected before any sample is read (an empty one
-# would raise otherwise) and before a base fit reaches a Monte-Carlo test.
-@pytest.mark.parametrize("max_evals", [0, -3])
+# A budget below one, or not an integer, is rejected before any sample is
+# read (an empty one would raise otherwise) and before a base fit reaches a
+# Monte-Carlo test.
+@pytest.mark.parametrize("max_evals", [0, -3, 2.5, 3.0, True, np.True_])
 @pytest.mark.parametrize("call", [
     lambda m: fit("lognormal", CitationSample([1, 2, 3, 5, 8, 13, 1, 1, 2]), m),
     lambda m: fit_many("hooked", [CitationSample([1, 2]), CitationSample([])], m),
     lambda m: ks_p_value("hooked", CitationSample([1, 2, 3, 5, 8, 13, 1, 1, 2]), max_evals=m),
 ], ids=["fit", "fit_many", "ks_p_value"])
 def test_a_budget_below_one_is_rejected(call, max_evals):
-    with pytest.raises(DomainError, match=f"max_evals must be >= 1, got {max_evals}"):
+    message = f"max_evals must be >= 1 and an integer, got {max_evals!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         call(max_evals)
 
 

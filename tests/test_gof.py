@@ -33,7 +33,7 @@ from citefit import (
 from citefit import gof
 from citefit.gof import EQUAL, PLUS, cdf_breakpoints, empirical_cdf
 from citefit.io import render_plot_data, render_report
-from citefit.sample import DistinctCounts, as_sample
+from citefit.sample import as_sample
 from citefit.seeding import child_seed, spawn_rng
 
 
@@ -288,9 +288,10 @@ def test_block_draw_is_np_unique_of_each_simulation(model, n, seed, first, count
     for sample, i in zip(got, reps):
         draws = model._quantile_array(spawn_rng(seed, i, *path).random(n))[0]
         values, mult = np.unique(draws, return_counts=True)
-        assert (sample.values.dtype, sample.mult.dtype) == (values.dtype, mult.dtype)
-        np.testing.assert_array_equal(sample.values, values)
-        np.testing.assert_array_equal(sample.mult, mult)
+        got_values, got_mult = sample.unique_counts
+        assert (got_values.dtype, got_mult.dtype) == (values.dtype, mult.dtype)
+        np.testing.assert_array_equal(got_values, values)
+        np.testing.assert_array_equal(got_mult, mult)
 
 
 def _hexed(value):
@@ -327,12 +328,12 @@ _READERS = {
                          ids=["lognormal", "mixture"])
 @pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
 def test_readers_give_equal_results_on_distinct_counts(reader, counts):
-    distinct = DistinctCounts(*np.unique(counts, return_counts=True))
+    distinct = CitationSample.from_distinct(*np.unique(counts, return_counts=True))
     assert reader(distinct) == reader(CitationSample(counts))
 
 
 @pytest.mark.parametrize("empty", [
-    DistinctCounts(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    CitationSample.from_distinct(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
     CitationSample([]),
 ], ids=["distinct-counts", "citation-sample"])
 @pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
@@ -344,6 +345,22 @@ def test_readers_reject_empty_distinct_counts(reader, empty):
 def test_as_sample_rejects_an_empty_sample():
     with pytest.raises(EmptySampleError, match="^operation requires a non-empty sample$"):
         as_sample([])
+
+
+# Either form of a sample is immutable and derives the other form: a sample
+# built from distinct counts gives its counts sorted.
+@pytest.mark.parametrize("sample", [
+    CitationSample([2, 1, 2]),
+    CitationSample.from_distinct(np.array([1, 2]), np.array([1, 2])),
+], ids=["counts", "distinct-counts"])
+def test_a_sample_is_immutable_in_either_form(sample):
+    with pytest.raises(AttributeError):
+        sample.label = "relabelled"
+    with pytest.raises(AttributeError):
+        del sample.label
+    assert (sample.label, len(sample), sorted(sample.counts)) == ("", 3, [1, 2, 2])
+    assert [part.tolist() for part in sample.unique_counts] == [[1, 2], [1, 2]]
+    assert not sample.counts.flags.writeable
 
 
 @pytest.mark.parametrize("test", [partial(ks_test_fixed, _LN), partial(ks_p_value, "lognormal")],

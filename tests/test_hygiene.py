@@ -14,8 +14,9 @@ with a statistic, and nothing reads back what a draw was built from. Only
 the study driver and the mixture study call ``run_reps``, and the studies
 never call ``fit`` or ``ks_p_value``: they fit in batches with ``fit_many``. Every
 ``CitefitError`` subclass is raised somewhere in the package, and the base
-class itself nowhere. Only ``sample`` calls ``require_nonempty`` (every
-reader takes its sample from ``as_sample``), only ``io`` calls ``open`` or
+class itself nowhere. Only ``bootstrap`` and ``gof``, the draw builders,
+call ``CitationSample.from_distinct``, which checks nothing (every other
+sample is built from checked counts), only ``io`` calls ``open`` or
 ``os.path.splitext`` (it reads count files and labels their samples), and
 the families are listed once, in ``distributions.MODELS``: no CLI
 ``choices`` list names one, and no module but ``distributions``,
@@ -127,11 +128,11 @@ def _calls(tree, name: str) -> list[int]:
 
 
 # Only a sample's own counts and the bootstrap resampler sort raw counts,
-# every reader takes its sample from as_sample, the one empty check, and
-# every stream comes from seeding.
+# only the draw builders build a sample unchecked, from its distinct counts,
+# and every stream comes from seeding.
 @pytest.mark.parametrize("attr,owners", [
     ("unique", {"sample.py", "bootstrap.py"}),
-    ("require_nonempty", {"sample.py"}),
+    ("from_distinct", {"bootstrap.py", "gof.py"}),
     ("SeedSequence", {"seeding.py"}),
     ("PCG64", {"seeding.py"}),
     ("Generator", {"seeding.py"}),

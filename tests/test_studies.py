@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import citefit.gof as gof
 import citefit.studies as studies
 from citefit import (
     CitationSample,
@@ -31,9 +32,9 @@ from citefit import (
     scale_ci_study,
     shape_table,
 )
-from citefit.gof import ks_p_value, shape_classify, simulation_draw
+from citefit.gof import ks_p_value, ks_test_fixed, shape_classify, simulation_draw
 from citefit.io import render_report
-from citefit.sample import DistinctCounts, count_total
+from citefit.sample import count_total
 from citefit.seeding import child_seed
 from citefit.studies import (
     MIXTURE_COLUMNS,
@@ -344,8 +345,6 @@ _NONE = (EmptySampleError, "operation requires a non-empty sample")
     (lambda: bootstrap_vuong_study(CitationSample([]), 40), _NONE),
     (lambda: scale_ci_study([_SAMPLE], reps=39), (TooFewRepsError, "need reps >= 40, got 39")),
     (lambda: scale_ci_study([_SAMPLE, CitationSample([])], reps=40), _NONE),
-    (lambda: scale_ci_study([DistinctCounts(np.array([1, 2]), np.array([3, 4]))], reps=40),
-     (DomainError, "resamples a CitationSample, not DistinctCounts")),
     (lambda: scale_ci_study([_SAMPLE], reps=40, size=0),
      (DomainError, "resample size must be >= 1")),
     (lambda: scale_ci_study([_SAMPLE], reps=40, size=2.7),
@@ -356,15 +355,31 @@ _NONE = (EmptySampleError, "operation requires a non-empty sample")
      (DomainError, "resample size must be >= 1 and an integer, got True")),
     (lambda: shape_table([_SAMPLE, CitationSample([])]), _NONE),
     (lambda: plausibility_table([_SAMPLE], 0, [0]), (DomainError, "n_sim must be >= 1")),
+    (lambda: plausibility_table([_SAMPLE], True, [0]),
+     (DomainError, "n_sim must be >= 1 and an integer, got True")),
+    (lambda: plausibility_table([_SAMPLE], 3.0, [0]),
+     (DomainError, "n_sim must be >= 1 and an integer, got 3.0")),
+    (lambda: ks_test_fixed(DiscretisedLognormal(2.0, 1.0), _SAMPLE, True),
+     (DomainError, "n_sim must be >= 1 and an integer, got True")),
+    (lambda: ks_test_fixed(DiscretisedLognormal(2.0, 1.0), _SAMPLE, 3.0),
+     (DomainError, "n_sim must be >= 1 and an integer, got 3.0")),
+    (lambda: ks_p_value("lognormal", _SAMPLE, True, 1),
+     (DomainError, "n_sim must be >= 1 and an integer, got True")),
+    (lambda: ks_p_value("lognormal", _SAMPLE, 3.0),
+     (DomainError, "n_sim must be >= 1 and an integer, got 3.0")),
     (lambda: plausibility_table([_SAMPLE, CitationSample([])], 9, [0, 1]), _NONE),
     (lambda: plausibility_table([_SAMPLE, _SAMPLE], 9, [0]),
      (DomainError, "need one seed per sample, got 1 for 2")),
-], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-distinct-counts", "scale-size",
+], ids=["vuong-empty", "scale-reps", "scale-empty", "scale-size",
         "scale-float-size", "bootstrap-text-size", "bootstrap-bool-size", "shape-empty",
-        "plausibility-nsim", "plausibility-empty", "plausibility-seeds"])
+        "plausibility-nsim", "plausibility-bool-nsim", "plausibility-float-nsim",
+        "ks-fixed-bool-nsim", "ks-fixed-float-nsim", "ks-p-bool-nsim", "ks-p-float-nsim",
+        "plausibility-empty", "plausibility-seeds"])
 def test_studies_reject_invalid_input(monkeypatch, call, error):
     monkeypatch.setattr(studies, "run_reps", _no_replicates)
     monkeypatch.setattr(studies, "fit_many", _no_replicates)
+    monkeypatch.setattr(gof, "fit", _no_replicates)
+    monkeypatch.setattr(gof, "_mc_ks", _no_replicates)
     cls, message = error
     with pytest.raises(cls, match=message):
         call()
